@@ -19,7 +19,6 @@ from .head import (
     cross_entropy,
     epn_logits,
     forward,
-    forward_sequential,
     init_model_params,
     joint_loss,
     softmax,

@@ -3,8 +3,10 @@
 Run configuration is a flat key=value file (diff-able experiment ledger)
 with CLI flags taking precedence; unknown keys are rejected. The FERHEAD_CONFIG
 environment variable supplies a default config path and nothing else. Every
-command is deterministic given --seed; --threads 1 (the default) forces the
-strictly sequential per-sample path so repeated runs are bitwise identical.
+command is deterministic given --seed: training runs one batched forward and
+backward per step, and repeated runs on the same machine with the same BLAS
+thread count give identical bytes. --threads (the `threads` key) is accepted
+so that older configuration files still load, and has no effect.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class RunConfig:
     epochs: int = 40
     batch_size: int = 64
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # no effect; kept so configuration files that set it still load
     train_path: str = ""
     test_path: str = ""
     checkpoint: str = ""
@@ -183,10 +185,9 @@ def run_training(cfg: RunConfig, progress=None):
         adam=AdamState.zeros(params),
         rng=rng,
     )
-    sequential = cfg.threads <= 1
     history = []
     for epoch in range(sched.total_epochs):
-        summary = train_epoch(state, data, head_cfg, sched, epoch, sequential=sequential)
+        summary = train_epoch(state, data, head_cfg, sched, epoch)
         row = {
             "epoch": epoch,
             "lr": sched.lr_at(epoch),
@@ -452,16 +453,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+FLAG_HELP = {"threads": "accepted for compatibility with older configurations; no effect"}
+
+
 def _add_config_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value run configuration file")
     for f in fields(RunConfig):
         flag = "--" + f.name.replace("_", "-")
-        if isinstance(f.default, int):
-            parser.add_argument(flag, type=int, default=None, dest=f.name)
-        elif isinstance(f.default, float):
-            parser.add_argument(flag, type=float, default=None, dest=f.name)
-        else:
-            parser.add_argument(flag, type=str, default=None, dest=f.name)
+        # every RunConfig default is an int, a float or a str
+        parser.add_argument(
+            flag, type=type(f.default), default=None, dest=f.name, help=FLAG_HELP.get(f.name)
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -101,10 +101,6 @@ class ParamGroups:
     def copy(self) -> "ParamGroups":
         return ParamGroups(**{name: arr.copy() for name, arr in self.items()})
 
-    def add_(self, other: "ParamGroups") -> None:
-        for name, arr in self.items():
-            arr += getattr(other, name)
-
     def to_vector(self) -> np.ndarray:
         return np.concatenate([arr.ravel() for _, arr in self.items()])
 
@@ -171,11 +167,6 @@ class ForwardCache:
     mixed: np.ndarray         # (N, M, D)
     feature: np.ndarray       # (N, D) expression features
     logits: np.ndarray        # (N, K)
-
-    def sample_slice(self, i: int) -> "ForwardCache":
-        return ForwardCache(
-            **{f.name: getattr(self, f.name)[i : i + 1] for f in fields(self)}
-        )
 
 
 @dataclass
@@ -252,25 +243,6 @@ def forward(X: np.ndarray, params: ParamGroups, cfg: HeadConfig) -> ForwardCache
         mixed=mixed,
         feature=feature,
         logits=logits,
-    )
-
-
-def forward_sequential(X: np.ndarray, params: ParamGroups, cfg: HeadConfig) -> ForwardCache:
-    """Per-sample forward in fixed order, stacked into one cache.
-
-    Produces the same values as forward() up to summation order inside the
-    matrix kernels; exists so the strictly sequential training mode never
-    batches samples together.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ContractViolation(f"forward_sequential expects (N, P) inputs, got {X.shape}")
-    parts = [forward(X[i : i + 1], params, cfg) for i in range(X.shape[0])]
-    return ForwardCache(
-        **{
-            f.name: np.concatenate([getattr(p, f.name) for p in parts], axis=0)
-            for f in fields(ForwardCache)
-        }
     )
 
 
@@ -412,15 +384,13 @@ def backward(
     centers: Centers,
     cfg: HeadConfig,
     cls_weight: float = 1.0,
-    sequential: bool = False,
 ) -> tuple[ParamGroups, LossBreakdown]:
     """Gradient of the joint loss w.r.t. every parameter group, plus losses.
 
     cls_weight scales the classification term (1.0 in training; the
-    verification harness uses it to isolate individual loss terms). With
-    sequential=True, per-sample contributions are computed one at a time and
-    reduced in batch order; otherwise the whole batch is processed at once.
-    Both modes agree to reduction-order rounding (~1e-13).
+    verification harness uses it to isolate individual loss terms). The
+    whole batch goes through one reverse pass, so the per-sample
+    contributions are reduced inside the matrix kernels.
     """
     labels = np.asarray(labels)
     N = cache.logits.shape[0]
@@ -451,23 +421,7 @@ def backward(
         mean_weights(cache.weights)
     )
 
-    if sequential:
-        grads = params.zeros_like()
-        for i in range(N):
-            grads.add_(
-                _chain_backward(
-                    cache.sample_slice(i),
-                    dlogits[i : i + 1],
-                    dlatents_extra[i : i + 1],
-                    dweights_extra[i : i + 1],
-                    params,
-                    cfg,
-                )
-            )
-    else:
-        grads = _chain_backward(
-            cache, dlogits, dlatents_extra, dweights_extra, params, cfg
-        )
+    grads = _chain_backward(cache, dlogits, dlatents_extra, dweights_extra, params, cfg)
 
     grads.raise_if_not_finite(
         f"gradient (losses: cls={breakdown.cls:.6g}, compact={breakdown.compact:.6g}, "

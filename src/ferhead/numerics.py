@@ -98,12 +98,8 @@ def relu(v: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v, dtype=np.float64)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # the tanh identity never overflows and needs no masked indexing
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(v, dtype=np.float64)))
 
 
 _ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid, "tanh": np.tanh}

@@ -26,7 +26,6 @@ from .head import (
     ParamGroups,
     backward,
     forward,
-    forward_sequential,
 )
 from .numerics import SplitMix64
 
@@ -156,9 +155,12 @@ def train_epoch(
     cfg: HeadConfig,
     schedule: Schedule,
     epoch: int,
-    sequential: bool = True,
 ) -> EpochSummary:
     """One pass over the shuffled dataset; returns the epoch summary.
+
+    Each batch takes one batched `forward` and one `backward` call. Given
+    the same state and data, the result is bitwise reproducible on the same
+    machine with the same BLAS thread count.
 
     The summary's loss components are means over the epoch's batches
     (weighted by batch size); its accuracy is a full evaluation pass on
@@ -180,11 +182,8 @@ def train_epoch(
         X = data.features[batch_idx]
         labels = data.labels[batch_idx]
         try:
-            fwd = forward_sequential if sequential else forward
-            cache = fwd(X, state.params, cfg)
-            grads, losses = backward(
-                cache, labels, state.params, state.centers, cfg, sequential=sequential
-            )
+            cache = forward(X, state.params, cfg)
+            grads, losses = backward(cache, labels, state.params, state.centers, cfg)
         except TrainingError as err:
             raise TrainingError(
                 f"epoch {epoch}, batch starting at {start}: {err}"

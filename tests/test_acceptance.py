@@ -174,7 +174,7 @@ class TestSyntheticEndToEnd:
         )
         start = time.time()
         for epoch in range(sched.total_epochs):
-            train_epoch(state, train, cfg, sched, epoch, sequential=False)
+            train_epoch(state, train, cfg, sched, epoch)
         elapsed = time.time() - start
         accuracy = evaluate(state.params, cfg, test).accuracy
         assert elapsed < 600.0, f"training took {elapsed:.0f}s (limit 600s)"
@@ -211,7 +211,7 @@ class TestBalanceLossEffect:
                 adam=AdamState.zeros(params), rng=rng,
             )
             for epoch in range(sched.total_epochs):
-                train_epoch(state, data, cfg, sched, epoch, sequential=False)
+                train_epoch(state, data, cfg, sched, epoch)
             cache = forward(data.features, state.params, cfg)
             gaps[lam] = balance_loss(mean_weights(cache.weights))
         assert gaps[1.0] < gaps[0.0], f"balance gaps: {gaps}"
@@ -268,7 +268,7 @@ class TestAblationHarness:
 
 
 class TestDeterminism:
-    def test_sequential_runs_bitwise_identical(self, tmp_path):
+    def test_default_runs_bitwise_identical(self, tmp_path):
         data = tmp_path / "train.csv"
         assert (
             main(
@@ -286,7 +286,7 @@ class TestDeterminism:
                     ["train", "--train-path", str(data), "--input-dim", "20",
                      "--latent-dim", "6", "--n-latents", "3", "--n-classes", "3",
                      "--epochs", "3", "--batch-size", "10", "--decay-epochs", "",
-                     "--threads", "1", "--seed", "11",
+                     "--seed", "11",
                      "--checkpoint", str(ckpt), "--log-path", str(log)]
                 )
                 == 0
@@ -295,7 +295,7 @@ class TestDeterminism:
             logs.append(log.read_text())
         assert blobs[0] == blobs[1]
         assert logs[0] == logs[1]
-        report("determinism: sequential-mode runs produce identical bytes")
+        report("determinism: repeated default-flag train runs produce identical bytes")
 
 
 class TestFormatRoundTrips:

@@ -120,23 +120,35 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "epoch 0" in err and "batch" in err
 
+    @staticmethod
+    def train_outputs(tmp_path, config, tag, *flags):
+        """Checkpoint bytes and log text of one seeded train run."""
+        ckpt = tmp_path / f"model_{tag}.ckpt"
+        log = tmp_path / f"log_{tag}.csv"
+        assert (
+            main(
+                [
+                    "train", "--config", str(config), *flags,
+                    "--checkpoint", str(ckpt), "--log-path", str(log),
+                    "--seed", "7",
+                ]
+            )
+            == 0
+        )
+        return ckpt.read_bytes(), log.read_text()
+
     def test_determinism_identical_logs_and_checkpoints(self, toy_env):
         tmp_path, config = toy_env
-        outputs = []
-        for tag in ("a", "b"):
-            ckpt = tmp_path / f"model_{tag}.ckpt"
-            log = tmp_path / f"log_{tag}.csv"
-            assert (
-                main(
-                    [
-                        "train", "--config", str(config), "--threads", "1",
-                        "--checkpoint", str(ckpt), "--log-path", str(log),
-                        "--seed", "7",
-                    ]
-                )
-                == 0
-            )
-            outputs.append((ckpt.read_bytes(), log.read_text()))
+        outputs = [self.train_outputs(tmp_path, config, tag) for tag in ("a", "b")]
+        assert outputs[0][0] == outputs[1][0]
+        assert outputs[0][1] == outputs[1][1]
+
+    def test_threads_flag_does_not_change_training(self, toy_env):
+        """--threads still parses, and every value trains the same bytes."""
+        tmp_path, config = toy_env
+        outputs = [
+            self.train_outputs(tmp_path, config, f"t{n}", "--threads", n) for n in ("1", "2")
+        ]
         assert outputs[0][0] == outputs[1][0]
         assert outputs[0][1] == outputs[1][1]
 

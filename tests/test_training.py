@@ -148,7 +148,7 @@ class TestAdamStep:
             data = tiny_dataset(seed=3, cfg=cfg)
             sched = Schedule(base_lr=1e-3, decay_epochs=(), total_epochs=2, batch_size=10)
             for epoch in range(2):
-                train_epoch(state, data, cfg, sched, epoch, sequential=True)
+                train_epoch(state, data, cfg, sched, epoch)
             digests.append(params_digest(state))
         assert digests[0] == digests[1]
 
@@ -162,7 +162,7 @@ class TestTrainEpoch:
         state = fresh_state(cfg, seed=1)
         best = 0.0
         for epoch in range(sched.total_epochs):
-            summary = train_epoch(state, data, cfg, sched, epoch, sequential=False)
+            summary = train_epoch(state, data, cfg, sched, epoch)
             best = max(best, summary.accuracy)
             if summary.accuracy == 1.0:
                 break
@@ -202,10 +202,8 @@ class TestTrainEpoch:
         for _ in range(2):
             state = fresh_state(cfg, seed=11)
             data = tiny_dataset(seed=2, cfg=cfg)
-            summaries = [
-                train_epoch(state, data, cfg, sched, e, sequential=True) for e in range(3)
-            ]
-            runs.append([(s.losses.total, s.accuracy) for s in summaries])
+            summaries = [train_epoch(state, data, cfg, sched, e) for e in range(3)]
+            runs.append([(s.losses, s.accuracy) for s in summaries])
         assert runs[0] == runs[1]
 
     def test_partial_final_batch_kept(self):
@@ -229,7 +227,7 @@ class TestTrainEpoch:
 
         pre_step_latents = forward(data.features, state.params, cfg).latents
         expected = cfg.center_rate * pre_step_latents.mean(axis=0)
-        train_epoch(state, data, cfg, sched, 0, sequential=False)
+        train_epoch(state, data, cfg, sched, 0)
         np.testing.assert_allclose(state.centers.latent.centers, expected, atol=1e-12)
 
 
