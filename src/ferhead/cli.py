@@ -20,7 +20,7 @@ import numpy as np
 
 from . import datasets, verification
 from .errors import ContractViolation, DataFormatError, OracleError, TrainingError
-from .head import Centers, HeadConfig, forward, init_model_params
+from .head import Centers, HeadConfig, init_model_params
 from .intra import per_class_mean_weights
 from .numerics import SplitMix64
 from .training import (
@@ -28,6 +28,7 @@ from .training import (
     Schedule,
     TrainerState,
     evaluate,
+    forward_in_blocks,
     load_checkpoint,
     peek_checkpoint_dims,
     save_checkpoint,
@@ -371,10 +372,17 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             f"{args.data}: feature dimension {data.feature_dim} does not match "
             f"checkpoint input dimension {P}"
         )
-    cache = forward(data.features, state.params, head_cfg)
+    weights, feature, omega = forward_in_blocks(
+        data.features,
+        state.params,
+        head_cfg,
+        lambda cache: cache.weights,
+        lambda cache: cache.feature,
+        lambda cache: cache.omega,
+    )
 
     if args.weights_csv:
-        means = per_class_mean_weights(cache.weights, data.labels, K)
+        means = per_class_mean_weights(weights, data.labels, K)
         with open(args.weights_csv, "w", encoding="utf-8") as fh:
             fh.write("class," + ",".join(f"weight_{j + 1}" for j in range(M)) + "\n")
             for k, name in enumerate(data.class_names):
@@ -382,7 +390,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         print(f"wrote per-class mean intra weights to {args.weights_csv}")
 
     if args.pca_csv:
-        projected = pca_project(cache.feature)
+        projected = pca_project(feature)
         with open(args.pca_csv, "w", encoding="utf-8") as fh:
             fh.write("label,pc1,pc2\n")
             for label, (a, b) in zip(data.labels, projected):
@@ -392,10 +400,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     if args.relations_csv:
         with open(args.relations_csv, "w", encoding="utf-8") as fh:
             fh.write("sample,row,col,weight\n")
-            for i in range(cache.omega.shape[0]):
+            for i in range(omega.shape[0]):
                 for j in range(M):
                     for m in range(M):
-                        fh.write(f"{i},{j},{m},{_format_float(cache.omega[i, j, m])}\n")
+                        fh.write(f"{i},{j},{m},{_format_float(omega[i, j, m])}\n")
         print(f"wrote relation weight matrices to {args.relations_csv}")
     return 0
 

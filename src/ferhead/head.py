@@ -216,12 +216,7 @@ def forward(X: np.ndarray, params: ParamGroups, cfg: HeadConfig) -> ForwardCache
     pre_message = np.matmul(scaled.transpose(1, 0, 2), params.message).transpose(1, 0, 2)
     messages = relu(pre_message)
 
-    diff = messages[:, :, None, :] - messages[:, None, :, :]
-    sq = np.sum(diff * diff, axis=-1)
-    distances = np.sqrt(sq + inter.EPS_NORM)
-    omega = np.tanh(distances)
-    # coincident messages (the diagonal included) carry exactly zero weight
-    omega[sq == 0.0] = 0.0
+    distances, omega = inter.pairwise_relation(messages)
 
     aggregated = np.matmul(omega, messages)
     mixed = cfg.mix_ratio * scaled + (1.0 - cfg.mix_ratio) * aggregated

@@ -12,6 +12,11 @@ The distance is computed as sqrt(sum((a-b)^2) + EPS): the true norm has no
 gradient at coincident messages, and the epsilon keeps the weights
 differentiable everywhere. The weights are a differentiable function of the
 messages; gradients flow through them into the encoder weights and upstream.
+
+The squared distances come from a loop over the M(M-1)/2 message pairs, one
+(..., D) difference per pair, so no (N, M, M, D) difference tensor is ever
+built: memory stays O(N*M*D) and each entry is bitwise the sum a broadcast
+difference would give.
 """
 
 from __future__ import annotations
@@ -47,15 +52,24 @@ def encode_messages_batch(feature_batch: np.ndarray, message_weights: np.ndarray
     return relu(pre)
 
 
-def pairwise_distances(messages: np.ndarray) -> np.ndarray:
-    """Stabilized Euclidean distances between message pairs.
+def pairwise_relation(messages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stabilized pairwise distances and relation weights of message banks.
 
-    Accepts (M, D) or (N, M, D); returns (M, M) or (N, M, M). The diagonal
-    holds sqrt(EPS_NORM), not zero; relation_weights pins it afterwards.
+    (..., M, D) -> two (..., M, M) arrays. Distances are sqrt(sq + EPS_NORM),
+    so the diagonal holds sqrt(EPS_NORM); weights are tanh of them, except
+    that coincident messages (squared distance exactly 0, the diagonal
+    included) weigh exactly 0.
     """
-    g = np.asarray(messages, dtype=np.float64)
-    diff = g[..., :, None, :] - g[..., None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1) + EPS_NORM)
+    M = messages.shape[-2]
+    sq = np.zeros(messages.shape[:-1] + (M,))
+    for j in range(M):
+        for m in range(j + 1, M):
+            d = messages[..., j, :] - messages[..., m, :]
+            sq[..., j, m] = sq[..., m, j] = np.sum(d * d, axis=-1)
+    distances = np.sqrt(sq + EPS_NORM)
+    omega = np.tanh(distances)
+    omega[sq == 0.0] = 0.0
+    return distances, omega
 
 
 def relation_weights(messages: np.ndarray) -> np.ndarray:
@@ -70,11 +84,7 @@ def relation_weights(messages: np.ndarray) -> np.ndarray:
     g = np.asarray(messages, dtype=np.float64)
     if g.ndim not in (2, 3) or g.shape[-2] < 1:
         raise ContractViolation(f"relation_weights needs (M, D) or (N, M, D), got {g.shape}")
-    diff = g[..., :, None, :] - g[..., None, :, :]
-    sq = np.sum(diff * diff, axis=-1)
-    omega = np.tanh(np.sqrt(sq + EPS_NORM))
-    omega[sq == 0.0] = 0.0
-    return omega
+    return pairwise_relation(g)[1]
 
 
 def aggregate(messages: np.ndarray, omega: np.ndarray) -> np.ndarray:

@@ -334,6 +334,50 @@ class TestInspectCommand:
         assert r_lines[0] == "sample,row,col,weight"
         assert len(r_lines) == 1 + 60 * 3 * 3
 
+    def test_blocks_match_one_full_forward(self, toy_env):
+        """Over more rows than one block, the exports equal one full forward's."""
+        from ferhead.datasets import load_csv
+        from ferhead.head import HeadConfig, forward
+        from ferhead.training import EVAL_BLOCK_ROWS, load_checkpoint
+
+        tmp_path, config = toy_env
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        big = tmp_path / "big.csv"
+        per_class = EVAL_BLOCK_ROWS // 3 + 20
+        assert (
+            main(
+                ["synth", "--classes", "3", "--actions", "4", "--dim", "24",
+                 "--per-class", str(per_class), "--noise", "0.02", "--seed", "9",
+                 "--structure-seed", "1", "--out-csv", str(big)]
+            )
+            == 0
+        )
+        weights_csv = tmp_path / "weights.csv"
+        rel_csv = tmp_path / "rel.csv"
+        assert (
+            main(
+                ["inspect", "--checkpoint-path", str(ckpt), "--data", str(big),
+                 "--weights-csv", str(weights_csv), "--relations-csv", str(rel_csv)]
+            )
+            == 0
+        )
+
+        names = tuple(f"class_{k}" for k in range(3))
+        data = load_csv(str(big), names)
+        assert len(data) > EVAL_BLOCK_ROWS
+        cfg = HeadConfig(input_dim=24, latent_dim=6, n_latents=3, n_classes=3)
+        cache = forward(data.features, load_checkpoint(str(ckpt), cfg).params, cfg)
+        expected = [cache.weights[data.labels == k].mean(axis=0) for k in range(3)]
+        rows = [line.split(",") for line in weights_csv.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == list(names)
+        got = np.array([[float(v) for v in row[1:]] for row in rows])
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+        rel = np.loadtxt(rel_csv, delimiter=",", skiprows=1)
+        assert rel.shape == (len(data) * 9, 4)
+        np.testing.assert_allclose(rel[:, 3], cache.omega.ravel(), rtol=1e-12, atol=0.0)
+
     def test_pca_variance_ordering(self):
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(200, 6)) * np.array([5.0, 2.0, 1.0, 0.5, 0.2, 0.1])

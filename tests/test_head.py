@@ -17,9 +17,11 @@ from ferhead.head import (
     compute_losses,
     cross_entropy,
     forward,
+    init_model_params,
     joint_loss,
     softmax,
 )
+from ferhead.inter import EPS_NORM
 from ferhead.numerics import SplitMix64
 
 
@@ -127,6 +129,31 @@ class TestForwardAgainstNaiveOracle:
         X[0, 0] = np.nan
         with pytest.raises(ContractViolation):
             forward(X, params, cfg)
+
+
+class TestRelationDistances:
+    def test_distances_bitwise_equal_broadcast_formula(self):
+        """The pair loop gives exactly the (N, M, M, D) broadcast result."""
+        for cfg, batch in ((small_cfg(), 5), (HeadConfig(), 64)):
+            params = init_model_params(cfg, SplitMix64(21))
+            X = np.random.default_rng(4).normal(size=(batch, cfg.input_dim))
+            cache = forward(X, params, cfg)
+            G = cache.messages
+            diff = G[:, :, None, :] - G[:, None, :, :]
+            expected = np.sqrt(np.sum(diff * diff, axis=-1) + EPS_NORM)
+            assert np.array_equal(cache.distances, expected)
+
+    def test_coincident_messages_get_exactly_zero_omega(self):
+        """Two latents with identical weight slices relate with weight 0.0."""
+        cfg, params, X, _ = random_instance(13, batch=20)
+        for group in (params.decomp, params.gate, params.message):
+            group[1] = group[0]
+        cache = forward(X, params, cfg)
+        assert np.array_equal(cache.messages[:, 0], cache.messages[:, 1])
+        assert np.any(cache.messages[:, 0] > 0)
+        assert np.all(cache.omega[:, 0, 1] == 0.0)
+        assert np.all(cache.omega[:, 1, 0] == 0.0)
+        assert np.any(cache.omega[:, 0, 2] > 0.0)
 
 
 class TestStructuralInvariants:

@@ -1,6 +1,7 @@
 """Adam, schedule, epoch loop, evaluation, and checkpoint tests."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ferhead.errors import ContractViolation, DataFormatError
 from ferhead.head import Centers, HeadConfig, init_model_params
 from ferhead.numerics import SplitMix64
 from ferhead.training import (
+    EVAL_BLOCK_ROWS,
     AdamState,
     Schedule,
     TrainerState,
@@ -283,6 +285,46 @@ class TestEvaluate:
         np.testing.assert_array_equal(
             np.argmax(logits, axis=1), np.argmax(logits + 1234.5, axis=1)
         )
+
+
+    def test_blocks_match_one_full_forward(self):
+        """Over several row blocks and a partial one, the confusion is unchanged."""
+        cfg = tiny_cfg()
+        state = fresh_state(cfg, seed=7)
+        rng = np.random.default_rng(7)
+        for _, arr in state.params.items():
+            arr[...] = rng.normal(size=arr.shape)
+        n = 2 * EVAL_BLOCK_ROWS + 37
+        X = rng.normal(size=(n, cfg.input_dim))
+        labels = np.arange(n) % cfg.n_classes
+        data = FeatureDataset(X, labels, tuple(f"class_{k}" for k in range(cfg.n_classes)))
+        from ferhead.head import forward
+
+        preds = np.argmax(forward(X, state.params, cfg).logits, axis=1)
+        expected = np.zeros((cfg.n_classes, cfg.n_classes), dtype=np.int64)
+        np.add.at(expected, (labels, preds), 1)
+        report = evaluate(state.params, cfg, data)
+        np.testing.assert_array_equal(report.confusion, expected)
+        assert len(np.unique(preds)) > 1
+
+    def test_peak_memory_bounded_in_rows(self):
+        """At paper dimensions, 4x the rows costs well under 1.5x the peak."""
+        cfg = HeadConfig()
+        params = init_model_params(cfg, SplitMix64(8))
+        X = np.random.default_rng(8).normal(size=(4 * EVAL_BLOCK_ROWS, cfg.input_dim))
+        labels = np.arange(len(X)) % cfg.n_classes
+
+        def peak(rows):
+            data = FeatureDataset(X[:rows], labels[:rows])
+            tracemalloc.start()
+            try:
+                evaluate(params, cfg, data)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(EVAL_BLOCK_ROWS), peak(len(X))
+        assert large < 1.5 * small, (small, large)
 
 
 class TestCheckpoints:
