@@ -372,6 +372,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             f"{args.data}: feature dimension {data.feature_dim} does not match "
             f"checkpoint input dimension {P}"
         )
+    if len(data) < 1:
+        raise ContractViolation("inspect needs a non-empty dataset")
     weights, feature, omega = forward_in_blocks(
         data.features,
         state.params,

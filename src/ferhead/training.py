@@ -10,6 +10,8 @@ losses use its true size.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -32,6 +34,9 @@ from .numerics import SplitMix64
 ADAM_BETA1 = 0.500
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per block of adam_step. Four float64 blocks (g, m, v, theta) plus
+# two scratch blocks take 1.5 MB, which fits in L2; 4k to 32k ran alike.
+ADAM_BLOCK = 32768
 
 # Rows per forward call in evaluate and inspect. 512 rows keep their peak
 # allocation near 50 MB at paper dimensions; larger blocks were no faster.
@@ -89,21 +94,54 @@ class AdamState:
 def adam_step(
     params: ParamGroups, grads: ParamGroups, state: AdamState, lr: float
 ) -> None:
-    """One in-place bias-corrected Adam update."""
+    """One in-place bias-corrected Adam update, over cache-sized blocks.
+
+    Per group, the update is
+    theta -= lr * (m / correct1) / (np.sqrt(v / correct2) + eps), after
+    m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g*g. Each group
+    is raveled and walked in blocks of ADAM_BLOCK elements, and every block
+    runs the whole update before the next block starts, so its g, m, v and
+    theta stay in cache across all fourteen operations instead of each
+    operation making its own pass over the group. Inside a block the
+    operations are those of the formula in the same order, written into two
+    block-sized scratch arrays; every one of them is correctly rounded and
+    element-wise, so the result is bitwise equal to the whole-array formula.
+    """
     grads.raise_if_not_finite("passed to adam_step")
+    for group in (params, state.first, state.second):
+        # the blocks are views of the raveled arrays; a copy would drop the update
+        if not all(arr.flags.c_contiguous for _, arr in group.items()):
+            raise ContractViolation("adam_step updates C-contiguous arrays in place")
     state.step_count += 1
     t = state.step_count
-    correct1 = 1.0 - state.beta1**t
-    correct2 = 1.0 - state.beta2**t
+    beta1, beta2, eps = state.beta1, state.beta2, state.eps
+    correct1 = 1.0 - beta1**t
+    correct2 = 1.0 - beta2**t
+    scratch1 = np.empty(ADAM_BLOCK)
+    scratch2 = np.empty(ADAM_BLOCK)
     for name, theta in params.items():
-        g = getattr(grads, name)
-        m = getattr(state.first, name)
-        v = getattr(state.second, name)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        theta -= lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+        g = getattr(grads, name).ravel()  # a copy only if backward's grad is strided
+        m = getattr(state.first, name).reshape(-1)
+        v = getattr(state.second, name).reshape(-1)
+        p = theta.reshape(-1)
+        for lo in range(0, p.size, ADAM_BLOCK):
+            hi = lo + ADAM_BLOCK
+            gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], p[lo:hi]
+            t1, t2 = scratch1[: pb.size], scratch2[: pb.size]
+            mb *= beta1
+            np.multiply(gb, 1.0 - beta1, out=t1)
+            mb += t1
+            vb *= beta2
+            np.multiply(gb, gb, out=t1)
+            t1 *= 1.0 - beta2
+            vb += t1
+            np.divide(mb, correct1, out=t1)
+            t1 *= lr
+            np.divide(vb, correct2, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += eps
+            t1 /= t2
+            pb -= t1
     params.raise_if_not_finite("after adam_step")
 
 
@@ -137,12 +175,12 @@ def forward_in_blocks(X: np.ndarray, params: ParamGroups, cfg: HeadConfig, *pick
 
     Each pick maps a block's ForwardCache to an array with one leading entry
     per row; the result holds one array per pick, concatenated over the
-    blocks. Only one block's cache is alive at a time, so the peak memory is
-    O(EVAL_BLOCK_ROWS) plus whatever the picks keep.
+    blocks, so X needs at least one row. Only one block's cache is alive at
+    a time, so the peak memory is O(EVAL_BLOCK_ROWS) plus whatever the picks
+    keep.
     """
     kept = [[] for _ in picks]
-    # an empty X still takes one (empty) block, so every pick has its shape
-    for start in range(0, max(len(X), 1), EVAL_BLOCK_ROWS):
+    for start in range(0, len(X), EVAL_BLOCK_ROWS):
         cache = forward(X[start : start + EVAL_BLOCK_ROWS], params, cfg)
         for parts, pick in zip(kept, picks):
             parts.append(pick(cache))
@@ -237,23 +275,33 @@ def save_checkpoint(path: str, state: TrainerState, cfg: HeadConfig) -> None:
     fixed order (decomp, gate, message, classifier weights; latent centers;
     class centers; Adam first then second moments in the same group order),
     then u64 step count and u64 RNG state.
+
+    The bytes go to `path + ".tmp"` in the same directory, which then
+    replaces `path` in one `os.replace`; a save that fails part-way removes
+    the temp file and leaves any earlier checkpoint at `path` as it was.
     """
-    arrays = _checkpoint_arrays(state)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(
-            struct.pack(
-                "<5I",
-                CHECKPOINT_VERSION,
-                cfg.input_dim,
-                cfg.latent_dim,
-                cfg.n_latents,
-                cfg.n_classes,
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(
+                struct.pack(
+                    "<5I",
+                    CHECKPOINT_VERSION,
+                    cfg.input_dim,
+                    cfg.latent_dim,
+                    cfg.n_latents,
+                    cfg.n_classes,
+                )
             )
-        )
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        fh.write(struct.pack("<QQ", state.adam.step_count, state.rng.state))
+            for arr in _checkpoint_arrays(state):
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(struct.pack("<QQ", state.adam.step_count, state.rng.state))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def peek_checkpoint_dims(path: str) -> tuple[int, int, int, int]:

@@ -378,6 +378,36 @@ class TestInspectCommand:
         assert rel.shape == (len(data) * 9, 4)
         np.testing.assert_allclose(rel[:, 3], cache.omega.ravel(), rtol=1e-12, atol=0.0)
 
+    def test_empty_dataset_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        from ferhead.datasets import FeatureDataset, save_bin
+        from ferhead.head import Centers, HeadConfig, init_model_params
+        from ferhead.numerics import SplitMix64
+        from ferhead.training import AdamState, TrainerState, save_checkpoint
+
+        cfg = HeadConfig(input_dim=8, latent_dim=4, n_latents=2, n_classes=3)
+        rng = SplitMix64(0)
+        params = init_model_params(cfg, rng)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(
+            str(ckpt),
+            TrainerState(params, Centers.zeros(cfg), AdamState.zeros(params), rng),
+            cfg,
+        )
+        empty = tmp_path / "empty.bin"
+        save_bin(
+            str(empty),
+            FeatureDataset(np.zeros((0, 8)), np.zeros(0, dtype=np.int64), ("a", "b", "c")),
+        )
+        outputs = [tmp_path / name for name in ("weights.csv", "pca.csv", "rel.csv")]
+        code = main(
+            ["inspect", "--checkpoint-path", str(ckpt), "--data", str(empty),
+             "--weights-csv", str(outputs[0]), "--pca-csv", str(outputs[1]),
+             "--relations-csv", str(outputs[2])]
+        )
+        assert code == 2
+        assert "inspect needs a non-empty dataset" in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
+
     def test_pca_variance_ordering(self):
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(200, 6)) * np.array([5.0, 2.0, 1.0, 0.5, 0.2, 0.1])

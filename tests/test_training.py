@@ -6,11 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ferhead import training
 from ferhead.datasets import FeatureDataset
-from ferhead.errors import ContractViolation, DataFormatError
+from ferhead.errors import ContractViolation, DataFormatError, TrainingError
 from ferhead.head import Centers, HeadConfig, init_model_params
 from ferhead.numerics import SplitMix64
 from ferhead.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     EVAL_BLOCK_ROWS,
     AdamState,
     Schedule,
@@ -141,6 +145,75 @@ class TestAdamStep:
         for _ in range(50):
             adam_step(params, zero, state, lr=1e-3)
         assert np.abs(state.first.gate).max() < np.abs(m_after_one).max() * 1e-10
+
+    @pytest.mark.parametrize(
+        "cfg, block",
+        [(tiny_cfg(), 7), (HeadConfig(), None)],
+        ids=["tiny-dims-block-7", "paper-dims"],
+    )
+    def test_blocked_update_bitwise_equals_whole_array_formula(
+        self, monkeypatch, cfg, block
+    ):
+        """Blocks (partial last ones too) give the whole-array formula's bits."""
+        if block is not None:
+            monkeypatch.setattr(training, "ADAM_BLOCK", block)
+        rng = SplitMix64(5)
+        params = init_model_params(cfg, rng)
+        state = AdamState.zeros(params)
+        expected = params.copy()
+        first, second = params.zeros_like(), params.zeros_like()
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+        for t, lr in enumerate([1e-3, 1e-3, 2e-4, 1e-4, 1e-5, 3e-6], start=1):
+            grads = params.zeros_like()
+            for name, arr in grads.items():
+                arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
+            # backward's decomp gradient is a strided einsum result; mimic it
+            grads.decomp = np.ascontiguousarray(grads.decomp.transpose(0, 2, 1)).transpose(
+                0, 2, 1
+            )
+            assert not grads.decomp.flags.c_contiguous
+            adam_step(params, grads, state, lr)
+            for name, theta in expected.items():
+                g, m, v = getattr(grads, name), getattr(first, name), getattr(second, name)
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                theta -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        assert state.step_count == 6
+        for got, want in [(params, expected), (state.first, first), (state.second, second)]:
+            for name, arr in got.items():
+                assert np.array_equal(arr, getattr(want, name)), name
+
+    def test_non_finite_gradient_raises_and_changes_nothing(self):
+        cfg = tiny_cfg()
+        params = init_model_params(cfg, SplitMix64(6))
+        state = AdamState.zeros(params)
+        grads = params.zeros_like()
+        grads.gate[...] = 0.25
+        adam_step(params, grads, state, lr=1e-3)
+        snapshot = [params.copy(), state.first.copy(), state.second.copy()]
+        grads.gate[1, 2, 3] = np.nan
+        with pytest.raises(TrainingError, match="gate"):
+            adam_step(params, grads, state, lr=1e-3)
+        assert state.step_count == 1
+        for got, want in zip([params, state.first, state.second], snapshot):
+            for name, arr in got.items():
+                assert np.array_equal(arr, getattr(want, name)), name
+
+    def test_non_contiguous_moment_rejected_before_any_update(self):
+        cfg = tiny_cfg()
+        params = init_model_params(cfg, SplitMix64(8))
+        snapshot = params.copy()
+        state = AdamState.zeros(params)
+        state.second.gate = np.asfortranarray(state.second.gate)
+        grads = params.zeros_like()
+        grads.decomp[...] = 0.5
+        with pytest.raises(ContractViolation, match="contiguous"):
+            adam_step(params, grads, state, lr=1e-3)
+        assert state.step_count == 0
+        for name, arr in params.items():
+            assert np.array_equal(arr, getattr(snapshot, name)), name
 
     def test_determinism(self):
         cfg = tiny_cfg()
@@ -373,6 +446,30 @@ class TestCheckpoints:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(DataFormatError, match="truncated"):
             load_checkpoint(str(path), cfg)
+
+    def test_failed_save_leaves_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg()
+        state = fresh_state(cfg, seed=11)
+        path = tmp_path / "model.ckpt"
+        tmp = tmp_path / "model.ckpt.tmp"
+        save_checkpoint(str(path), state, cfg)
+        before = path.read_bytes()
+
+        class DiskFull:
+            """An array whose write fails after the header and one array."""
+
+            def __array__(self, *args, **kwargs):
+                assert tmp.exists()  # the partial write goes to the temp file
+                raise OSError("disk full")
+
+        arrays = training._checkpoint_arrays(state)
+        monkeypatch.setattr(
+            training, "_checkpoint_arrays", lambda _: [arrays[0], DiskFull()]
+        )
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(str(path), fresh_state(cfg, seed=12), cfg)
+        assert path.read_bytes() == before
+        assert not tmp.exists()
 
     def test_peek_dims(self, tmp_path):
         cfg = tiny_cfg()
