@@ -118,6 +118,12 @@ class ParamGroups:
 
     def raise_if_not_finite(self, context: str) -> None:
         for name, arr in self.items():
+            flat = arr.reshape(-1)
+            # a finite sum of squares proves every entry finite; only a sum
+            # that overflowed or met a NaN or inf needs the entry-wise scan
+            with np.errstate(over="ignore"):
+                if np.isfinite(np.dot(flat, flat)):
+                    continue
             if not np.all(np.isfinite(arr)):
                 raise TrainingError(f"non-finite values in {name} {context}")
 
@@ -193,8 +199,56 @@ def joint_loss(
     return LossBreakdown(cls, compact, balance, distribution, total)
 
 
-def forward(X: np.ndarray, params: ParamGroups, cfg: HeadConfig) -> ForwardCache:
-    """Vectorized batch forward pass; returns all intermediates."""
+def empty_cache(N: int, cfg: HeadConfig) -> ForwardCache:
+    """Uninitialized buffers for a forward pass over N rows.
+
+    pre_latent, gates, weights, pre_message and messages are views of
+    latent-major memory ((M, N, ...) arrays with the first two axes
+    swapped), so each per-latent matmul writes, and the pair loop reads,
+    contiguous (N, D) slabs; the other arrays are row-major. The loss terms
+    and center updates sum these arrays in memory order, so the layouts are
+    part of the bits that training produces.
+    """
+    M, P, D, K = cfg.n_latents, cfg.input_dim, cfg.latent_dim, cfg.n_classes
+
+    def rows(*shape: int) -> np.ndarray:
+        return np.empty((N, *shape))
+
+    def by_latent(*shape: int) -> np.ndarray:
+        return np.empty((M, N, *shape)).swapaxes(0, 1)
+
+    return ForwardCache(
+        inputs=rows(P),
+        pre_latent=by_latent(D),
+        latents=rows(M, D),
+        gates=by_latent(D),
+        weights=by_latent(),
+        scaled=rows(M, D),
+        pre_message=by_latent(D),
+        messages=by_latent(D),
+        distances=rows(M, M),
+        omega=rows(M, M),
+        aggregated=rows(M, D),
+        mixed=rows(M, D),
+        feature=rows(D),
+        logits=rows(K),
+    )
+
+
+def forward(
+    X: np.ndarray,
+    params: ParamGroups,
+    cfg: HeadConfig,
+    out: ForwardCache | None = None,
+) -> ForwardCache:
+    """Vectorized batch forward pass; returns all intermediates.
+
+    Every intermediate is written into the arrays of `out`, which is
+    overwritten and returned, so a caller that passes its previous cache
+    back in must first copy whatever it keeps from it. When `out` is None
+    or sized for another row count, a new cache from `empty_cache` is
+    used. `inputs` refers to X itself, not a copy.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != cfg.input_dim:
         raise ContractViolation(
@@ -203,42 +257,38 @@ def forward(X: np.ndarray, params: ParamGroups, cfg: HeadConfig) -> ForwardCache
     if not np.all(np.isfinite(X)):
         raise ContractViolation("forward inputs contain non-finite values")
     N = X.shape[0]
-    M, P, D = params.decomp.shape
+    c = out if out is not None and len(out.logits) == N else empty_cache(N, cfg)
+    c.inputs = X
+    r = cfg.mix_ratio
 
-    pre_latent = (X @ params.decomp.transpose(1, 0, 2).reshape(P, M * D)).reshape(N, M, D)
-    latents = relu(pre_latent)
+    def by_latent(a: np.ndarray) -> np.ndarray:
+        return a.swapaxes(0, 1)  # (N, M, D) -> (M, N, D)
 
-    pre_gate = np.matmul(latents.transpose(1, 0, 2), params.gate).transpose(1, 0, 2)
-    gates = sigmoid(pre_gate)
-    weights = gates.sum(axis=2)
-    scaled = weights[:, :, None] * latents
+    np.matmul(X, params.decomp, out=by_latent(c.pre_latent))
+    relu(c.pre_latent, out=c.latents)
 
-    pre_message = np.matmul(scaled.transpose(1, 0, 2), params.message).transpose(1, 0, 2)
-    messages = relu(pre_message)
+    np.matmul(by_latent(c.latents), params.gate, out=by_latent(c.gates))
+    sigmoid(c.gates, out=c.gates)
+    np.sum(c.gates, axis=2, out=c.weights)
+    np.multiply(c.weights[:, :, None], c.latents, out=c.scaled)
 
-    distances, omega = inter.pairwise_relation(messages)
+    np.matmul(by_latent(c.scaled), params.message, out=by_latent(c.pre_message))
+    relu(c.pre_message, out=c.messages)
 
-    aggregated = np.matmul(omega, messages)
-    mixed = cfg.mix_ratio * scaled + (1.0 - cfg.mix_ratio) * aggregated
-    feature = mixed.sum(axis=1)
-    logits = epn_logits(feature, params.classifier)
+    inter.pairwise_relation(c.messages, out=(c.distances, c.omega))
 
-    return ForwardCache(
-        inputs=X,
-        pre_latent=pre_latent,
-        latents=latents,
-        gates=gates,
-        weights=weights,
-        scaled=scaled,
-        pre_message=pre_message,
-        messages=messages,
-        distances=distances,
-        omega=omega,
-        aggregated=aggregated,
-        mixed=mixed,
-        feature=feature,
-        logits=logits,
-    )
+    np.matmul(c.omega, c.messages, out=c.aggregated)
+    # mixed = r*scaled + (1-r)*aggregated, one latent at a time so that the
+    # (N, D) feature buffer, written only afterwards, holds the r*scaled term
+    for mixed, scaled, aggregated in zip(
+        by_latent(c.mixed), by_latent(c.scaled), by_latent(c.aggregated)
+    ):
+        np.multiply(scaled, r, out=c.feature)
+        np.multiply(aggregated, 1.0 - r, out=mixed)
+        mixed += c.feature
+    np.sum(c.mixed, axis=1, out=c.feature)
+    np.matmul(c.feature, params.classifier, out=c.logits)
+    return c
 
 
 def epn_logits(feature: np.ndarray, classifier: np.ndarray) -> np.ndarray:
@@ -365,7 +415,7 @@ def _chain_backward(
 
     # decomposition: L = relu(Wd.T x)
     dpre_latent = dlatents * (cache.pre_latent > 0.0)
-    g_decomp = np.einsum("np,nmd->mpd", cache.inputs, dpre_latent, optimize=True)
+    g_decomp = np.matmul(cache.inputs.T, dpre_latent.transpose(1, 0, 2))
 
     return ParamGroups(
         decomp=g_decomp, gate=g_gate, message=g_message, classifier=g_classifier

@@ -52,23 +52,35 @@ def encode_messages_batch(feature_batch: np.ndarray, message_weights: np.ndarray
     return relu(pre)
 
 
-def pairwise_relation(messages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pairwise_relation(
+    messages: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Stabilized pairwise distances and relation weights of message banks.
 
-    (..., M, D) -> two (..., M, M) arrays. Distances are sqrt(sq + EPS_NORM),
-    so the diagonal holds sqrt(EPS_NORM); weights are tanh of them, except
-    that coincident messages (squared distance exactly 0, the diagonal
-    included) weigh exactly 0.
+    (..., M, D) -> two (..., M, M) arrays, written into out=(distances,
+    omega) if given. Distances are sqrt(sq + EPS_NORM), so the diagonal
+    holds sqrt(EPS_NORM); weights are tanh of them, except that coincident
+    messages (squared distance exactly 0, the diagonal included) weigh
+    exactly 0.
     """
     M = messages.shape[-2]
-    sq = np.zeros(messages.shape[:-1] + (M,))
+    if out is None:
+        out = (np.empty(messages.shape[:-1] + (M,)), np.empty(messages.shape[:-1] + (M,)))
+    distances, omega = out
+    sq = distances  # the squared distances, until their roots replace them
+    idx = np.arange(M)
+    sq[..., idx, idx] = 0.0
+    d = np.empty_like(messages[..., 0, :])
     for j in range(M):
         for m in range(j + 1, M):
-            d = messages[..., j, :] - messages[..., m, :]
-            sq[..., j, m] = sq[..., m, j] = np.sum(d * d, axis=-1)
-    distances = np.sqrt(sq + EPS_NORM)
-    omega = np.tanh(distances)
-    omega[sq == 0.0] = 0.0
+            np.subtract(messages[..., j, :], messages[..., m, :], out=d)
+            d *= d
+            sq[..., m, j] = np.sum(d, axis=-1, out=sq[..., j, m])
+    coincident = sq == 0.0
+    sq += EPS_NORM
+    np.sqrt(sq, out=distances)
+    np.tanh(distances, out=omega)
+    omega[coincident] = 0.0
     return distances, omega
 
 

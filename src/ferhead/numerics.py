@@ -93,13 +93,20 @@ class SplitMix64:
         return perm
 
 
-def relu(v: np.ndarray) -> np.ndarray:
-    return np.maximum(v, 0.0)
+def relu(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(v, 0.0, out=out)
 
 
-def sigmoid(v: np.ndarray) -> np.ndarray:
-    # the tanh identity never overflows and needs no masked indexing
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(v, dtype=np.float64)))
+def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * (1 + tanh(0.5 * v)), written into `out` if given (which may be v).
+
+    The tanh identity never overflows and needs no masked indexing.
+    """
+    s = np.multiply(np.asarray(v, dtype=np.float64), 0.5, out=out)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 _ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid, "tanh": np.tanh}

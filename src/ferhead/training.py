@@ -38,9 +38,13 @@ ADAM_EPS = 1e-8
 # two scratch blocks take 1.5 MB, which fits in L2; 4k to 32k ran alike.
 ADAM_BLOCK = 32768
 
-# Rows per forward call in evaluate and inspect. 512 rows keep their peak
-# allocation near 50 MB at paper dimensions; larger blocks were no faster.
-EVAL_BLOCK_ROWS = 512
+# Rows per forward call in evaluate and inspect. Every block after the first
+# is written into the first block's cache; at paper dimensions 256 rows take
+# about 19 MB of buffers. Freshly allocated blocks of this size are handed
+# back to the OS when freed and fault their pages in again on the next
+# block; with reuse, 256 rows ran as fast as 512 and 128 on 7000 rows, at
+# a lower peak than 512.
+EVAL_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -175,16 +179,21 @@ def forward_in_blocks(X: np.ndarray, params: ParamGroups, cfg: HeadConfig, *pick
 
     Each pick maps a block's ForwardCache to an array with one leading entry
     per row; the result holds one array per pick, concatenated over the
-    blocks, so X needs at least one row. Only one block's cache is alive at
-    a time, so the peak memory is O(EVAL_BLOCK_ROWS) plus whatever the picks
-    keep.
+    blocks, so X needs at least one row. Every block is written into the
+    same cache, so each pick's array is copied before the next block runs
+    (a pick may return a view such as `cache.weights`). Only one block's
+    cache is alive at a time, so the peak memory is O(EVAL_BLOCK_ROWS) plus
+    whatever the picks keep.
     """
     kept = [[] for _ in picks]
+    cache = None
     for start in range(0, len(X), EVAL_BLOCK_ROWS):
-        cache = forward(X[start : start + EVAL_BLOCK_ROWS], params, cfg)
+        block = X[start : start + EVAL_BLOCK_ROWS]
+        if len(block) < EVAL_BLOCK_ROWS:
+            cache = None  # free the full-size buffers before the ragged block's
+        cache = forward(block, params, cfg, out=cache)
         for parts, pick in zip(kept, picks):
-            parts.append(pick(cache))
-        del cache  # free this block before the next one is computed
+            parts.append(pick(cache).copy())
     return [np.concatenate(parts) for parts in kept]
 
 
@@ -240,12 +249,13 @@ def train_epoch(
     lr = schedule.lr_at(epoch)
     order = state.rng.permutation(n)
     sums = np.zeros(5)
+    cache = None
     for start in range(0, n, schedule.batch_size):
         batch_idx = order[start : start + schedule.batch_size]
         X = data.features[batch_idx]
         labels = data.labels[batch_idx]
         try:
-            cache = forward(X, state.params, cfg)
+            cache = forward(X, state.params, cfg, out=cache)
             grads, losses = backward(cache, labels, state.params, state.centers, cfg)
         except TrainingError as err:
             raise TrainingError(

@@ -1,6 +1,8 @@
 """Full-head forward oracle, loss assembly, and backward gradient tests."""
 
 import math
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -129,6 +131,26 @@ class TestForwardAgainstNaiveOracle:
         X[0, 0] = np.nan
         with pytest.raises(ContractViolation):
             forward(X, params, cfg)
+
+
+class TestForwardBufferReuse:
+    @pytest.mark.parametrize("out_rows", [7, 4], ids=["same-rows", "other-rows"])
+    def test_reused_cache_equals_fresh_forward(self, out_rows):
+        """Writing into a used cache leaves nothing of the previous call."""
+        cfg, params, X, _ = random_instance(31, batch=7)
+        _, _, other, _ = random_instance(32, batch=out_rows)
+        used = forward(other, params, cfg)
+        got = forward(X, params, cfg, out=used)
+        assert (got is used) == (out_rows == len(X))
+        fresh = forward(X, params, cfg)
+        for f in fields(fresh):
+            assert np.array_equal(getattr(got, f.name), getattr(fresh, f.name)), f.name
+
+    def test_calls_without_out_share_no_memory(self):
+        cfg, params, X, _ = random_instance(33, batch=6)
+        a, b = forward(X, params, cfg), forward(X.copy(), params, cfg)
+        for f in fields(a):
+            assert not np.shares_memory(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
 class TestRelationDistances:
@@ -342,6 +364,17 @@ class TestBackward:
                 getattr(accum, name) / 4.0, a, rtol=1e-10, atol=1e-14
             )
 
+    def test_decomp_grad_is_contiguous_so_ravel_is_a_view(self):
+        """adam_step ravels every gradient; a strided one would be copied."""
+        cfg = HeadConfig()
+        params = init_model_params(cfg, SplitMix64(22))
+        X = np.random.default_rng(22).normal(size=(16, cfg.input_dim))
+        labels = np.arange(16) % cfg.n_classes
+        cache = forward(X, params, cfg)
+        grads, _ = backward(cache, labels, params, Centers.zeros(cfg), cfg)
+        assert grads.decomp.flags.c_contiguous
+        assert np.shares_memory(grads.decomp, grads.decomp.ravel())
+
     def test_label_shape_mismatch(self):
         cfg, params, X, labels = random_instance(2)
         cache = forward(X, params, cfg)
@@ -355,3 +388,22 @@ class TestBackward:
         with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingError):
                 backward(cache_logits_nan, labels, params, Centers.zeros(cfg), cfg)
+
+
+class TestRaiseIfNotFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("group", ["decomp", "gate", "message", "classifier"])
+    def test_non_finite_entry_names_its_group(self, bad, group):
+        params = init_model_params(small_cfg(), SplitMix64(40))
+        getattr(params, group).flat[3] = bad
+        with pytest.raises(TrainingError, match=f"non-finite values in {group} at step 9"):
+            params.raise_if_not_finite("at step 9")
+
+    def test_huge_finite_entries_neither_raise_nor_warn(self):
+        """Their sum of squares overflows, so the entry-wise scan decides."""
+        params = init_model_params(small_cfg(), SplitMix64(41))
+        params.gate.flat[0] = 1e200
+        params.classifier.flat[-1] = -1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params.raise_if_not_finite("after adam_step")

@@ -167,7 +167,8 @@ class TestAdamStep:
             grads = params.zeros_like()
             for name, arr in grads.items():
                 arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
-            # backward's decomp gradient is a strided einsum result; mimic it
+            # a strided gradient (adam_step ravels it into a copy) updates
+            # exactly like a contiguous one
             grads.decomp = np.ascontiguousarray(grads.decomp.transpose(0, 2, 1)).transpose(
                 0, 2, 1
             )
@@ -380,6 +381,26 @@ class TestEvaluate:
         np.testing.assert_array_equal(report.confusion, expected)
         assert len(np.unique(preds)) > 1
 
+    def test_view_picks_match_one_full_forward(self, monkeypatch):
+        """Picks that return views of the reused cache are kept per block."""
+        monkeypatch.setattr(training, "EVAL_BLOCK_ROWS", 8)
+        cfg = tiny_cfg()
+        state = fresh_state(cfg, seed=13)
+        X = np.random.default_rng(13).normal(size=(2 * 8 + 5, cfg.input_dim))
+        from ferhead.head import forward
+
+        full = forward(X, state.params, cfg)
+        weights, omega, mixed = training.forward_in_blocks(
+            X,
+            state.params,
+            cfg,
+            lambda cache: cache.weights,
+            lambda cache: cache.omega,
+            lambda cache: cache.mixed,
+        )
+        for got, want in [(weights, full.weights), (omega, full.omega), (mixed, full.mixed)]:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
     def test_peak_memory_bounded_in_rows(self):
         """At paper dimensions, 4x the rows costs well under 1.5x the peak."""
         cfg = HeadConfig()
@@ -398,6 +419,9 @@ class TestEvaluate:
 
         small, large = peak(EVAL_BLOCK_ROWS), peak(len(X))
         assert large < 1.5 * small, (small, large)
+        # a ragged last block is allocated only after the full-size one is freed
+        ragged = peak(len(X) - 1)
+        assert ragged < 1.5 * small, (small, ragged)
 
 
 class TestCheckpoints:
