@@ -84,6 +84,15 @@ class ParamGroups:
 
     decomp (M, P, D), gate (M, D, D), message (M, D, D), classifier (D, K).
     Iteration order is fixed and is part of the checkpoint format.
+
+    decomp is stored over (P, M, D) memory: construction copies any other
+    layout into it, so `decomp_matrix()` is a (P, M*D) view and forward and
+    backward run the decomposition as one GEMM each. Its shape stays
+    (M, P, D), so `decomp[j]` is latent j's map, as in the naive reference,
+    and checkpoints keep their (M, P, D) byte order. The other groups are
+    C-contiguous. `adam_step` and `raise_if_not_finite` flatten groups in
+    memory order (`ravel(order="K")`), so that they copy nothing;
+    `to_vector` and `from_vector` use the C order of the logical shapes.
     """
 
     decomp: np.ndarray
@@ -91,15 +100,27 @@ class ParamGroups:
     message: np.ndarray
     classifier: np.ndarray
 
+    def __post_init__(self) -> None:
+        if not self.decomp.transpose(1, 0, 2).flags.c_contiguous:
+            M, P, D = self.decomp.shape
+            native = np.empty((P, M, D)).transpose(1, 0, 2)
+            native[...] = self.decomp
+            self.decomp = native
+
     def items(self):
         for f in fields(self):
             yield f.name, getattr(self, f.name)
+
+    def decomp_matrix(self) -> np.ndarray:
+        """decomp as one (P, M*D) matrix whose column block j is decomp[j]."""
+        M, P, D = self.decomp.shape
+        return self.decomp.transpose(1, 0, 2).reshape(P, M * D)
 
     def zeros_like(self) -> "ParamGroups":
         return ParamGroups(**{name: np.zeros_like(arr) for name, arr in self.items()})
 
     def copy(self) -> "ParamGroups":
-        return ParamGroups(**{name: arr.copy() for name, arr in self.items()})
+        return ParamGroups(**{name: arr.copy(order="K") for name, arr in self.items()})
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([arr.ravel() for _, arr in self.items()])
@@ -118,7 +139,7 @@ class ParamGroups:
 
     def raise_if_not_finite(self, context: str) -> None:
         for name, arr in self.items():
-            flat = arr.reshape(-1)
+            flat = arr.ravel(order="K")  # a view; reshape(-1) would copy decomp
             # a finite sum of squares proves every entry finite; only a sum
             # that overflowed or met a NaN or inf needs the entry-wise scan
             with np.errstate(over="ignore"):
@@ -133,7 +154,8 @@ def init_model_params(cfg: HeadConfig, rng: SplitMix64) -> ParamGroups:
     cfg.validate()
     P, D, M, K = cfg.input_dim, cfg.latent_dim, cfg.n_latents, cfg.n_classes
     return ParamGroups(
-        decomp=init_param_stack(M, (P, D), rng),
+        # stacked into the (P, M, D) memory that ParamGroups keeps decomp in
+        decomp=init_param_stack(M, (P, D), rng, axis=1).transpose(1, 0, 2),
         gate=init_param_stack(M, (D, D), rng),
         message=init_param_stack(M, (D, D), rng),
         classifier=init_params((D, K), rng),
@@ -202,11 +224,12 @@ def joint_loss(
 def empty_cache(N: int, cfg: HeadConfig) -> ForwardCache:
     """Uninitialized buffers for a forward pass over N rows.
 
-    pre_latent, gates, weights, pre_message and messages are views of
-    latent-major memory ((M, N, ...) arrays with the first two axes
-    swapped), so each per-latent matmul writes, and the pair loop reads,
-    contiguous (N, D) slabs; the other arrays are row-major. The loss terms
-    and center updates sum these arrays in memory order, so the layouts are
+    gates, weights, pre_message and messages are views of latent-major
+    memory ((M, N, ...) arrays with the first two axes swapped), so each
+    per-latent matmul writes, and the pair loop reads, contiguous (N, D)
+    slabs. The other arrays are row-major; pre_latent is, so that the
+    decomposition writes it as one (N, M*D) GEMM result. The loss terms and
+    center updates sum these arrays in memory order, so the layouts are
     part of the bits that training produces.
     """
     M, P, D, K = cfg.n_latents, cfg.input_dim, cfg.latent_dim, cfg.n_classes
@@ -219,7 +242,7 @@ def empty_cache(N: int, cfg: HeadConfig) -> ForwardCache:
 
     return ForwardCache(
         inputs=rows(P),
-        pre_latent=by_latent(D),
+        pre_latent=rows(M, D),
         latents=rows(M, D),
         gates=by_latent(D),
         weights=by_latent(),
@@ -264,7 +287,7 @@ def forward(
     def by_latent(a: np.ndarray) -> np.ndarray:
         return a.swapaxes(0, 1)  # (N, M, D) -> (M, N, D)
 
-    np.matmul(X, params.decomp, out=by_latent(c.pre_latent))
+    np.matmul(X, params.decomp_matrix(), out=c.pre_latent.reshape(N, -1))
     relu(c.pre_latent, out=c.latents)
 
     np.matmul(by_latent(c.latents), params.gate, out=by_latent(c.gates))
@@ -278,14 +301,17 @@ def forward(
     inter.pairwise_relation(c.messages, out=(c.distances, c.omega))
 
     np.matmul(c.omega, c.messages, out=c.aggregated)
-    # mixed = r*scaled + (1-r)*aggregated, one latent at a time so that the
-    # (N, D) feature buffer, written only afterwards, holds the r*scaled term
+    # mixed = r*scaled + (1-r)*aggregated, over contiguous N*D-element chunks
+    # of the row-major arrays, so that the (N, D) feature buffer, written
+    # only afterwards, holds the r*scaled term; the ops are element-wise, so
+    # the chunking changes no bits
+    chunk = c.feature.reshape(-1)
     for mixed, scaled, aggregated in zip(
-        by_latent(c.mixed), by_latent(c.scaled), by_latent(c.aggregated)
+        *(a.reshape(-1, chunk.size) for a in (c.mixed, c.scaled, c.aggregated))
     ):
-        np.multiply(scaled, r, out=c.feature)
+        np.multiply(scaled, r, out=chunk)
         np.multiply(aggregated, 1.0 - r, out=mixed)
-        mixed += c.feature
+        mixed += chunk
     np.sum(c.mixed, axis=1, out=c.feature)
     np.matmul(c.feature, params.classifier, out=c.logits)
     return c
@@ -357,17 +383,23 @@ def _chain_backward(
     dweights_extra: np.ndarray,
     params: ParamGroups,
     cfg: HeadConfig,
+    out: ParamGroups | None = None,
 ) -> ParamGroups:
     """Reverse accumulation through the head for given upstream gradients.
 
     dlogits carries the classification-loss gradient (already scaled by any
     batch factor); dlatents_extra and dweights_extra inject the regularizer
-    gradients at the latent and importance-weight nodes respectively.
+    gradients at the latent and importance-weight nodes respectively. Each
+    parameter gradient is written into the matching array of `out`, if
+    given.
     """
     mix_ratio = cfg.mix_ratio
 
+    def into(name: str) -> np.ndarray | None:
+        return None if out is None else getattr(out, name)
+
     # classifier: logits = y @ Wcls
-    g_classifier = cache.feature.T @ dlogits
+    g_classifier = np.matmul(cache.feature.T, dlogits, out=into("classifier"))
     dfeature = dlogits @ params.classifier.T
 
     # reconstruct: y = sum_j mixed[j]  ->  every j gets dfeature
@@ -394,7 +426,8 @@ def _chain_backward(
     # messages: G = relu(We.T F), per latent
     dpre_message = dmessages * (cache.pre_message > 0.0)
     g_message = np.matmul(
-        cache.scaled.transpose(1, 2, 0), dpre_message.transpose(1, 0, 2)
+        cache.scaled.transpose(1, 2, 0), dpre_message.transpose(1, 0, 2),
+        out=into("message"),
     )
     dscaled += np.matmul(
         dpre_message.transpose(1, 0, 2), params.message.transpose(0, 2, 1)
@@ -406,16 +439,27 @@ def _chain_backward(
 
     # importance weights: w = sum_d A; gates: A = sigmoid(Ws.T L)
     dgates = dweights[:, :, None] * (cache.gates * (1.0 - cache.gates))
-    g_gate = np.matmul(cache.latents.transpose(1, 2, 0), dgates.transpose(1, 0, 2))
+    g_gate = np.matmul(
+        cache.latents.transpose(1, 2, 0), dgates.transpose(1, 0, 2), out=into("gate")
+    )
     dlatents += np.matmul(
         dgates.transpose(1, 0, 2), params.gate.transpose(0, 2, 1)
     ).transpose(1, 0, 2)
 
     dlatents += dlatents_extra
 
-    # decomposition: L = relu(Wd.T x)
+    # decomposition: L = relu(Wd.T x), one (P, M*D) GEMM in decomp's memory
+    # layout, so Adam walks the gradient without copying it. Should out's
+    # decomp have another layout, decomp_matrix() is a copy, which the
+    # result then holds instead.
+    N, M, D = dlatents.shape
     dpre_latent = dlatents * (cache.pre_latent > 0.0)
-    g_decomp = np.matmul(cache.inputs.T, dpre_latent.transpose(1, 0, 2))
+    g_decomp = np.matmul(
+        cache.inputs.T,
+        dpre_latent.reshape(N, M * D),
+        out=None if out is None else out.decomp_matrix(),
+    )
+    g_decomp = g_decomp.reshape(-1, M, D).transpose(1, 0, 2)
 
     return ParamGroups(
         decomp=g_decomp, gate=g_gate, message=g_message, classifier=g_classifier
@@ -429,6 +473,7 @@ def backward(
     centers: Centers,
     cfg: HeadConfig,
     cls_weight: float = 1.0,
+    out: ParamGroups | None = None,
 ) -> tuple[ParamGroups, LossBreakdown]:
     """Gradient of the joint loss w.r.t. every parameter group, plus losses.
 
@@ -436,6 +481,11 @@ def backward(
     verification harness uses it to isolate individual loss terms). The
     whole batch goes through one reverse pass, so the per-sample
     contributions are reduced inside the matrix kernels.
+
+    Like `forward`'s cache, `out` is a previous call's gradients to be
+    overwritten: the returned groups are written into its arrays, which
+    saves a fresh 4.7 MB decomp gradient per training step at paper
+    dimensions. When `out` is None, new arrays are returned.
     """
     labels = np.asarray(labels)
     N = cache.logits.shape[0]
@@ -466,7 +516,9 @@ def backward(
         mean_weights(cache.weights)
     )
 
-    grads = _chain_backward(cache, dlogits, dlatents_extra, dweights_extra, params, cfg)
+    grads = _chain_backward(
+        cache, dlogits, dlatents_extra, dweights_extra, params, cfg, out=out
+    )
 
     grads.raise_if_not_finite(
         f"gradient (losses: cls={breakdown.cls:.6g}, compact={breakdown.compact:.6g}, "

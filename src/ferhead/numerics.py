@@ -157,9 +157,14 @@ def init_params(shape: tuple[int, int], rng: SplitMix64) -> np.ndarray:
     return rng.uniform(-bound, bound, (fan_in, fan_out))
 
 
-def init_param_stack(count: int, shape: tuple[int, int], rng: SplitMix64) -> np.ndarray:
-    """Stack of `count` independently initialized (in x out) matrices."""
-    return np.stack([init_params(shape, rng) for _ in range(count)])
+def init_param_stack(
+    count: int, shape: tuple[int, int], rng: SplitMix64, axis: int = 0
+) -> np.ndarray:
+    """Stack of `count` independently initialized (in x out) matrices.
+
+    They are stacked along `axis` of the result, in the same rng order.
+    """
+    return np.stack([init_params(shape, rng) for _ in range(count)], axis=axis)
 
 
 def finite_diff_grad(

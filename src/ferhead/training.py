@@ -110,12 +110,22 @@ def adam_step(
     operations are those of the formula in the same order, written into two
     block-sized scratch arrays; every one of them is correctly rounded and
     element-wise, so the result is bitwise equal to the whole-array formula.
+
+    Groups are raveled in memory order, so a parameter and its two moments
+    must be contiguous and share one layout (a ParamGroups gives them that);
+    a gradient in another layout is first copied into the parameter's.
     """
     grads.raise_if_not_finite("passed to adam_step")
-    for group in (params, state.first, state.second):
+    for name, theta in params.items():
         # the blocks are views of the raveled arrays; a copy would drop the update
-        if not all(arr.flags.c_contiguous for _, arr in group.items()):
-            raise ContractViolation("adam_step updates C-contiguous arrays in place")
+        if not _is_dense(theta) or any(
+            getattr(group, name).strides != theta.strides
+            for group in (state.first, state.second)
+        ):
+            raise ContractViolation(
+                f"adam_step updates {name} in place: the parameter and both moments "
+                "must be contiguous in one shared memory layout"
+            )
     state.step_count += 1
     t = state.step_count
     beta1, beta2, eps = state.beta1, state.beta2, state.eps
@@ -124,10 +134,14 @@ def adam_step(
     scratch1 = np.empty(ADAM_BLOCK)
     scratch2 = np.empty(ADAM_BLOCK)
     for name, theta in params.items():
-        g = getattr(grads, name).ravel()  # a copy only if backward's grad is strided
-        m = getattr(state.first, name).reshape(-1)
-        v = getattr(state.second, name).reshape(-1)
-        p = theta.reshape(-1)
+        g = getattr(grads, name)
+        if g.strides != theta.strides:  # copy it into theta's memory order
+            g, given = np.empty_like(theta), g
+            g[...] = given
+        g = g.ravel(order="K")
+        m = getattr(state.first, name).ravel(order="K")
+        v = getattr(state.second, name).ravel(order="K")
+        p = theta.ravel(order="K")
         for lo in range(0, p.size, ADAM_BLOCK):
             hi = lo + ADAM_BLOCK
             gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], p[lo:hi]
@@ -147,6 +161,11 @@ def adam_step(
             t1 /= t2
             pb -= t1
     params.raise_if_not_finite("after adam_step")
+
+
+def _is_dense(arr: np.ndarray) -> bool:
+    """True when arr's entries fill one contiguous block, in some axis order."""
+    return arr.transpose(np.argsort(arr.strides)[::-1]).flags.c_contiguous
 
 
 @dataclass
@@ -249,14 +268,16 @@ def train_epoch(
     lr = schedule.lr_at(epoch)
     order = state.rng.permutation(n)
     sums = np.zeros(5)
-    cache = None
+    cache = grads = None
     for start in range(0, n, schedule.batch_size):
         batch_idx = order[start : start + schedule.batch_size]
         X = data.features[batch_idx]
         labels = data.labels[batch_idx]
         try:
             cache = forward(X, state.params, cfg, out=cache)
-            grads, losses = backward(cache, labels, state.params, state.centers, cfg)
+            grads, losses = backward(
+                cache, labels, state.params, state.centers, cfg, out=grads
+            )
         except TrainingError as err:
             raise TrainingError(
                 f"epoch {epoch}, batch starting at {start}: {err}"
@@ -305,7 +326,10 @@ def save_checkpoint(path: str, state: TrainerState, cfg: HeadConfig) -> None:
                 )
             )
             for arr in _checkpoint_arrays(state):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+                arr = np.asarray(arr, dtype="<f8")
+                # a decomp group goes out one (P, D) latent slab at a time
+                for part in [arr] if arr.flags.c_contiguous else arr:
+                    fh.write(np.ascontiguousarray(part))
             fh.write(struct.pack("<QQ", state.adam.step_count, state.rng.state))
         os.replace(tmp, path)
     except BaseException:
@@ -329,55 +353,75 @@ def peek_checkpoint_dims(path: str) -> tuple[int, int, int, int]:
 
 
 def load_checkpoint(path: str, cfg: HeadConfig) -> TrainerState:
-    """Read a checkpoint, validating magic, version, and dimensions."""
+    """Read a checkpoint, validating magic, version, and dimensions.
+
+    Each array is read straight from the file into its own buffer; the decomp
+    groups are read one (P, D) latent slab at a time and placed into their
+    (P, M, D) memory.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 24:
-        raise DataFormatError(f"{path}: truncated header")
-    version, P, D, M, K = struct.unpack_from("<5I", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    if (P, D, M, K) != (cfg.input_dim, cfg.latent_dim, cfg.n_latents, cfg.n_classes):
-        raise DataFormatError(
-            f"{path}: checkpoint dimensions P={P} D={D} M={M} K={K} do not match "
-            f"configuration P={cfg.input_dim} D={cfg.latent_dim} "
-            f"M={cfg.n_latents} K={cfg.n_classes}"
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(24)
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise DataFormatError(f"{path}: bad magic {head[:4]!r}")
+        if len(head) < 24:
+            raise DataFormatError(f"{path}: truncated header")
+        version, P, D, M, K = struct.unpack_from("<5I", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise DataFormatError(f"{path}: unsupported version {version}")
+        if (P, D, M, K) != (cfg.input_dim, cfg.latent_dim, cfg.n_latents, cfg.n_classes):
+            raise DataFormatError(
+                f"{path}: checkpoint dimensions P={P} D={D} M={M} K={K} do not match "
+                f"configuration P={cfg.input_dim} D={cfg.latent_dim} "
+                f"M={cfg.n_latents} K={cfg.n_classes}"
+            )
+
+        def empty_groups() -> ParamGroups:
+            return ParamGroups(
+                decomp=np.empty((P, M, D)).transpose(1, 0, 2),
+                gate=np.empty((M, D, D)),
+                message=np.empty((M, D, D)),
+                classifier=np.empty((D, K)),
+            )
+
+        params = empty_groups()
+        state = TrainerState(
+            params=params,
+            centers=Centers(
+                latent=LatentCenters(np.empty((M, D)), cfg.center_rate),
+                by_class=ClassCenters(np.empty((K, M)), cfg.center_rate),
+            ),
+            adam=AdamState(first=empty_groups(), second=empty_groups()),
+            rng=SplitMix64(0),
         )
-    rng = SplitMix64(0)
-    params = ParamGroups(
-        decomp=np.empty((M, P, D)),
-        gate=np.empty((M, D, D)),
-        message=np.empty((M, D, D)),
-        classifier=np.empty((D, K)),
-    )
-    state = TrainerState(
-        params=params,
-        centers=Centers(
-            latent=LatentCenters(np.empty((M, D)), cfg.center_rate),
-            by_class=ClassCenters(np.empty((K, M)), cfg.center_rate),
-        ),
-        adam=AdamState(first=params.zeros_like(), second=params.zeros_like()),
-        rng=rng,
-    )
-    offset = 24
-    for arr in _checkpoint_arrays(state):
-        nbytes = arr.size * 8
-        if offset + nbytes > len(blob):
-            raise DataFormatError(f"{path}: truncated at byte {offset}")
-        arr[...] = np.frombuffer(blob, dtype="<f8", count=arr.size, offset=offset).reshape(
-            arr.shape
-        )
-        offset += nbytes
-    if offset + 16 != len(blob):
-        raise DataFormatError(
-            f"{path}: expected {offset + 16} bytes, found {len(blob)}"
-        )
-    step_count, rng_state = struct.unpack_from("<QQ", blob, offset)
+        offset = 24
+        slab = np.empty((P, D))
+        for arr in _checkpoint_arrays(state):
+            nbytes = arr.size * 8
+            if offset + nbytes > size:
+                raise DataFormatError(f"{path}: truncated at byte {offset}")
+            if arr.flags.c_contiguous:
+                _read_exactly(fh, arr, path, offset)
+            else:
+                for j in range(M):
+                    _read_exactly(fh, slab, path, offset + j * slab.nbytes)
+                    arr[j] = slab
+            offset += nbytes
+        if offset + 16 != size:
+            raise DataFormatError(f"{path}: expected {offset + 16} bytes, found {size}")
+        step_count, rng_state = struct.unpack("<QQ", fh.read(16))
     state.adam.step_count = step_count
     state.rng.set_state(rng_state)
     return state
+
+
+def _read_exactly(fh, arr: np.ndarray, path: str, offset: int) -> None:
+    """Fill the C-contiguous float64 `arr` from the file's next bytes."""
+    view = memoryview(arr).cast("B")
+    if fh.readinto(view) != len(view):
+        raise DataFormatError(f"{path}: truncated at byte {offset}")
+    if not np.little_endian:
+        arr.byteswap(inplace=True)  # the file is little-endian
 
 
 def _checkpoint_arrays(state: TrainerState) -> list[np.ndarray]:

@@ -364,16 +364,31 @@ class TestBackward:
                 getattr(accum, name) / 4.0, a, rtol=1e-10, atol=1e-14
             )
 
-    def test_decomp_grad_is_contiguous_so_ravel_is_a_view(self):
-        """adam_step ravels every gradient; a strided one would be copied."""
+    def test_grads_params_and_moments_share_one_layout_so_ravels_are_views(self):
+        """adam_step ravels every group in memory order; none may be copied."""
         cfg = HeadConfig()
         params = init_model_params(cfg, SplitMix64(22))
         X = np.random.default_rng(22).normal(size=(16, cfg.input_dim))
         labels = np.arange(16) % cfg.n_classes
         cache = forward(X, params, cfg)
         grads, _ = backward(cache, labels, params, Centers.zeros(cfg), cfg)
-        assert grads.decomp.flags.c_contiguous
-        assert np.shares_memory(grads.decomp, grads.decomp.ravel())
+        moments = params.zeros_like()
+        for name, theta in params.items():
+            for arr in (getattr(grads, name), theta, getattr(moments, name)):
+                assert arr.strides == theta.strides, name
+                assert np.shares_memory(arr, arr.ravel(order="K")), name
+        assert not params.decomp.flags.c_contiguous  # (P, M, D) memory
+
+    def test_gradients_written_into_out_equal_fresh_ones(self):
+        cfg, params, X, labels = random_instance(23, batch=6)
+        centers = Centers.zeros(cfg)
+        cache = forward(X, params, cfg)
+        fresh, _ = backward(cache, labels, params, centers, cfg)
+        out = params.zeros_like()
+        got, _ = backward(cache, labels, params, centers, cfg, out=out)
+        for name, arr in got.items():
+            assert np.shares_memory(arr, getattr(out, name)), name
+            assert np.array_equal(arr, getattr(fresh, name)), name
 
     def test_label_shape_mismatch(self):
         cfg, params, X, labels = random_instance(2)
@@ -407,3 +422,55 @@ class TestRaiseIfNotFinite:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             params.raise_if_not_finite("after adam_step")
+
+
+class TestDecompLayout:
+    def test_c_layout_decomp_gets_native_layout_same_values_and_forward(self):
+        """Groups built from an (M, P, D) C array hold (P, M, D) memory."""
+        cfg = HeadConfig()
+        M, P, D = cfg.n_latents, cfg.input_dim, cfg.latent_dim
+        native = init_model_params(cfg, SplitMix64(51))
+        c_layout = np.ascontiguousarray(native.decomp)
+        built = ParamGroups(
+            decomp=c_layout,
+            gate=native.gate,
+            message=native.message,
+            classifier=native.classifier,
+        )
+        assert built.decomp.strides == native.decomp.strides
+        assert np.shares_memory(built.decomp_matrix(), built.decomp)
+        assert np.array_equal(built.decomp, c_layout)
+        assert built.decomp_matrix().shape == (P, M * D)
+        X = np.random.default_rng(51).normal(size=(64, cfg.input_dim))
+        want = forward(X, native, cfg)
+        for params in (built, native):
+            got = forward(X, params, cfg)
+            for f in fields(want):
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+        # a C-layout decomp assigned after construction still runs, through a copy
+        native.decomp = c_layout
+        got = forward(X, native, cfg)
+        assert np.array_equal(got.logits, want.logits)
+
+    def test_native_layout_is_taken_without_a_copy(self):
+        params = init_model_params(small_cfg(), SplitMix64(52))
+        again = ParamGroups(**dict(params.items()))
+        assert again.decomp is params.decomp
+
+    @pytest.mark.parametrize("make", ["copy", "zeros_like"])
+    def test_copies_keep_the_layout(self, make):
+        params = init_model_params(small_cfg(), SplitMix64(53))
+        other = getattr(params, make)()
+        for name, arr in params.items():
+            assert getattr(other, name).strides == arr.strides, name
+            assert not np.shares_memory(getattr(other, name), arr), name
+        assert np.array_equal(params.copy().decomp, params.decomp)
+
+    def test_from_vector_round_trips_in_logical_order(self):
+        params = init_model_params(small_cfg(), SplitMix64(54))
+        vec = params.to_vector()
+        assert np.array_equal(vec[: params.decomp.size], params.decomp.ravel())
+        back = params.from_vector(vec)
+        for name, arr in params.items():
+            assert np.array_equal(getattr(back, name), arr), name
+            assert getattr(back, name).strides == arr.strides, name

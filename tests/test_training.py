@@ -9,7 +9,7 @@ import pytest
 from ferhead import training
 from ferhead.datasets import FeatureDataset
 from ferhead.errors import ContractViolation, DataFormatError, TrainingError
-from ferhead.head import Centers, HeadConfig, init_model_params
+from ferhead.head import Centers, HeadConfig, backward, forward, init_model_params
 from ferhead.numerics import SplitMix64
 from ferhead.training import (
     ADAM_BETA1,
@@ -215,6 +215,41 @@ class TestAdamStep:
         assert state.step_count == 0
         for name, arr in params.items():
             assert np.array_equal(arr, getattr(snapshot, name)), name
+
+    def test_moment_in_another_layout_than_its_parameter_rejected(self):
+        """Both are raveled in memory order, so their entries would not pair up."""
+        cfg = tiny_cfg()
+        params = init_model_params(cfg, SplitMix64(8))
+        state = AdamState.zeros(params)
+        state.first.decomp = np.ascontiguousarray(state.first.decomp)
+        grads = params.zeros_like()
+        grads.decomp[...] = 0.5
+        with pytest.raises(ContractViolation, match="decomp.*contiguous"):
+            adam_step(params, grads, state, lr=1e-3)
+        assert state.step_count == 0
+        assert not np.any(state.second.decomp)
+
+    def test_paper_dims_step_and_finiteness_scan_copy_no_group(self):
+        """Memory-order ravels are views: a hidden copy of decomp would take 4.7 MB."""
+        cfg = HeadConfig()
+        params = init_model_params(cfg, SplitMix64(9))
+        X = np.random.default_rng(9).normal(size=(16, cfg.input_dim))
+        cache = forward(X, params, cfg)
+        labels = np.arange(16) % cfg.n_classes
+        grads, _ = backward(cache, labels, params, Centers.zeros(cfg), cfg)
+        state = AdamState.zeros(params)
+        adam_step(params, grads, state, lr=1e-4)  # warm-up
+
+        def peak_mb(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        assert peak_mb(lambda: adam_step(params, grads, state, lr=1e-4)) < 1.0
+        assert peak_mb(lambda: params.raise_if_not_finite("after adam_step")) < 1.0
 
     def test_determinism(self):
         cfg = tiny_cfg()
@@ -470,6 +505,37 @@ class TestCheckpoints:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(DataFormatError, match="truncated"):
             load_checkpoint(str(path), cfg)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), fresh_state(cfg), cfg)
+        size = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(DataFormatError, match=f"expected {size} bytes, found {size + 1}"):
+            load_checkpoint(str(path), cfg)
+
+    def test_paper_dims_roundtrip_keeps_layout_and_bytes(self, tmp_path):
+        """decomp and its moments load into (P, M, D) memory; bytes are unchanged."""
+        cfg = HeadConfig()
+        state = fresh_state(cfg, seed=13)
+        rng = np.random.default_rng(13)
+        for group in (state.adam.first, state.adam.second):
+            for _, arr in group.items():
+                arr[...] = rng.normal(size=arr.shape)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), state, cfg)
+        loaded = load_checkpoint(str(path), cfg)
+        assert params_digest(loaded) == params_digest(state)
+        for group in (loaded.params, loaded.adam.first, loaded.adam.second):
+            assert group.decomp.strides == state.params.decomp.strides
+        # the file holds every array in the C order of its logical shape
+        blob, offset = path.read_bytes(), 24
+        for arr in training._checkpoint_arrays(state):
+            on_disk = np.frombuffer(blob, "<f8", arr.size, offset)
+            assert np.array_equal(on_disk, arr.ravel())
+            offset += arr.nbytes
 
     def test_failed_save_leaves_previous_checkpoint(self, tmp_path, monkeypatch):
         cfg = tiny_cfg()
