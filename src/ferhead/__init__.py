@@ -16,14 +16,12 @@ from .head import (
     LossBreakdown,
     ParamGroups,
     backward,
-    cross_entropy,
-    epn_logits,
     forward,
     init_model_params,
     joint_loss,
     softmax,
 )
-from .numerics import SplitMix64, activation, finite_diff_grad, init_params, linear_forward
+from .numerics import SplitMix64, finite_diff_grad, init_params
 from .training import (
     AdamState,
     EpochSummary,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -293,6 +293,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         mix_ratio=cfg.mix_ratio,
         center_rate=cfg.center_rate,
     )
+    head_cfg.validate()
     state = load_checkpoint(args.checkpoint_path, head_cfg)
     data = load_dataset(args.data, K)
     if data.feature_dim != P:
@@ -426,9 +427,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ContractViolation("sweep needs a non-empty --values list")
     rows = []
     for raw in values:
-        cfg = RunConfig(**{f.name: getattr(base, f.name) for f in fields(RunConfig)})
         value = int(raw) if args.param == "n_latents" else float(raw)
-        setattr(cfg, args.param, value)
+        cfg = replace(base, **{args.param: value})
         state, head_cfg, history = run_training(cfg)
         last = history[-1]
         test_accuracy = ""

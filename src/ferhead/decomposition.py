@@ -1,9 +1,10 @@
-"""Feature decomposition: basic feature -> M non-negative latent features.
+"""Feature decomposition: the latent centers and the compactness loss.
 
 Each of the M decomposition matrices projects the input through a bias-free
-linear map followed by ReLU. The latent features are regularized toward
-rule-updated running centers by a compactness loss; the centers live outside
-the gradient graph and move toward batch means by a fixed rate.
+linear map followed by ReLU; that stage runs in `head.forward`, as one GEMM
+over all M latents. The latent features are regularized toward rule-updated
+running centers by a compactness loss; the centers live outside the gradient
+graph and move toward batch means by a fixed rate.
 """
 
 from __future__ import annotations
@@ -13,34 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .numerics import relu
-
-
-def decompose(x: np.ndarray, decomp_weights: np.ndarray) -> np.ndarray:
-    """Latent bank for one sample: latents[j] = relu(W[j].T @ x).
-
-    decomp_weights has shape (M, P, D); the result has shape (M, D).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    W = np.asarray(decomp_weights, dtype=np.float64)
-    if W.ndim != 3 or x.ndim != 1 or W.shape[1] != x.shape[0]:
-        raise ContractViolation(
-            f"decompose shape mismatch: weights {W.shape}, x {x.shape}"
-        )
-    return relu(np.einsum("mpd,p->md", W, x))
-
-
-def decompose_batch(X: np.ndarray, decomp_weights: np.ndarray) -> np.ndarray:
-    """Latent banks for a batch: (N, P) -> (N, M, D)."""
-    X = np.asarray(X, dtype=np.float64)
-    W = np.asarray(decomp_weights, dtype=np.float64)
-    if X.ndim != 2 or W.ndim != 3 or W.shape[1] != X.shape[1]:
-        raise ContractViolation(
-            f"decompose_batch shape mismatch: weights {W.shape}, X {X.shape}"
-        )
-    M, P, D = W.shape
-    pre = X @ W.transpose(1, 0, 2).reshape(P, M * D)
-    return relu(pre.reshape(X.shape[0], M, D))
 
 
 @dataclass

@@ -317,37 +317,12 @@ def forward(
     return c
 
 
-def epn_logits(feature: np.ndarray, classifier: np.ndarray) -> np.ndarray:
-    """Class logits from an expression feature: classifier.T @ y, no bias.
-
-    Accepts a single (D,) feature or a batched (N, D) stack.
-    """
-    y = np.asarray(feature, dtype=np.float64)
-    W = np.asarray(classifier, dtype=np.float64)
-    if W.ndim != 2 or y.shape[-1] != W.shape[0]:
-        raise ContractViolation(
-            f"epn_logits shape mismatch: feature {y.shape}, classifier {W.shape}"
-        )
-    return y @ W
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax (max-shifted)."""
     z = np.asarray(logits, dtype=np.float64)
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """Stable -log softmax(logits)[label] for one sample."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ContractViolation(f"cross_entropy expects a logit vector, got {z.shape}")
-    if not 0 <= label < z.shape[0]:
-        raise ContractViolation(f"label {label} out of range [0, {z.shape[0]})")
-    shifted = z - z.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[label])
 
 
 def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:

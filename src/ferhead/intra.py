@@ -1,10 +1,11 @@
-"""Per-latent importance weighting and its two regularizers.
+"""Regularizers of the per-latent importance weights.
 
 Each latent feature passes through its own sigmoid gate; the L1 norm of the
 gate vector (a plain sum, since sigmoid outputs are positive) is that
-latent's scalar importance weight. A distribution loss pulls each sample's
-weight vector toward a rule-updated center for its class, and a balance loss
-pulls the batch-mean weight vector toward the uniform vector 1/M.
+latent's scalar importance weight, which scales the latent. Those stages run
+in `head.forward`. Here, a distribution loss pulls each sample's weight
+vector toward a rule-updated center for its class, and a balance loss pulls
+the batch-mean weight vector toward the uniform vector 1/M.
 
 Note the deliberate scale mismatch in the balance loss: the weights live in
 [0, D) (sum of D sigmoids) while the target coordinates are 1/M. The formula
@@ -19,57 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .numerics import sigmoid
-
-
-def gate(latents: np.ndarray, gate_weights: np.ndarray) -> np.ndarray:
-    """Gate bank for one sample: gates[j] = sigmoid(W[j].T @ latents[j])."""
-    latents = np.asarray(latents, dtype=np.float64)
-    W = np.asarray(gate_weights, dtype=np.float64)
-    if latents.ndim != 2 or W.ndim != 3 or W.shape[:2] != (latents.shape[0], latents.shape[1]):
-        raise ContractViolation(
-            f"gate shape mismatch: weights {W.shape}, latents {latents.shape}"
-        )
-    return sigmoid(np.einsum("mde,md->me", W, latents))
-
-
-def gate_batch(latent_batch: np.ndarray, gate_weights: np.ndarray) -> np.ndarray:
-    """Gate banks for a batch: (N, M, D) -> (N, M, D)."""
-    L = np.asarray(latent_batch, dtype=np.float64)
-    W = np.asarray(gate_weights, dtype=np.float64)
-    if L.ndim != 3 or W.ndim != 3 or W.shape[:2] != L.shape[1:]:
-        raise ContractViolation(
-            f"gate_batch shape mismatch: weights {W.shape}, batch {L.shape}"
-        )
-    pre = np.matmul(L.transpose(1, 0, 2), W).transpose(1, 0, 2)
-    return sigmoid(pre)
-
-
-def intra_weights(gates: np.ndarray) -> np.ndarray:
-    """Importance weight per latent: the L1 norm of its gate vector.
-
-    Gate entries are sigmoid outputs in (0, 1), so the L1 norm is a plain sum
-    and the map is smooth with unit derivative per entry. Works on a single
-    (M, D) bank or a batched (N, M, D) stack.
-    """
-    gates = np.asarray(gates, dtype=np.float64)
-    return gates.sum(axis=-1)
-
-
-def scale_features(latents: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Intra-aware features: each latent scaled by its importance weight.
-
-    Broadcasts over a single bank ((M, D) with (M,)) or a batch
-    ((N, M, D) with (N, M)).
-    """
-    latents = np.asarray(latents, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if latents.shape[:-1] != weights.shape:
-        raise ContractViolation(
-            f"scale_features shape mismatch: latents {latents.shape}, "
-            f"weights {weights.shape}"
-        )
-    return weights[..., None] * latents
 
 
 @dataclass

@@ -1,4 +1,7 @@
-"""Dense kernels, activations, seeded RNG, and the finite-difference oracle.
+"""Activations, initialization, seeded RNG, and the finite-difference oracle.
+
+The head's stage math (its bias-free linear maps and their activations) runs
+in `head.forward`, which applies `relu` and `sigmoid` from here in place.
 
 Everything here is 64-bit. Gradient checking at 1e-4 tolerance is not
 feasible in float32, so the whole package standardizes on float64.
@@ -109,42 +112,6 @@ def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return s
 
 
-_ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid, "tanh": np.tanh}
-
-
-def activation(kind: str, v: np.ndarray) -> np.ndarray:
-    """Elementwise activation by name: relu, sigmoid, or tanh."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ContractViolation(f"unknown activation kind: {kind!r}") from None
-    return fn(np.asarray(v, dtype=np.float64))
-
-
-def relu_mask(pre: np.ndarray) -> np.ndarray:
-    """Derivative of relu w.r.t. its preactivation; the kink at 0 maps to 0."""
-    return (pre > 0.0).astype(np.float64)
-
-
-def sigmoid_grad_from_output(s: np.ndarray) -> np.ndarray:
-    return s * (1.0 - s)
-
-
-def tanh_grad_from_output(t: np.ndarray) -> np.ndarray:
-    return 1.0 - t * t
-
-
-def linear_forward(W: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """W.T @ x for a (in x out) weight matrix. No bias term anywhere in the head."""
-    W = np.asarray(W, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if W.ndim != 2 or x.ndim != 1 or W.shape[0] != x.shape[0]:
-        raise ContractViolation(
-            f"linear_forward shape mismatch: W {W.shape}, x {x.shape}"
-        )
-    return W.T @ x
-
-
 def init_params(shape: tuple[int, int], rng: SplitMix64) -> np.ndarray:
     """Kaiming-uniform (in x out) matrix: entries uniform in +-sqrt(6/fan_in).
 
@@ -168,17 +135,22 @@ def init_param_stack(
 
 
 def finite_diff_grad(
-    f: Callable[[np.ndarray], float], theta: np.ndarray, h: float = 1e-5
+    f: Callable[[np.ndarray], float | np.ndarray], theta: np.ndarray, h: float = 1e-5
 ) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time.
+    """Central-difference gradient of f, one coordinate of theta at a time.
 
-    This is the package's independent gradient oracle; it never touches the
-    analytic backward path it is used to check.
+    f may return a scalar or an array. The result has shape f's shape plus
+    theta's shape: entry [..., i] holds the derivatives of f's entries along
+    coordinate i, so one sweep serves every entry of f. This is the
+    package's independent gradient oracle; it never touches the analytic
+    backward path it is used to check.
     """
     if h <= 0:
         raise ContractViolation(f"finite_diff_grad needs h > 0, got {h}")
     theta = np.asarray(theta, dtype=np.float64)
-    grad = np.empty_like(theta)
+    shape = np.shape(f(theta))
+    grad = np.empty(shape + theta.shape)
+    columns = grad.reshape(shape + (theta.size,))  # a view; coordinate i is [..., i]
     probe = theta.copy()
     for i in range(theta.size):
         orig = probe.flat[i]
@@ -187,10 +159,10 @@ def finite_diff_grad(
         probe.flat[i] = orig - h
         f_minus = f(probe)
         probe.flat[i] = orig
-        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
+        if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
             raise OracleError(
                 f"non-finite probe value at coordinate {i}: "
                 f"f(+h)={f_plus}, f(-h)={f_minus}"
             )
-        grad.flat[i] = (f_plus - f_minus) / (2.0 * h)
+        columns[..., i] = (f_plus - f_minus) / (2.0 * h)
     return grad

@@ -338,10 +338,9 @@ def save_checkpoint(path: str, state: TrainerState, cfg: HeadConfig) -> None:
         raise
 
 
-def peek_checkpoint_dims(path: str) -> tuple[int, int, int, int]:
-    """Read (P, D, M, K) from a checkpoint header without loading arrays."""
-    with open(path, "rb") as fh:
-        head = fh.read(24)
+def _read_header(fh, path: str) -> tuple[int, int, int, int]:
+    """Read and check the 24-byte header of an open checkpoint: (P, D, M, K)."""
+    head = fh.read(24)
     if head[:4] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: bad magic {head[:4]!r}")
     if len(head) < 24:
@@ -350,6 +349,12 @@ def peek_checkpoint_dims(path: str) -> tuple[int, int, int, int]:
     if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"{path}: unsupported version {version}")
     return P, D, M, K
+
+
+def peek_checkpoint_dims(path: str) -> tuple[int, int, int, int]:
+    """Read (P, D, M, K) from a checkpoint header without loading arrays."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
 
 
 def load_checkpoint(path: str, cfg: HeadConfig) -> TrainerState:
@@ -361,14 +366,7 @@ def load_checkpoint(path: str, cfg: HeadConfig) -> TrainerState:
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        head = fh.read(24)
-        if head[:4] != CHECKPOINT_MAGIC:
-            raise DataFormatError(f"{path}: bad magic {head[:4]!r}")
-        if len(head) < 24:
-            raise DataFormatError(f"{path}: truncated header")
-        version, P, D, M, K = struct.unpack_from("<5I", head, 4)
-        if version != CHECKPOINT_VERSION:
-            raise DataFormatError(f"{path}: unsupported version {version}")
+        P, D, M, K = _read_header(fh, path)
         if (P, D, M, K) != (cfg.input_dim, cfg.latent_dim, cfg.n_latents, cfg.n_classes):
             raise DataFormatError(
                 f"{path}: checkpoint dimensions P={P} D={D} M={M} K={K} do not match "

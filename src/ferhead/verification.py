@@ -18,7 +18,7 @@ which stays meaningful when a group's gradient is uniformly tiny.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .head import (
     compute_losses,
     forward,
 )
-from .numerics import SplitMix64
+from .numerics import SplitMix64, finite_diff_grad
 
 LOSS_MODES = ("classification", "compactness", "balance", "distribution", "joint")
 
@@ -116,10 +116,8 @@ def _well_separated(inst: CheckInstance, margin: float) -> bool:
     return True
 
 
-def _component_losses(
-    theta: np.ndarray, inst: CheckInstance, template: ParamGroups
-) -> np.ndarray:
-    params = template.from_vector(theta)
+def _component_losses(theta: np.ndarray, inst: CheckInstance) -> np.ndarray:
+    params = inst.params.from_vector(theta)
     cache = forward(inst.inputs, params, inst.cfg)
     losses = compute_losses(cache, inst.labels, inst.centers, inst.cfg)
     return np.array([losses.cls, losses.compact, losses.balance, losses.distribution])
@@ -131,20 +129,9 @@ def fd_component_grads(inst: CheckInstance, h: float = 1e-5) -> np.ndarray:
     Returns an array of shape (4, n_params): one coordinate sweep serves
     every loss mode.
     """
-    theta = inst.params.to_vector()
-    grads = np.empty((4, theta.size))
-    probe = theta.copy()
-    for i in range(theta.size):
-        orig = probe[i]
-        probe[i] = orig + h
-        plus = _component_losses(probe, inst, inst.params)
-        probe[i] = orig - h
-        minus = _component_losses(probe, inst, inst.params)
-        probe[i] = orig
-        if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):
-            raise OracleError(f"non-finite probe value at coordinate {i}")
-        grads[:, i] = (plus - minus) / (2.0 * h)
-    return grads
+    return finite_diff_grad(
+        lambda theta: _component_losses(theta, inst), inst.params.to_vector(), h
+    )
 
 
 def group_errors(analytic: ParamGroups, fd_vector: np.ndarray) -> dict[str, float]:
@@ -175,15 +162,11 @@ def check_instance(
     results: dict[str, dict[str, float]] = {}
     for mode in LOSS_MODES:
         cls_w, l_compact, l_balance, l_dist = _mode_weights(mode, joint_cfg)
-        mode_cfg = HeadConfig(
-            input_dim=inst.cfg.input_dim,
-            latent_dim=inst.cfg.latent_dim,
-            n_latents=inst.cfg.n_latents,
-            n_classes=inst.cfg.n_classes,
+        mode_cfg = replace(
+            inst.cfg,
             lambda_compact=l_compact,
             lambda_balance=l_balance,
             lambda_distribution=l_dist,
-            mix_ratio=inst.cfg.mix_ratio,
         )
         analytic, _ = backward(
             cache, inst.labels, inst.params, inst.centers, mode_cfg, cls_weight=cls_w

@@ -232,6 +232,24 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint-path", str(ckpt), "--data", str(other)]) == 2
         assert "dimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--mix-ratio", "1.5"), ("--mix-ratio", "-3"), ("--center-rate", "0")],
+    )
+    def test_out_of_range_config_exits_2_and_writes_nothing(
+        self, toy_env, capsys, flag, value
+    ):
+        tmp_path, config = toy_env
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        train_path = load_run_config(str(config)).train_path
+        out = tmp_path / "eval.csv"
+        argv = ["eval", "--checkpoint-path", str(ckpt), "--data", train_path,
+                "--out", str(out), flag, value]
+        assert main(argv) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_random_models_average_to_chance_on_balanced_data(self, tmp_path):
         """Mean accuracy of untrained models on balanced 7-class data is ~1/7.
 

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from ferhead.decomposition import (
-    LatentCenters,
-    compactness_grad,
-    compactness_loss,
-    decompose,
-    decompose_batch,
-)
+from stage_forward import stage_forward
+
+from ferhead.decomposition import LatentCenters, compactness_grad, compactness_loss
 from ferhead.errors import ContractViolation
 from ferhead.numerics import SplitMix64, finite_diff_grad
 
@@ -28,40 +24,46 @@ def naive_decompose(x, weights):
 
 
 class TestDecompose:
+    """The decomposition stage of head.forward: cache.latents."""
+
     def test_zero_input(self):
         W = np.random.default_rng(0).normal(size=(2, 3, 4))
-        assert np.array_equal(decompose(np.zeros(3), W), np.zeros((2, 4)))
+        cache = stage_forward(np.zeros((1, 3)), 2, 4, decomp=W)
+        assert np.array_equal(cache.latents[0], np.zeros((2, 4)))
 
     def test_identity_on_nonnegative(self):
         W = np.stack([np.eye(3), np.eye(3)])
         x = np.array([1.0, 0.0, 2.5])
-        out = decompose(x, W)
+        out = stage_forward(x[None], 2, 3, decomp=W).latents[0]
         assert np.array_equal(out[0], x) and np.array_equal(out[1], x)
 
     def test_matches_naive_loops(self):
         rng = np.random.default_rng(5)
         W = rng.normal(size=(2, 3, 2))
-        x = rng.normal(size=3)
-        np.testing.assert_allclose(decompose(x, W), naive_decompose(x, W), atol=1e-12)
+        X = rng.normal(size=(4, 3))
+        latents = stage_forward(X, 2, 2, decomp=W).latents
+        for i in range(4):
+            np.testing.assert_allclose(latents[i], naive_decompose(X[i], W), atol=1e-12)
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             W = rng.normal(size=(3, 5, 4))
-            x = rng.normal(size=5)
-            assert np.all(decompose(x, W) >= 0)
+            X = rng.normal(size=(2, 5))
+            assert np.all(stage_forward(X, 3, 4, decomp=W).latents >= 0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
-            decompose(np.zeros(4), np.zeros((2, 3, 4)))
+            stage_forward(np.zeros((1, 4)), 2, 4, input_dim=3)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(2)
         W = rng.normal(size=(3, 6, 4))
         X = rng.normal(size=(5, 6))
-        batched = decompose_batch(X, W)
+        batched = stage_forward(X, 3, 4, decomp=W).latents
         for i in range(5):
-            np.testing.assert_allclose(batched[i], decompose(X[i], W), atol=1e-12)
+            single = stage_forward(X[i : i + 1], 3, 4, decomp=W).latents[0]
+            np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
 
 class TestCompactnessLoss:
@@ -155,15 +157,16 @@ class TestDecompositionGradientThroughLoss:
         X = rng.uniform(0.2, 1.0, (3, 4))
         centers = LatentCenters(rng.uniform(-0.2, 0.2, (2, 3)))
 
+        def latents_of(decomp):
+            return stage_forward(X, 2, 3, decomp=decomp).latents
+
         def loss_of(flat):
-            latents = decompose_batch(X, flat.reshape(W.shape))
-            return compactness_loss(latents, centers)
+            return compactness_loss(latents_of(flat.reshape(W.shape)), centers)
 
         pre = np.einsum("np,mpd->nmd", X, W)
         assert np.abs(pre).min() > 1e-3, "instance too close to a relu kink"
 
-        latents = decompose_batch(X, W)
-        dlat = compactness_grad(latents, centers)
+        dlat = compactness_grad(latents_of(W), centers)
         dpre = dlat * (pre > 0)
         analytic = np.einsum("np,nmd->mpd", X, dpre)
         fd = finite_diff_grad(loss_of, W.ravel(), h=1e-6).reshape(W.shape)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from naive_reference import naive_head_forward, naive_losses
+from stage_forward import stage_forward
 
 from ferhead.errors import ContractViolation, TrainingError
 from ferhead.head import (
@@ -17,7 +18,6 @@ from ferhead.head import (
     backward,
     batch_cross_entropy,
     compute_losses,
-    cross_entropy,
     forward,
     init_model_params,
     joint_loss,
@@ -206,32 +206,31 @@ class TestStructuralInvariants:
 
 
 class TestEpnLogits:
-    def test_zero_feature(self):
-        from ferhead.head import epn_logits
+    """The bias-free classifier stage of head.forward: cache.logits."""
 
+    def test_zero_feature(self):
         W = np.random.default_rng(0).normal(size=(4, 3))
-        assert np.array_equal(epn_logits(np.zeros(4), W), np.zeros(3))
+        cache = stage_forward(np.zeros((1, 5)), 2, 4, classifier=W)
+        assert np.array_equal(cache.feature, np.zeros((1, 4)))
+        assert np.array_equal(cache.logits, np.zeros((1, 3)))
 
     def test_identity_classifier(self):
-        from ferhead.head import epn_logits
-
-        y = np.array([1.5, -2.0, 0.5])
-        np.testing.assert_array_equal(epn_logits(y, np.eye(3)), y)
+        X = np.random.default_rng(1).normal(size=(2, 5))
+        cache = stage_forward(X, 2, 3, n_classes=3, classifier=np.eye(3))
+        np.testing.assert_array_equal(cache.logits, cache.feature)
 
     def test_matches_naive_matmul(self):
-        from ferhead.head import epn_logits
-
         rng = np.random.default_rng(1)
-        y = rng.normal(size=2)
         W = rng.normal(size=(2, 3))
-        naive = [sum(W[d][k] * y[d] for d in range(2)) for k in range(3)]
-        np.testing.assert_allclose(epn_logits(y, W), naive, atol=1e-12)
+        cache = stage_forward(rng.normal(size=(2, 4)), 2, 2, classifier=W)
+        for y, logits in zip(cache.feature, cache.logits):
+            naive = [sum(W[d][k] * y[d] for d in range(2)) for k in range(3)]
+            np.testing.assert_allclose(logits, naive, atol=1e-12)
 
-    def test_shape_mismatch(self):
-        from ferhead.head import epn_logits
 
-        with pytest.raises(ContractViolation):
-            epn_logits(np.zeros(3), np.zeros((4, 2)))
+def cross_entropy(logits, label):
+    """One sample's loss: batch_cross_entropy of a one-row batch."""
+    return batch_cross_entropy(np.asarray(logits)[None], np.array([label]))
 
 
 class TestCrossEntropy:

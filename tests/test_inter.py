@@ -5,15 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from stage_forward import stage_forward
+
 from ferhead.errors import ContractViolation
-from ferhead.inter import (
-    aggregate,
-    encode_messages,
-    encode_messages_batch,
-    mix,
-    reconstruct,
-    relation_weights,
-)
+from ferhead.head import HeadConfig
+from ferhead.inter import relation_weights
 
 
 def naive_messages(features, weights):
@@ -29,39 +25,42 @@ def naive_messages(features, weights):
 
 
 class TestEncodeMessages:
+    """The message encoder stage of head.forward: cache.messages."""
+
     def test_zero_features(self):
         W = np.random.default_rng(0).normal(size=(2, 3, 3))
-        assert np.array_equal(encode_messages(np.zeros((2, 3)), W), np.zeros((2, 3)))
+        messages = stage_forward(np.zeros((1, 4)), 2, 3, message=W).messages
+        assert np.array_equal(messages[0], np.zeros((2, 3)))
 
     def test_identity_on_nonnegative(self):
         W = np.stack([np.eye(3), np.eye(3)])
-        F = np.array([[1.0, 0.5, 0.0], [0.2, 0.0, 3.0]])
-        np.testing.assert_array_equal(encode_messages(F, W), F)
+        X = np.random.default_rng(1).normal(size=(4, 5))
+        cache = stage_forward(X, 2, 3, message=W)
+        assert np.all(cache.scaled >= 0)
+        np.testing.assert_array_equal(cache.messages, cache.scaled)
 
     def test_matches_naive_loops(self):
         rng = np.random.default_rng(3)
-        F = rng.uniform(size=(2, 2))
         W = rng.normal(size=(2, 2, 2))
-        np.testing.assert_allclose(
-            encode_messages(F, W), naive_messages(F, W), atol=1e-12
-        )
+        cache = stage_forward(rng.uniform(size=(3, 4)), 2, 2, message=W)
+        for i in range(3):
+            np.testing.assert_allclose(
+                cache.messages[i], naive_messages(cache.scaled[i], W), atol=1e-12
+            )
 
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
-        out = encode_messages(rng.uniform(size=(3, 5)), rng.normal(size=(3, 5, 5)))
-        assert np.all(out >= 0)
+        messages = stage_forward(rng.uniform(size=(6, 4)), 3, 5).messages
+        assert np.all(messages >= 0)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
         W = rng.normal(size=(3, 4, 4))
-        F = rng.uniform(size=(6, 3, 4))
-        batched = encode_messages_batch(F, W)
+        X = rng.uniform(size=(6, 5))
+        batched = stage_forward(X, 3, 4, message=W).messages
         for i in range(6):
-            np.testing.assert_allclose(batched[i], encode_messages(F[i], W), atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractViolation):
-            encode_messages(np.zeros((2, 3)), np.zeros((3, 3, 3)))
+            single = stage_forward(X[i : i + 1], 3, 4, message=W).messages[0]
+            np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
 
 class TestRelationWeights:
@@ -97,61 +96,80 @@ class TestRelationWeights:
 
 
 class TestAggregate:
+    """Relation-weighted neighbor messages: cache.aggregated."""
+
     def test_zero_weights(self):
-        g = np.random.default_rng(1).normal(size=(3, 4))
-        assert np.array_equal(aggregate(g, np.zeros((3, 3))), np.zeros((3, 4)))
+        """Latents sharing one weight slice send coincident messages, weighed 0."""
+        rng = np.random.default_rng(1)
+        groups = {
+            name: np.stack([rng.normal(size=(4, 4))] * 3)
+            for name in ("decomp", "gate", "message")
+        }
+        cache = stage_forward(rng.normal(size=(5, 4)), 3, 4, **groups)
+        assert np.all(cache.omega == 0.0) and np.any(cache.messages > 0)
+        assert np.array_equal(cache.aggregated, np.zeros((5, 3, 4)))
 
     def test_hand_computed(self):
-        g = np.array([[0.0, 0.0], [4.0, 0.0]])
-        omega = np.array([[0.0, 0.5], [0.5, 0.0]])
-        out = aggregate(g, omega)
-        np.testing.assert_array_equal(out[0], [2.0, 0.0])
+        # with two latents, each aggregates only the other's message
+        cache = stage_forward(np.random.default_rng(2).normal(size=(4, 3)), 2, 3)
+        omega = cache.omega[:, 0, 1, None]
+        assert np.all(omega > 0)
+        np.testing.assert_array_equal(cache.aggregated[:, 0], omega * cache.messages[:, 1])
+        np.testing.assert_array_equal(cache.aggregated[:, 1], omega * cache.messages[:, 0])
 
     def test_linear_in_messages_with_fixed_weights(self):
-        rng = np.random.default_rng(2)
-        g = rng.normal(size=(4, 5))
-        omega = rng.uniform(size=(4, 4))
-        np.testing.assert_allclose(
-            aggregate(3.0 * g, omega), 3.0 * aggregate(g, omega), atol=1e-12
-        )
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractViolation):
-            aggregate(np.zeros((3, 4)), np.zeros((2, 2)))
+        """aggregated[j] = sum_m omega[j, m] * messages[m], by loops."""
+        cache = stage_forward(np.random.default_rng(3).normal(size=(3, 6)), 4, 5)
+        for i in range(3):
+            for j in range(4):
+                want = sum(cache.omega[i, j, m] * cache.messages[i, m] for m in range(4))
+                np.testing.assert_allclose(cache.aggregated[i, j], want, atol=1e-12)
 
 
 class TestMix:
+    """The blend of gated and aggregated features: cache.mixed."""
+
+    X = np.random.default_rng(4).normal(size=(5, 4))
+
     def test_all_direct(self):
-        f = np.array([[1.0, 2.0]])
-        fh = np.array([[9.0, 9.0]])
-        np.testing.assert_array_equal(mix(f, fh, 1.0), f)
+        cache = stage_forward(self.X, 3, 4, mix_ratio=1.0)
+        np.testing.assert_array_equal(cache.mixed, cache.scaled)
 
     def test_all_aggregated(self):
-        f = np.array([[1.0, 2.0]])
-        fh = np.array([[9.0, 9.0]])
-        np.testing.assert_array_equal(mix(f, fh, 0.0), fh)
+        cache = stage_forward(self.X, 3, 4, mix_ratio=0.0)
+        np.testing.assert_array_equal(cache.mixed, cache.aggregated)
 
     def test_hand_computed_half(self):
-        out = mix(np.array([[2.0, 0.0]]), np.array([[0.0, 2.0]]), 0.5)
-        np.testing.assert_array_equal(out, [[1.0, 1.0]])
+        cache = stage_forward(self.X, 3, 4, mix_ratio=0.5)
+        np.testing.assert_array_equal(cache.mixed, 0.5 * cache.scaled + 0.5 * cache.aggregated)
 
     def test_ratio_out_of_range(self):
-        with pytest.raises(ContractViolation):
-            mix(np.zeros((1, 2)), np.zeros((1, 2)), 1.5)
-        with pytest.raises(ContractViolation):
-            mix(np.zeros((1, 2)), np.zeros((1, 2)), -0.1)
+        for ratio in (1.5, -0.1):
+            with pytest.raises(ContractViolation, match="mix_ratio"):
+                HeadConfig(mix_ratio=ratio).validate()
 
 
 class TestReconstruct:
+    """The expression feature, the sum of the blended latents: cache.feature."""
+
     def test_zero_bank(self):
-        assert np.array_equal(reconstruct(np.zeros((3, 4))), np.zeros(4))
+        feature = stage_forward(np.zeros((1, 4)), 3, 4).feature
+        assert np.array_equal(feature, np.zeros((1, 4)))
 
     def test_hand_computed(self):
-        bank = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(reconstruct(bank), [4.0, 6.0])
+        cache = stage_forward(np.random.default_rng(5).normal(size=(4, 3)), 2, 3)
+        np.testing.assert_array_equal(cache.feature, cache.mixed[:, 0] + cache.mixed[:, 1])
 
     def test_permutation_invariant(self):
+        """Relabeling the latents leaves the feature unchanged."""
         rng = np.random.default_rng(3)
-        bank = rng.normal(size=(5, 4))
+        X = rng.normal(size=(4, 6))
+        groups = {
+            "decomp": rng.normal(size=(5, 6, 4)),
+            "gate": rng.normal(size=(5, 4, 4)),
+            "message": rng.normal(size=(5, 4, 4)),
+        }
         perm = rng.permutation(5)
-        np.testing.assert_allclose(reconstruct(bank), reconstruct(bank[perm]), atol=1e-12)
+        base = stage_forward(X, 5, 4, **groups).feature
+        permuted = stage_forward(X, 5, 4, **{k: v[perm] for k, v in groups.items()}).feature
+        np.testing.assert_allclose(base, permuted, atol=1e-12)

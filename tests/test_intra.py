@@ -1,7 +1,11 @@
 """Gate, importance-weight, and intra-regularizer tests."""
 
+import math
+
 import numpy as np
 import pytest
+
+from stage_forward import stage_forward
 
 from ferhead.errors import ContractViolation
 from ferhead.intra import (
@@ -10,15 +14,11 @@ from ferhead.intra import (
     balance_sign,
     distribution_grad,
     distribution_loss,
-    gate,
-    gate_batch,
-    intra_weights,
     mean_weights,
     per_class_mean_weights,
-    scale_features,
     uniform_target,
 )
-from ferhead.numerics import finite_diff_grad, sigmoid
+from ferhead.numerics import finite_diff_grad
 
 
 def naive_gate(latents, weights):
@@ -34,88 +34,113 @@ def naive_gate(latents, weights):
     return out
 
 
+def identity_decomp(n_latents, dim):
+    """Decomposition weights under which every latent equals the input."""
+    return np.stack([np.eye(dim)] * n_latents)
+
+
 class TestGate:
+    """The gate stage of head.forward: cache.gates."""
+
     def test_zero_latents_give_half(self):
         W = np.random.default_rng(0).normal(size=(2, 3, 3))
-        np.testing.assert_allclose(gate(np.zeros((2, 3)), W), np.full((2, 3), 0.5))
+        gates = stage_forward(np.zeros((1, 4)), 2, 3, gate=W).gates
+        np.testing.assert_allclose(gates[0], np.full((2, 3), 0.5))
 
     def test_zero_weights_give_half(self):
-        latents = np.random.default_rng(1).uniform(size=(2, 3))
-        np.testing.assert_allclose(
-            gate(latents, np.zeros((2, 3, 3))), np.full((2, 3), 0.5)
-        )
+        X = np.random.default_rng(1).uniform(size=(3, 4))
+        gates = stage_forward(X, 2, 3, gate=np.zeros((2, 3, 3))).gates
+        np.testing.assert_allclose(gates, np.full((3, 2, 3), 0.5))
 
     def test_matches_naive_loops(self):
         rng = np.random.default_rng(5)
-        latents = rng.uniform(size=(1, 2))
-        W = rng.normal(size=(1, 2, 2))
-        np.testing.assert_allclose(gate(latents, W), naive_gate(latents, W), atol=1e-12)
+        W = rng.normal(size=(2, 2, 2))
+        cache = stage_forward(rng.uniform(size=(3, 4)), 2, 2, gate=W)
+        for i in range(3):
+            np.testing.assert_allclose(
+                cache.gates[i], naive_gate(cache.latents[i], W), atol=1e-12
+            )
 
     def test_outputs_in_open_unit_interval(self):
         rng = np.random.default_rng(6)
-        g = gate(rng.uniform(size=(3, 4)), rng.normal(size=(3, 4, 4)))
+        X = rng.uniform(size=(5, 4))
+        decomp = rng.uniform(size=(3, 4, 4)) / 4.0  # latents in [0, 1)
+        g = stage_forward(X, 3, 4, decomp=decomp, gate=rng.normal(size=(3, 4, 4))).gates
         assert np.all((g > 0) & (g < 1))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractViolation):
-            gate(np.zeros((2, 3)), np.zeros((2, 4, 4)))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(7)
         W = rng.normal(size=(3, 4, 4))
-        L = rng.uniform(size=(6, 3, 4))
-        batched = gate_batch(L, W)
+        X = rng.uniform(size=(6, 5))
+        batched = stage_forward(X, 3, 4, gate=W).gates
         for i in range(6):
-            np.testing.assert_allclose(batched[i], gate(L[i], W), atol=1e-12)
+            single = stage_forward(X[i : i + 1], 3, 4, gate=W).gates[0]
+            np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
 
 class TestIntraWeights:
+    """Importance weights, the gate sums: cache.weights."""
+
     def test_sum_of_halves(self):
-        assert intra_weights(np.array([[0.5, 0.5]]))[0] == pytest.approx(1.0)
+        X = np.random.default_rng(0).uniform(size=(1, 3))
+        weights = stage_forward(X, 1, 2, gate=np.zeros((1, 2, 2))).weights
+        assert weights[0, 0] == pytest.approx(1.0)
 
     def test_all_half_gates_d128(self):
-        gates = np.full((1, 128), 0.5)
-        assert intra_weights(gates)[0] == pytest.approx(64.0)
+        X = np.random.default_rng(0).uniform(size=(1, 3))
+        weights = stage_forward(X, 1, 128, gate=np.zeros((1, 128, 128))).weights
+        assert weights[0, 0] == pytest.approx(64.0)
 
     def test_near_zero_gates(self):
-        assert intra_weights(np.full((1, 8), 1e-9))[0] == pytest.approx(8e-9)
+        # unit latents and gate preactivations of -log(1e9 - 1): each gate is 1e-9
+        gate = np.full((1, 8, 8), -math.log(1e9 - 1.0) / 8)
+        cache = stage_forward(np.ones((1, 8)), 1, 8, decomp=identity_decomp(1, 8), gate=gate)
+        assert cache.weights[0, 0] == pytest.approx(8e-9)
 
     def test_monotone_in_each_entry(self):
         rng = np.random.default_rng(2)
-        gates = rng.uniform(0.1, 0.9, size=(3, 5))
-        base = intra_weights(gates)
-        bumped = gates.copy()
-        bumped[1, 3] += 0.05
-        out = intra_weights(bumped)
+        X = rng.uniform(0.1, 1.0, size=(1, 5))
+        decomp = rng.uniform(0.1, 1.0, size=(3, 5, 5))  # positive latents
+        gate = rng.normal(size=(3, 5, 5))
+        base = stage_forward(X, 3, 5, decomp=decomp, gate=gate).weights[0]
+        bumped = gate.copy()
+        bumped[1, :, 3] += 0.05  # raises latent 1's gate entry 3
+        out = stage_forward(X, 3, 5, decomp=decomp, gate=bumped).weights[0]
         assert out[1] > base[1]
         assert out[0] == base[0] and out[2] == base[2]
 
     def test_range_bound(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            g = sigmoid(rng.normal(scale=4.0, size=(4, 16)))
-            w = intra_weights(g)
+            X = rng.uniform(-1.0, 1.0, size=(1, 4))
+            decomp = rng.normal(scale=0.25, size=(4, 4, 16))
+            gate = rng.normal(scale=4.0, size=(4, 16, 16))
+            w = stage_forward(X, 4, 16, decomp=decomp, gate=gate).weights
             assert np.all((w >= 0) & (w < 16))
 
 
 class TestScaleFeatures:
+    """Latents scaled by their importance weights: cache.scaled."""
+
     def test_zero_weight_zeroes_feature(self):
-        latents = np.ones((2, 3))
-        out = scale_features(latents, np.array([0.0, 2.0]))
-        assert np.array_equal(out[0], np.zeros(3))
+        # latent 0's gates saturate to exactly 0, so its weight is 0
+        gate = np.stack([np.full((3, 3), -1000.0), np.zeros((3, 3))])
+        cache = stage_forward(np.ones((1, 3)), 2, 3, decomp=identity_decomp(2, 3), gate=gate)
+        assert cache.weights[0, 0] == 0.0
+        assert np.array_equal(cache.scaled[0, 0], np.zeros(3))
+        assert np.array_equal(cache.scaled[0, 1], np.full(3, 1.5))
 
     def test_unit_weight_is_identity(self):
-        latents = np.random.default_rng(1).uniform(size=(2, 3))
-        out = scale_features(latents, np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(out, latents)
+        X = np.random.default_rng(1).uniform(size=(4, 3))
+        cache = stage_forward(X, 2, 2, gate=np.zeros((2, 2, 2)))
+        np.testing.assert_array_equal(cache.weights, np.ones((4, 2)))
+        np.testing.assert_array_equal(cache.scaled, cache.latents)
 
     def test_hand_computed(self):
-        out = scale_features(np.array([[1.0, 3.0]]), np.array([2.0]))
-        np.testing.assert_array_equal(out, [[2.0, 6.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractViolation):
-            scale_features(np.zeros((2, 3)), np.zeros(3))
+        # four half gates weigh 2; identity decomposition of x = [1, 3, 0, 0]
+        x = np.array([[1.0, 3.0, 0.0, 0.0]])
+        cache = stage_forward(x, 1, 4, decomp=identity_decomp(1, 4), gate=np.zeros((1, 4, 4)))
+        np.testing.assert_array_equal(cache.scaled[0], [[2.0, 6.0, 0.0, 0.0]])
 
 
 class TestDistributionLoss:

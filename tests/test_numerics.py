@@ -1,77 +1,75 @@
-"""Kernel, activation, RNG, and finite-difference oracle tests."""
+"""Activation, RNG, initialization, and finite-difference oracle tests."""
 
 import math
 
 import numpy as np
 import pytest
 
+from stage_forward import stage_forward
+
 from ferhead.errors import ContractViolation, OracleError
+from ferhead.head import Centers, HeadConfig, ParamGroups, backward, forward
 from ferhead.numerics import (
     SplitMix64,
-    activation,
     finite_diff_grad,
     init_param_stack,
     init_params,
-    linear_forward,
     relu,
     sigmoid,
 )
 
 
+def pre_latent(W, X):
+    """The head's first linear map, W.T @ x per row: (N, P) -> (N, D)."""
+    return stage_forward(X, 1, W.shape[1], decomp=W[None]).pre_latent[:, 0]
+
+
 class TestLinearForward:
+    """The bias-free linear maps of the head, seen at the decomposition."""
+
     def test_identity(self):
-        assert np.array_equal(linear_forward(np.eye(2), [3.0, -1.0]), [3.0, -1.0])
+        assert np.array_equal(pre_latent(np.eye(2), [[3.0, -1.0]]), [[3.0, -1.0]])
 
     def test_zeros(self):
-        assert np.array_equal(linear_forward(np.zeros((2, 2)), [5.0, 7.0]), [0.0, 0.0])
+        assert np.array_equal(pre_latent(np.zeros((2, 2)), [[5.0, 7.0]]), [[0.0, 0.0]])
 
     def test_hand_computed(self):
         W = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(linear_forward(W, [1.0, 1.0]), [4.0, 6.0])
+        np.testing.assert_allclose(pre_latent(W, [[1.0, 1.0]]), [[4.0, 6.0]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
-            linear_forward(np.eye(3), [1.0, 2.0])
+            stage_forward(np.ones((1, 2)), 1, 3, input_dim=3)
 
     def test_linearity(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             W = rng.normal(size=(6, 4))
-            x, y = rng.normal(size=6), rng.normal(size=6)
+            x, y = rng.normal(size=(2, 1, 6))
             a, b = rng.normal(size=2)
-            lhs = linear_forward(W, a * x + b * y)
-            rhs = a * linear_forward(W, x) + b * linear_forward(W, y)
+            lhs = pre_latent(W, a * x + b * y)
+            rhs = a * pre_latent(W, x) + b * pre_latent(W, y)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestActivations:
     def test_relu_basic(self):
-        np.testing.assert_array_equal(activation("relu", [-1.0, 2.0]), [0.0, 2.0])
+        np.testing.assert_array_equal(relu(np.array([-1.0, 2.0])), [0.0, 2.0])
 
     def test_sigmoid_at_zero(self):
-        np.testing.assert_allclose(activation("sigmoid", [0.0]), [0.5])
-
-    def test_tanh_at_zero(self):
-        np.testing.assert_allclose(activation("tanh", [0.0]), [0.0])
-
-    def test_unknown_kind(self):
-        with pytest.raises(ContractViolation):
-            activation("softplus", [0.0])
+        np.testing.assert_allclose(sigmoid(np.array([0.0])), [0.5])
 
     def test_ranges(self):
         rng = np.random.default_rng(3)
         v = rng.normal(scale=5.0, size=1000)
-        assert np.all(activation("relu", v) >= 0)
-        s = activation("sigmoid", v)
+        assert np.all(relu(v) >= 0)
+        s = sigmoid(v)
         assert np.all((s > 0) & (s < 1))
-        t = activation("tanh", v)
-        assert np.all((t > -1) & (t < 1))
 
     def test_monotone_on_sorted_inputs(self):
         v = np.linspace(-6, 6, 500)
-        for kind in ("relu", "sigmoid", "tanh"):
-            out = activation(kind, v)
-            assert np.all(np.diff(out) >= 0), kind
+        for fn in (relu, sigmoid):
+            assert np.all(np.diff(fn(v)) >= 0), fn.__name__
 
     def test_sigmoid_stable_at_extremes(self):
         out = sigmoid(np.array([-1000.0, 1000.0]))
@@ -175,19 +173,55 @@ class TestFiniteDiffGrad:
         W = rng.normal(size=(6, 4))
         v = rng.normal(size=4)
         x0 = rng.normal(size=6)
-        grad = finite_diff_grad(lambda x: float(v @ linear_forward(W, x)), x0, h=1e-6)
+        grad = finite_diff_grad(lambda x: float(v @ (W.T @ x)), x0, h=1e-6)
         analytic = W @ v
         rel = np.abs(grad - analytic).max() / np.abs(analytic).max()
         assert rel < 1e-6
 
+    def test_array_valued_f_stacks_scalar_sweeps(self):
+        rng = np.random.default_rng(18)
+        A = rng.normal(size=(3, 2, 4))
+        theta = rng.normal(size=(2, 4))
+
+        def f(t):
+            return np.tanh(np.einsum("kij,ij->k", A, t * t))
+
+        grad = finite_diff_grad(f, theta)
+        assert grad.shape == (3,) + theta.shape
+        singles = [finite_diff_grad(lambda t, k=k: float(f(t)[k]), theta) for k in range(3)]
+        assert np.array_equal(grad, np.stack(singles))
+
+    def test_array_valued_nonfinite_probe_names_coordinate(self):
+        def f(t):
+            return np.array([0.0, float("inf") if t[2] != 0.0 else 0.0, 1.0])
+
+        with pytest.raises(OracleError, match="coordinate 2"):
+            finite_diff_grad(f, np.zeros(4))
+
 
 class TestReluDerivativeConvention:
     def test_kink_maps_to_zero(self):
-        from ferhead.numerics import relu_mask
+        """backward takes relu's derivative at exactly 0 to be 0.
 
-        np.testing.assert_array_equal(
-            relu_mask(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 1.0]
+        Zero decomposition weights put every latent preactivation on the
+        kink. The compactness term then sends the latents a nonzero
+        gradient, which a derivative of 1 at the kink would pass on to the
+        decomposition weights.
+        """
+        cfg = HeadConfig(input_dim=3, latent_dim=2, n_latents=2, n_classes=2, lambda_compact=1.0)
+        rng = np.random.default_rng(19)
+        params = ParamGroups(
+            decomp=np.zeros((2, 3, 2)),
+            gate=rng.normal(size=(2, 2, 2)),
+            message=rng.normal(size=(2, 2, 2)),
+            classifier=rng.normal(size=(2, 2)),
         )
+        centers = Centers.zeros(cfg)
+        centers.latent.centers[...] = 1.0
+        cache = forward(rng.normal(size=(4, 3)), params, cfg)
+        assert np.array_equal(cache.pre_latent, np.zeros((4, 2, 2)))
+        grads, _ = backward(cache, np.array([0, 1, 0, 1]), params, centers, cfg)
+        assert np.array_equal(grads.decomp, np.zeros((2, 3, 2)))
 
     def test_relu_nonnegative(self):
         assert np.all(relu(np.linspace(-5, 5, 101)) >= 0)
