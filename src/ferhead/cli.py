@@ -1,12 +1,14 @@
 """Command-line interface: train, eval, gradcheck, synth, inspect, sweep.
 
-Run configuration is a flat key=value file (diff-able experiment ledger)
-with CLI flags taking precedence; unknown keys are rejected. The FERHEAD_CONFIG
-environment variable supplies a default config path and nothing else. Every
-command is deterministic given --seed: training runs one batched forward and
-backward per step, and repeated runs on the same machine with the same BLAS
-thread count give identical bytes. --threads (the `threads` key) is accepted
-so that older configuration files still load, and has no effect.
+Run configuration for train and sweep is a flat key=value file (diff-able
+experiment ledger) with CLI flags taking precedence; unknown keys are
+rejected. The FERHEAD_CONFIG environment variable supplies a default config
+path and nothing else. eval and inspect take their model config from the
+checkpoint header alone. Every command is deterministic given --seed:
+training runs one batched forward and backward per step, and repeated runs on
+the same machine with the same BLAS thread count give identical bytes.
+--threads (the `threads` key) is accepted so that older configuration files
+still load, and has no effect.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from .training import (
     AdamState,
     Schedule,
     TrainerState,
+    checkpoint_config,
     evaluate,
     forward_in_blocks,
     load_checkpoint,
-    peek_checkpoint_dims,
     save_checkpoint,
     train_epoch,
 )
@@ -65,17 +67,7 @@ class RunConfig:
     eval_csv: str = ""
 
     def head_config(self) -> HeadConfig:
-        cfg = HeadConfig(
-            input_dim=self.input_dim,
-            latent_dim=self.latent_dim,
-            n_latents=self.n_latents,
-            n_classes=self.n_classes,
-            lambda_compact=self.lambda_compact,
-            lambda_balance=self.lambda_balance,
-            lambda_distribution=self.lambda_distribution,
-            mix_ratio=self.mix_ratio,
-            center_rate=self.center_rate,
-        )
+        cfg = HeadConfig(**{f.name: getattr(self, f.name) for f in fields(HeadConfig)})
         cfg.validate()
         return cfg
 
@@ -279,28 +271,21 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    P, D, M, K = peek_checkpoint_dims(args.checkpoint_path)
-    head_cfg = HeadConfig(
-        input_dim=P,
-        latent_dim=D,
-        n_latents=M,
-        n_classes=K,
-        lambda_compact=cfg.lambda_compact,
-        lambda_balance=cfg.lambda_balance,
-        lambda_distribution=cfg.lambda_distribution,
-        mix_ratio=cfg.mix_ratio,
-        center_rate=cfg.center_rate,
-    )
-    head_cfg.validate()
+def _load_model(args: argparse.Namespace):
+    """(config, state, dataset) for eval and inspect; the config is the checkpoint's."""
+    head_cfg = checkpoint_config(args.checkpoint_path)
     state = load_checkpoint(args.checkpoint_path, head_cfg)
-    data = load_dataset(args.data, K)
-    if data.feature_dim != P:
+    data = load_dataset(args.data, head_cfg.n_classes)
+    if data.feature_dim != head_cfg.input_dim:
         raise DataFormatError(
             f"{args.data}: feature dimension {data.feature_dim} does not match "
-            f"checkpoint input dimension {P}"
+            f"checkpoint input dimension {head_cfg.input_dim}"
         )
+    return head_cfg, state, data
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    head_cfg, state, data = _load_model(args)
     report = evaluate(state.params, head_cfg, data)
     print_eval_report(report, data.class_names)
     if args.out:
@@ -364,15 +349,8 @@ def pca_project(features: np.ndarray) -> np.ndarray:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    P, D, M, K = peek_checkpoint_dims(args.checkpoint_path)
-    head_cfg = HeadConfig(input_dim=P, latent_dim=D, n_latents=M, n_classes=K)
-    state = load_checkpoint(args.checkpoint_path, head_cfg)
-    data = load_dataset(args.data, K)
-    if data.feature_dim != P:
-        raise DataFormatError(
-            f"{args.data}: feature dimension {data.feature_dim} does not match "
-            f"checkpoint input dimension {P}"
-        )
+    head_cfg, state, data = _load_model(args)
+    M, K = head_cfg.n_latents, head_cfg.n_classes
     if len(data) < 1:
         raise ContractViolation("inspect needs a non-empty dataset")
     weights, feature, omega = forward_in_blocks(
@@ -488,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    _add_config_overrides(p_eval)
     p_eval.add_argument("--checkpoint-path", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--out", help="write the evaluation report CSV here")

@@ -13,7 +13,8 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-from dataclasses import dataclass
+import warnings
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -68,7 +69,9 @@ class Schedule:
         if list(self.decay_epochs) != sorted(set(self.decay_epochs)):
             raise ContractViolation("decay epochs must be strictly increasing")
         if self.decay_epochs and self.decay_epochs[-1] >= self.total_epochs:
-            raise ContractViolation("decay epochs must be < total_epochs")
+            raise ContractViolation(
+                f"decay epochs {self.decay_epochs} must be < total_epochs {self.total_epochs}"
+            )
 
     def lr_at(self, epoch: int) -> float:
         if not 0 <= epoch < self.total_epochs:
@@ -296,13 +299,15 @@ def train_epoch(
 
 
 CHECKPOINT_MAGIC = b"FDRM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path: str, state: TrainerState, cfg: HeadConfig) -> None:
     """Binary little-endian checkpoint.
 
-    Layout: magic 'FDRM', u32 version, u32 P/D/M/K, then float64 arrays in
+    Layout: magic 'FDRM', u32 version, u32 P/D/M/K, the five float64 model
+    settings in HeadConfig field order (lambda_compact, lambda_balance,
+    lambda_distribution, mix_ratio, center_rate), then float64 arrays in
     fixed order (decomp, gate, message, classifier weights; latent centers;
     class centers; Adam first then second moments in the same group order),
     then u64 step count and u64 RNG state.
@@ -315,16 +320,7 @@ def save_checkpoint(path: str, state: TrainerState, cfg: HeadConfig) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
-            fh.write(
-                struct.pack(
-                    "<5I",
-                    CHECKPOINT_VERSION,
-                    cfg.input_dim,
-                    cfg.latent_dim,
-                    cfg.n_latents,
-                    cfg.n_classes,
-                )
-            )
+            fh.write(struct.pack("<5I5d", CHECKPOINT_VERSION, *astuple(cfg)))
             for arr in _checkpoint_arrays(state):
                 arr = np.asarray(arr, dtype="<f8")
                 # a decomp group goes out one (P, D) latent slab at a time
@@ -338,27 +334,40 @@ def save_checkpoint(path: str, state: TrainerState, cfg: HeadConfig) -> None:
         raise
 
 
-def _read_header(fh, path: str) -> tuple[int, int, int, int]:
-    """Read and check the 24-byte header of an open checkpoint: (P, D, M, K)."""
-    head = fh.read(24)
+def _read_header(fh, path: str) -> HeadConfig:
+    """Read and check an open checkpoint's header; return its HeadConfig.
+
+    Version 1 stored only P, D, M, K: its settings are defaults, with a warning.
+    """
+    head = fh.read(8)
     if head[:4] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: bad magic {head[:4]!r}")
-    if len(head) < 24:
+    version = int.from_bytes(head[4:], "little")
+    layout = {1: "<4I", CHECKPOINT_VERSION: "<4I5d"}.get(version, "")
+    body = fh.read(struct.calcsize(layout))
+    if len(head) < 8 or len(body) < struct.calcsize(layout):
         raise DataFormatError(f"{path}: truncated header")
-    version, P, D, M, K = struct.unpack_from("<5I", head, 4)
-    if version != CHECKPOINT_VERSION:
+    if not layout:
         raise DataFormatError(f"{path}: unsupported version {version}")
-    return P, D, M, K
+    if version == 1:
+        warnings.warn(f"{path}: version-1 checkpoint stores no model settings; "
+                      "using HeadConfig defaults for them")
+    cfg = HeadConfig(*struct.unpack(layout, body))
+    try:
+        cfg.validate()
+    except ContractViolation as err:
+        raise DataFormatError(f"{path}: {err}") from None
+    return cfg
 
 
-def peek_checkpoint_dims(path: str) -> tuple[int, int, int, int]:
-    """Read (P, D, M, K) from a checkpoint header without loading arrays."""
+def checkpoint_config(path: str) -> HeadConfig:
+    """Read the model config from a checkpoint header without loading arrays."""
     with open(path, "rb") as fh:
         return _read_header(fh, path)
 
 
 def load_checkpoint(path: str, cfg: HeadConfig) -> TrainerState:
-    """Read a checkpoint, validating magic, version, and dimensions.
+    """Read a checkpoint, validating magic, version, and that `cfg` is its config.
 
     Each array is read straight from the file into its own buffer; the decomp
     groups are read one (P, D) latent slab at a time and placed into their
@@ -366,13 +375,13 @@ def load_checkpoint(path: str, cfg: HeadConfig) -> TrainerState:
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        P, D, M, K = _read_header(fh, path)
-        if (P, D, M, K) != (cfg.input_dim, cfg.latent_dim, cfg.n_latents, cfg.n_classes):
+        saved = _read_header(fh, path)
+        if saved != cfg:
             raise DataFormatError(
-                f"{path}: checkpoint dimensions P={P} D={D} M={M} K={K} do not match "
-                f"configuration P={cfg.input_dim} D={cfg.latent_dim} "
-                f"M={cfg.n_latents} K={cfg.n_classes}"
+                f"{path}: checkpoint dimensions and settings {saved} "
+                f"do not match configuration {cfg}"
             )
+        P, D, M, K = cfg.input_dim, cfg.latent_dim, cfg.n_latents, cfg.n_classes
 
         def empty_groups() -> ParamGroups:
             return ParamGroups(
@@ -392,7 +401,7 @@ def load_checkpoint(path: str, cfg: HeadConfig) -> TrainerState:
             adam=AdamState(first=empty_groups(), second=empty_groups()),
             rng=SplitMix64(0),
         )
-        offset = 24
+        offset = fh.tell()
         slab = np.empty((P, D))
         for arr in _checkpoint_arrays(state):
             nbytes = arr.size * 8

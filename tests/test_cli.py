@@ -1,6 +1,7 @@
 """CLI command tests: config handling, artifacts, exit codes, determinism."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -98,6 +99,16 @@ class TestTrainCommand:
     def test_missing_dataset_is_usage_error(self, tmp_path):
         code = main(["train", "--train-path", str(tmp_path / "absent.csv")])
         assert code != 0
+
+    def test_short_run_names_the_decay_epochs_it_rejects(self, toy_env, monkeypatch, capsys):
+        """The paper's boundaries 10..32 need --decay-epochs on a 2-epoch run."""
+        monkeypatch.delenv("FERHEAD_CONFIG", raising=False)
+        tmp_path, config = toy_env
+        train_path = load_run_config(str(config)).train_path
+        code = main(["train", "--train-path", train_path, "--epochs", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "decay epochs (10, 18, 25, 32) must be < total_epochs 2" in err
 
     def test_nonfinite_loss_exits_nonzero_naming_batch(self, tmp_path, capsys):
         import numpy as np
@@ -233,22 +244,59 @@ class TestEvalCommand:
         assert "dimension" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, value",
-        [("--mix-ratio", "1.5"), ("--mix-ratio", "-3"), ("--center-rate", "0")],
+        "field, offset, value",
+        [("mix_ratio", 48, 1.5), ("mix_ratio", 48, -3.0), ("center_rate", 56, 0.0)],
+        # ids name the train flag that would have written each setting
+        ids=["--mix-ratio-1.5", "--mix-ratio--3", "--center-rate-0"],
     )
     def test_out_of_range_config_exits_2_and_writes_nothing(
-        self, toy_env, capsys, flag, value
+        self, toy_env, capsys, field, offset, value
     ):
+        """An out-of-range setting in the checkpoint header fails before any output."""
+        tmp_path, config = toy_env
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        blob = bytearray(ckpt.read_bytes())
+        blob[offset : offset + 8] = struct.pack("<d", value)
+        ckpt.write_bytes(bytes(blob))
+        train_path = load_run_config(str(config)).train_path
+        out = tmp_path / "eval.csv"
+        argv = ["eval", "--checkpoint-path", str(ckpt), "--data", train_path,
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_flag_is_a_usage_error(self, toy_env):
         tmp_path, config = toy_env
         ckpt = tmp_path / "model.ckpt"
         assert main(["train", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
         train_path = load_run_config(str(config)).train_path
-        out = tmp_path / "eval.csv"
-        argv = ["eval", "--checkpoint-path", str(ckpt), "--data", train_path,
-                "--out", str(out), flag, value]
-        assert main(argv) == 2
-        assert flag[2:].replace("-", "_") in capsys.readouterr().err
-        assert not out.exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint-path", str(ckpt), "--data", train_path,
+                  "--mix-ratio", "0"])
+        assert exc.value.code == 2
+
+    def test_eval_runs_the_trained_mix_ratio(self, toy_env):
+        """A --mix-ratio 0 model evaluates, with no flags, to its logged accuracy."""
+        tmp_path, config = toy_env
+        ckpt, log, out = (tmp_path / name for name in ("m.ckpt", "log.csv", "eval.csv"))
+        assert (
+            main(["train", "--config", str(config), "--checkpoint", str(ckpt),
+                  "--log-path", str(log), "--mix-ratio", "0"])
+            == 0
+        )
+        train_path = load_run_config(str(config)).train_path
+        assert (
+            main(["eval", "--checkpoint-path", str(ckpt), "--data", train_path,
+                  "--out", str(out)])
+            == 0
+        )
+        final_acc = float(log.read_text().splitlines()[-1].split(",")[-1])
+        rows = out.read_text().splitlines()[1:]
+        correct = sum(int(r.split(",")[2]) for r in rows)
+        total = sum(int(r.split(",")[1]) for r in rows)
+        assert correct / total == final_acc
 
     def test_random_models_average_to_chance_on_balanced_data(self, tmp_path):
         """Mean accuracy of untrained models on balanced 7-class data is ~1/7.
@@ -321,6 +369,32 @@ class TestSynthCommand:
 
 
 class TestInspectCommand:
+    def test_pca_runs_the_trained_mix_ratio(self, toy_env):
+        """--pca-csv of a --mix-ratio 0 model projects the features of that model."""
+        from ferhead.datasets import load_csv
+        from ferhead.head import HeadConfig, forward
+        from ferhead.training import load_checkpoint
+
+        tmp_path, config = toy_env
+        ckpt, pca = tmp_path / "m.ckpt", tmp_path / "pca.csv"
+        assert (
+            main(["train", "--config", str(config), "--checkpoint", str(ckpt),
+                  "--mix-ratio", "0"])
+            == 0
+        )
+        train_path = load_run_config(str(config)).train_path
+        assert (
+            main(["inspect", "--checkpoint-path", str(ckpt), "--data", train_path,
+                  "--pca-csv", str(pca)])
+            == 0
+        )
+        cfg = HeadConfig(input_dim=24, latent_dim=6, n_latents=3, n_classes=3, mix_ratio=0.0)
+        data = load_csv(train_path, tuple(f"class_{k}" for k in range(3)))
+        params = load_checkpoint(str(ckpt), cfg).params
+        expected = pca_project(forward(data.features, params, cfg).feature)
+        got = np.loadtxt(pca, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(got[:, 0], data.labels)
+        np.testing.assert_array_equal(got[:, 1:], expected)
     def test_exports_have_documented_shapes(self, toy_env):
         tmp_path, config = toy_env
         ckpt = tmp_path / "model.ckpt"

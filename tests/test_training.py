@@ -1,7 +1,9 @@
 """Adam, schedule, epoch loop, evaluation, and checkpoint tests."""
 
 import hashlib
+import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +22,9 @@ from ferhead.training import (
     Schedule,
     TrainerState,
     adam_step,
+    checkpoint_config,
     evaluate,
     load_checkpoint,
-    peek_checkpoint_dims,
     save_checkpoint,
     train_epoch,
 )
@@ -531,7 +533,7 @@ class TestCheckpoints:
         for group in (loaded.params, loaded.adam.first, loaded.adam.second):
             assert group.decomp.strides == state.params.decomp.strides
         # the file holds every array in the C order of its logical shape
-        blob, offset = path.read_bytes(), 24
+        blob, offset = path.read_bytes(), 64
         for arr in training._checkpoint_arrays(state):
             on_disk = np.frombuffer(blob, "<f8", arr.size, offset)
             assert np.array_equal(on_disk, arr.ravel())
@@ -562,7 +564,42 @@ class TestCheckpoints:
         assert not tmp.exists()
 
     def test_peek_dims(self, tmp_path):
+        cfg = replace(tiny_cfg(), mix_ratio=0.25, center_rate=0.75)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), fresh_state(cfg), cfg)
+        assert checkpoint_config(str(path)) == cfg
+
+    def test_settings_mismatch_rejected(self, tmp_path):
         cfg = tiny_cfg()
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), fresh_state(cfg), cfg)
-        assert peek_checkpoint_dims(str(path)) == (6, 4, 2, 3)
+        with pytest.raises(DataFormatError, match="mix_ratio=0.0"):
+            load_checkpoint(str(path), replace(cfg, mix_ratio=0.0))
+
+    def test_version_1_loads_with_default_settings_and_warns(self, tmp_path):
+        """A v1 file (24-byte header, same arrays) loads; its settings are defaults."""
+        cfg = tiny_cfg()
+        state = fresh_state(cfg, seed=14)
+        v2, v1 = tmp_path / "v2.ckpt", tmp_path / "v1.ckpt"
+        save_checkpoint(str(v2), state, cfg)
+        header = b"FDRM" + struct.pack("<5I", 1, 6, 4, 2, 3)
+        v1.write_bytes(header + v2.read_bytes()[64:])
+        defaults = HeadConfig(input_dim=6, latent_dim=4, n_latents=2, n_classes=3)
+        with pytest.warns(UserWarning, match="v1.ckpt.*defaults"):
+            assert checkpoint_config(str(v1)) == defaults
+        with pytest.warns(UserWarning, match="v1.ckpt.*defaults"):
+            loaded = load_checkpoint(str(v1), defaults)
+        expected = load_checkpoint(str(v2), cfg)
+        assert params_digest(loaded) == params_digest(expected)
+        assert loaded.adam.step_count == expected.adam.step_count
+        assert loaded.rng.state == expected.rng.state
+
+    def test_header_cut_short_rejected(self, tmp_path):
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), fresh_state(cfg), cfg)
+        blob = path.read_bytes()
+        for cut in (6, 40, 63):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DataFormatError, match="truncated header"):
+                checkpoint_config(str(path))
