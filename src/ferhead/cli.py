@@ -109,9 +109,7 @@ def load_run_config(path: str, base: RunConfig | None = None) -> RunConfig:
                 raise DataFormatError(f"{path}:{lineno}: unknown key {key!r}")
             current = getattr(cfg, key)
             try:
-                if isinstance(current, bool):
-                    parsed = value.lower() in ("1", "true", "yes")
-                elif isinstance(current, int):
+                if isinstance(current, int):
                     parsed = int(value)
                 elif isinstance(current, float):
                     parsed = float(value)
@@ -139,11 +137,6 @@ def load_dataset(path: str, n_classes: int) -> datasets.FeatureDataset:
     """Load CSV or binary table, sniffing the binary magic."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    names = (
-        datasets.EXPRESSION_CLASSES
-        if n_classes == len(datasets.EXPRESSION_CLASSES)
-        else tuple(f"class_{k}" for k in range(n_classes))
-    )
     if magic == datasets.TABLE_MAGIC:
         data = datasets.load_bin(path)
         if data.n_classes != n_classes:
@@ -151,7 +144,7 @@ def load_dataset(path: str, n_classes: int) -> datasets.FeatureDataset:
                 f"{path}: file declares {data.n_classes} classes, run expects {n_classes}"
             )
         return data
-    return datasets.load_csv(path, names)
+    return datasets.load_csv(path, datasets.default_class_names(n_classes))
 
 
 def _format_float(v: float) -> str:

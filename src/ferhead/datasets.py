@@ -32,6 +32,13 @@ EXPRESSION_CLASSES = (
 )
 
 
+def default_class_names(n_classes: int) -> tuple[str, ...]:
+    """EXPRESSION_CLASSES for 7 classes, else class_0 ... class_{K-1}."""
+    if n_classes == len(EXPRESSION_CLASSES):
+        return EXPRESSION_CLASSES
+    return tuple(f"class_{k}" for k in range(n_classes))
+
+
 @dataclass
 class FeatureDataset:
     """N basic features with class labels."""
@@ -176,11 +183,7 @@ def make_synth_spec(
     population share structure_seed and differ in seed.
     """
     if class_names is None:
-        class_names = (
-            EXPRESSION_CLASSES
-            if n_classes == len(EXPRESSION_CLASSES)
-            else tuple(f"class_{k}" for k in range(n_classes))
-        )
+        class_names = default_class_names(n_classes)
     rng = SplitMix64(structure_seed ^ 0xD1F7)
     return SynthSpec(
         action_dirs=default_action_dirs(n_actions, feature_dim, rng),
@@ -298,11 +301,7 @@ def load_bin(path: str, class_names: tuple[str, ...] | None = None) -> FeatureDa
         np.int64
     )
     if class_names is None:
-        class_names = (
-            EXPRESSION_CLASSES
-            if k == len(EXPRESSION_CLASSES)
-            else tuple(f"class_{i}" for i in range(k))
-        )
+        class_names = default_class_names(k)
     if len(class_names) != k:
         raise DataFormatError(
             f"{path}: file declares {k} classes, caller supplied {len(class_names)} names"

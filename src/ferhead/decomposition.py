@@ -26,13 +26,12 @@ class LatentCenters:
     """
 
     centers: np.ndarray  # (M, D)
-    rate: float = 0.5
 
     @classmethod
-    def zeros(cls, n_latents: int, latent_dim: int, rate: float = 0.5) -> "LatentCenters":
-        return cls(np.zeros((n_latents, latent_dim)), rate)
+    def zeros(cls, n_latents: int, latent_dim: int) -> "LatentCenters":
+        return cls(np.zeros((n_latents, latent_dim)))
 
-    def update(self, latent_batch: np.ndarray) -> None:
+    def update(self, latent_batch: np.ndarray, rate: float) -> None:
         """One mini-batch step: c_j -= rate * mean_i(c_j - l_ij).
 
         Mutates the centers; callers must serialize this with the optimizer
@@ -46,7 +45,7 @@ class LatentCenters:
                 f"center update shape mismatch: batch {latent_batch.shape}, "
                 f"centers {self.centers.shape}"
             )
-        self.centers -= self.rate * (self.centers - latent_batch.mean(axis=0))
+        self.centers -= rate * (self.centers - latent_batch.mean(axis=0))
 
 
 def compactness_loss(latent_batch: np.ndarray, centers: LatentCenters) -> float:

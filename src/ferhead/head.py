@@ -85,14 +85,17 @@ class ParamGroups:
     decomp (M, P, D), gate (M, D, D), message (M, D, D), classifier (D, K).
     Iteration order is fixed and is part of the checkpoint format.
 
-    decomp is stored over (P, M, D) memory: construction copies any other
-    layout into it, so `decomp_matrix()` is a (P, M*D) view and forward and
-    backward run the decomposition as one GEMM each. Its shape stays
-    (M, P, D), so `decomp[j]` is latent j's map, as in the naive reference,
-    and checkpoints keep their (M, P, D) byte order. The other groups are
-    C-contiguous. `adam_step` and `raise_if_not_finite` flatten groups in
-    memory order (`ravel(order="K")`), so that they copy nothing;
-    `to_vector` and `from_vector` use the C order of the logical shapes.
+    Every group is stored in one dense layout, on construction and on every
+    later assignment: an array already in it is kept as is, any other is
+    copied into it. decomp lives in (P, M, D) memory, so `decomp_matrix()`
+    is a (P, M*D) view and forward and backward run the decomposition as one
+    GEMM each. Its shape stays (M, P, D), so `decomp[j]` is latent j's map,
+    as in the naive reference, and checkpoints keep their (M, P, D) byte
+    order. The other groups are C-contiguous. So two groups of the same shape
+    ravel in memory order (`ravel(order="K")`) to views whose entries line
+    up, which is how `adam_step` and `raise_if_not_finite` walk them without
+    copying; `to_vector` and `from_vector` use the C order of the logical
+    shapes.
     """
 
     decomp: np.ndarray
@@ -100,12 +103,15 @@ class ParamGroups:
     message: np.ndarray
     classifier: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not self.decomp.transpose(1, 0, 2).flags.c_contiguous:
-            M, P, D = self.decomp.shape
+    def __setattr__(self, name: str, arr: np.ndarray) -> None:
+        if name != "decomp":
+            arr = np.ascontiguousarray(arr)
+        elif not arr.transpose(1, 0, 2).flags.c_contiguous:
+            M, P, D = arr.shape
             native = np.empty((P, M, D)).transpose(1, 0, 2)
-            native[...] = self.decomp
-            self.decomp = native
+            native[...] = arr
+            arr = native
+        super().__setattr__(name, arr)
 
     def items(self):
         for f in fields(self):
@@ -154,8 +160,7 @@ def init_model_params(cfg: HeadConfig, rng: SplitMix64) -> ParamGroups:
     cfg.validate()
     P, D, M, K = cfg.input_dim, cfg.latent_dim, cfg.n_latents, cfg.n_classes
     return ParamGroups(
-        # stacked into the (P, M, D) memory that ParamGroups keeps decomp in
-        decomp=init_param_stack(M, (P, D), rng, axis=1).transpose(1, 0, 2),
+        decomp=init_param_stack(M, (P, D), rng),
         gate=init_param_stack(M, (D, D), rng),
         message=init_param_stack(M, (D, D), rng),
         classifier=init_params((D, K), rng),
@@ -172,8 +177,8 @@ class Centers:
     @classmethod
     def zeros(cls, cfg: HeadConfig) -> "Centers":
         return cls(
-            latent=LatentCenters.zeros(cfg.n_latents, cfg.latent_dim, cfg.center_rate),
-            by_class=ClassCenters.zeros(cfg.n_classes, cfg.n_latents, cfg.center_rate),
+            latent=LatentCenters.zeros(cfg.n_latents, cfg.latent_dim),
+            by_class=ClassCenters.zeros(cfg.n_classes, cfg.n_latents),
         )
 
 
@@ -365,16 +370,15 @@ def _chain_backward(
     dlogits carries the classification-loss gradient (already scaled by any
     batch factor); dlatents_extra and dweights_extra inject the regularizer
     gradients at the latent and importance-weight nodes respectively. Each
-    parameter gradient is written into the matching array of `out`, if
-    given.
+    parameter gradient is written into the matching array of `out`, which
+    is new when not given, and `out` is returned.
     """
     mix_ratio = cfg.mix_ratio
-
-    def into(name: str) -> np.ndarray | None:
-        return None if out is None else getattr(out, name)
+    if out is None:
+        out = params.zeros_like()
 
     # classifier: logits = y @ Wcls
-    g_classifier = np.matmul(cache.feature.T, dlogits, out=into("classifier"))
+    np.matmul(cache.feature.T, dlogits, out=out.classifier)
     dfeature = dlogits @ params.classifier.T
 
     # reconstruct: y = sum_j mixed[j]  ->  every j gets dfeature
@@ -400,9 +404,9 @@ def _chain_backward(
 
     # messages: G = relu(We.T F), per latent
     dpre_message = dmessages * (cache.pre_message > 0.0)
-    g_message = np.matmul(
+    np.matmul(
         cache.scaled.transpose(1, 2, 0), dpre_message.transpose(1, 0, 2),
-        out=into("message"),
+        out=out.message,
     )
     dscaled += np.matmul(
         dpre_message.transpose(1, 0, 2), params.message.transpose(0, 2, 1)
@@ -414,8 +418,8 @@ def _chain_backward(
 
     # importance weights: w = sum_d A; gates: A = sigmoid(Ws.T L)
     dgates = dweights[:, :, None] * (cache.gates * (1.0 - cache.gates))
-    g_gate = np.matmul(
-        cache.latents.transpose(1, 2, 0), dgates.transpose(1, 0, 2), out=into("gate")
+    np.matmul(
+        cache.latents.transpose(1, 2, 0), dgates.transpose(1, 0, 2), out=out.gate
     )
     dlatents += np.matmul(
         dgates.transpose(1, 0, 2), params.gate.transpose(0, 2, 1)
@@ -423,22 +427,11 @@ def _chain_backward(
 
     dlatents += dlatents_extra
 
-    # decomposition: L = relu(Wd.T x), one (P, M*D) GEMM in decomp's memory
-    # layout, so Adam walks the gradient without copying it. Should out's
-    # decomp have another layout, decomp_matrix() is a copy, which the
-    # result then holds instead.
+    # decomposition: L = relu(Wd.T x), one (P, M*D) GEMM into decomp's memory
     N, M, D = dlatents.shape
     dpre_latent = dlatents * (cache.pre_latent > 0.0)
-    g_decomp = np.matmul(
-        cache.inputs.T,
-        dpre_latent.reshape(N, M * D),
-        out=None if out is None else out.decomp_matrix(),
-    )
-    g_decomp = g_decomp.reshape(-1, M, D).transpose(1, 0, 2)
-
-    return ParamGroups(
-        decomp=g_decomp, gate=g_gate, message=g_message, classifier=g_classifier
-    )
+    np.matmul(cache.inputs.T, dpre_latent.reshape(N, M * D), out=out.decomp_matrix())
+    return out
 
 
 def backward(

@@ -31,14 +31,13 @@ class ClassCenters:
     """
 
     centers: np.ndarray  # (K, M)
-    rate: float = 0.5
 
     @classmethod
-    def zeros(cls, n_classes: int, n_latents: int, rate: float = 0.5) -> "ClassCenters":
-        return cls(np.zeros((n_classes, n_latents)), rate)
+    def zeros(cls, n_classes: int, n_latents: int) -> "ClassCenters":
+        return cls(np.zeros((n_classes, n_latents)))
 
-    def update(self, weight_batch: np.ndarray, labels: np.ndarray) -> None:
-        """Move each class center present in the batch toward its class mean.
+    def update(self, weight_batch: np.ndarray, labels: np.ndarray, rate: float) -> None:
+        """Move each class center present in the batch toward its class mean by `rate`.
 
         Classes absent from the batch are left untouched rather than
         regularized toward stale statistics.
@@ -50,7 +49,7 @@ class ClassCenters:
         _check_labels(labels, self.centers.shape[0], weight_batch.shape[0])
         for k in np.unique(labels):
             class_mean = weight_batch[labels == k].mean(axis=0)
-            self.centers[k] += self.rate * (class_mean - self.centers[k])
+            self.centers[k] += rate * (class_mean - self.centers[k])
 
 
 def _check_labels(labels: np.ndarray, n_classes: int, n_samples: int) -> None:

@@ -32,7 +32,6 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK64
         self._state = seed & _MASK64
 
     @property
@@ -124,14 +123,9 @@ def init_params(shape: tuple[int, int], rng: SplitMix64) -> np.ndarray:
     return rng.uniform(-bound, bound, (fan_in, fan_out))
 
 
-def init_param_stack(
-    count: int, shape: tuple[int, int], rng: SplitMix64, axis: int = 0
-) -> np.ndarray:
-    """Stack of `count` independently initialized (in x out) matrices.
-
-    They are stacked along `axis` of the result, in the same rng order.
-    """
-    return np.stack([init_params(shape, rng) for _ in range(count)], axis=axis)
+def init_param_stack(count: int, shape: tuple[int, int], rng: SplitMix64) -> np.ndarray:
+    """C-contiguous (count, in, out) stack of independently initialized matrices."""
+    return np.stack([init_params(shape, rng) for _ in range(count)])
 
 
 def finite_diff_grad(

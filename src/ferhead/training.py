@@ -89,9 +89,6 @@ class AdamState:
     first: ParamGroups
     second: ParamGroups
     step_count: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
     @classmethod
     def zeros(cls, params: ParamGroups) -> "AdamState":
@@ -113,35 +110,22 @@ def adam_step(
     operations are those of the formula in the same order, written into two
     block-sized scratch arrays; every one of them is correctly rounded and
     element-wise, so the result is bitwise equal to the whole-array formula.
+    beta1, beta2 and eps are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
-    Groups are raveled in memory order, so a parameter and its two moments
-    must be contiguous and share one layout (a ParamGroups gives them that);
-    a gradient in another layout is first copied into the parameter's.
+    Groups are raveled in memory order, which a ParamGroups makes one dense
+    layout per group: the ravels are views, so the blocks update theta, m
+    and v in place, and the entries of g, m, v and theta line up.
     """
     grads.raise_if_not_finite("passed to adam_step")
-    for name, theta in params.items():
-        # the blocks are views of the raveled arrays; a copy would drop the update
-        if not _is_dense(theta) or any(
-            getattr(group, name).strides != theta.strides
-            for group in (state.first, state.second)
-        ):
-            raise ContractViolation(
-                f"adam_step updates {name} in place: the parameter and both moments "
-                "must be contiguous in one shared memory layout"
-            )
     state.step_count += 1
     t = state.step_count
-    beta1, beta2, eps = state.beta1, state.beta2, state.eps
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     correct1 = 1.0 - beta1**t
     correct2 = 1.0 - beta2**t
     scratch1 = np.empty(ADAM_BLOCK)
     scratch2 = np.empty(ADAM_BLOCK)
     for name, theta in params.items():
-        g = getattr(grads, name)
-        if g.strides != theta.strides:  # copy it into theta's memory order
-            g, given = np.empty_like(theta), g
-            g[...] = given
-        g = g.ravel(order="K")
+        g = getattr(grads, name).ravel(order="K")
         m = getattr(state.first, name).ravel(order="K")
         v = getattr(state.second, name).ravel(order="K")
         p = theta.ravel(order="K")
@@ -164,11 +148,6 @@ def adam_step(
             t1 /= t2
             pb -= t1
     params.raise_if_not_finite("after adam_step")
-
-
-def _is_dense(arr: np.ndarray) -> bool:
-    """True when arr's entries fill one contiguous block, in some axis order."""
-    return arr.transpose(np.argsort(arr.strides)[::-1]).flags.c_contiguous
 
 
 @dataclass
@@ -286,8 +265,8 @@ def train_epoch(
                 f"epoch {epoch}, batch starting at {start}: {err}"
             ) from err
         adam_step(state.params, grads, state.adam, lr)
-        state.centers.latent.update(cache.latents)
-        state.centers.by_class.update(cache.weights, labels)
+        state.centers.latent.update(cache.latents, cfg.center_rate)
+        state.centers.by_class.update(cache.weights, labels, cfg.center_rate)
         weight = len(batch_idx)
         sums += weight * np.array(
             [losses.cls, losses.compact, losses.balance, losses.distribution, losses.total]
@@ -395,8 +374,8 @@ def load_checkpoint(path: str, cfg: HeadConfig) -> TrainerState:
         state = TrainerState(
             params=params,
             centers=Centers(
-                latent=LatentCenters(np.empty((M, D)), cfg.center_rate),
-                by_class=ClassCenters(np.empty((K, M)), cfg.center_rate),
+                latent=LatentCenters(np.empty((M, D))),
+                by_class=ClassCenters(np.empty((K, M))),
             ),
             adam=AdamState(first=empty_groups(), second=empty_groups()),
             rng=SplitMix64(0),

@@ -96,6 +96,14 @@ class TestTrainCommand:
         # a test set was configured, so the final report is also written
         assert eval_csv.read_text().startswith("class,samples,correct,accuracy")
 
+    def test_single_latent_trains(self, toy_env):
+        """M = 1 gives size-1 parameter axes, whose strides np.zeros_like may pick anew."""
+        tmp_path, config = toy_env
+        ckpt = tmp_path / "m1.ckpt"
+        argv = ["train", "--config", str(config), "--checkpoint", str(ckpt)]
+        assert main(argv + ["--n-latents", "1"]) == 0
+        assert ckpt.exists()
+
     def test_missing_dataset_is_usage_error(self, tmp_path):
         code = main(["train", "--train-path", str(tmp_path / "absent.csv")])
         assert code != 0

@@ -109,31 +109,31 @@ class TestCompactnessLoss:
 
 class TestCenterUpdates:
     def test_fixed_point_at_batch_mean(self):
-        centers = LatentCenters(np.array([[2.0, 4.0]]), rate=0.7)
+        centers = LatentCenters(np.array([[2.0, 4.0]]))
         batch = np.array([[[1.0, 3.0]], [[3.0, 5.0]]])  # mean = centers
-        centers.update(batch)
+        centers.update(batch, rate=0.7)
         np.testing.assert_array_equal(centers.centers, [[2.0, 4.0]])
 
     def test_full_step_jumps_to_sample(self):
-        centers = LatentCenters(np.array([[5.0, -2.0]]), rate=1.0)
+        centers = LatentCenters(np.array([[5.0, -2.0]]))
         batch = np.array([[[1.0, 1.0]]])
-        centers.update(batch)
+        centers.update(batch, rate=1.0)
         np.testing.assert_array_equal(centers.centers, [[1.0, 1.0]])
 
     def test_hand_computed_half_step(self):
-        centers = LatentCenters(np.array([[0.0]]), rate=0.5)
-        centers.update(np.array([[[2.0]], [[4.0]]]))
+        centers = LatentCenters(np.array([[0.0]]))
+        centers.update(np.array([[[2.0]], [[4.0]]]), rate=0.5)
         np.testing.assert_allclose(centers.centers, [[1.5]])
 
     def test_geometric_convergence_to_batch_mean(self):
         rng = np.random.default_rng(33)
         rate = 0.3
-        centers = LatentCenters(rng.normal(size=(2, 3)), rate=rate)
+        centers = LatentCenters(rng.normal(size=(2, 3)))
         batch = rng.normal(size=(7, 2, 3))
         mean = batch.mean(axis=0)
         gap = np.abs(centers.centers - mean).max()
         for _ in range(25):
-            centers.update(batch)
+            centers.update(batch, rate)
             new_gap = np.abs(centers.centers - mean).max()
             np.testing.assert_allclose(new_gap, (1 - rate) * gap, rtol=1e-9)
             gap = new_gap

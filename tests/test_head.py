@@ -446,7 +446,7 @@ class TestDecompLayout:
             got = forward(X, params, cfg)
             for f in fields(want):
                 assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
-        # a C-layout decomp assigned after construction still runs, through a copy
+        # a C-layout decomp assigned after construction is stored in the native layout
         native.decomp = c_layout
         got = forward(X, native, cfg)
         assert np.array_equal(got.logits, want.logits)

@@ -185,20 +185,20 @@ class TestDistributionLoss:
 
 class TestClassCenterUpdates:
     def test_only_present_class_changes(self):
-        centers = ClassCenters(np.ones((4, 2)), rate=0.5)
+        centers = ClassCenters(np.ones((4, 2)))
         snapshot = centers.centers.copy()
-        centers.update(np.array([[5.0, 5.0]]), np.array([3]))
+        centers.update(np.array([[5.0, 5.0]]), np.array([3]), rate=0.5)
         np.testing.assert_array_equal(centers.centers[:3], snapshot[:3])
         assert not np.array_equal(centers.centers[3], snapshot[3])
 
     def test_fixed_point_at_class_mean(self):
-        centers = ClassCenters(np.array([[2.0, 2.0]]), rate=0.9)
-        centers.update(np.array([[1.0, 1.0], [3.0, 3.0]]), np.array([0, 0]))
+        centers = ClassCenters(np.array([[2.0, 2.0]]))
+        centers.update(np.array([[1.0, 1.0], [3.0, 3.0]]), np.array([0, 0]), rate=0.9)
         np.testing.assert_array_equal(centers.centers, [[2.0, 2.0]])
 
     def test_hand_computed_half_step(self):
-        centers = ClassCenters(np.zeros((1, 2)), rate=0.5)
-        centers.update(np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([0, 0]))
+        centers = ClassCenters(np.zeros((1, 2)))
+        centers.update(np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([0, 0]), rate=0.5)
         np.testing.assert_allclose(centers.centers, [[0.5, 0.5]])
 
 

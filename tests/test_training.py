@@ -169,8 +169,8 @@ class TestAdamStep:
             grads = params.zeros_like()
             for name, arr in grads.items():
                 arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
-            # a strided gradient (adam_step ravels it into a copy) updates
-            # exactly like a contiguous one
+            # a gradient assigned in another layout is stored in decomp's
+            # (P, M, D) memory, and updates exactly like one built there
             grads.decomp = np.ascontiguousarray(grads.decomp.transpose(0, 2, 1)).transpose(
                 0, 2, 1
             )
@@ -204,32 +204,85 @@ class TestAdamStep:
             for name, arr in got.items():
                 assert np.array_equal(arr, getattr(want, name)), name
 
-    def test_non_contiguous_moment_rejected_before_any_update(self):
+    def test_non_contiguous_moment_is_stored_dense_and_updated_in_place(self):
+        """Fortran and strided moments are copied into the layout on assignment."""
         cfg = tiny_cfg()
         params = init_model_params(cfg, SplitMix64(8))
-        snapshot = params.copy()
-        state = AdamState.zeros(params)
-        state.second.gate = np.asfortranarray(state.second.gate)
         grads = params.zeros_like()
-        grads.decomp[...] = 0.5
-        with pytest.raises(ContractViolation, match="contiguous"):
-            adam_step(params, grads, state, lr=1e-3)
-        assert state.step_count == 0
-        for name, arr in params.items():
-            assert np.array_equal(arr, getattr(snapshot, name)), name
+        for _, arr in grads.items():
+            arr[...] = 0.5
+        want_params, want_state = params.copy(), AdamState.zeros(params)
+        state = AdamState.zeros(params)
+        for name, theta in params.items():
+            setattr(state.first, name, np.asfortranarray(np.zeros(theta.shape)))
+            setattr(state.second, name, np.zeros(theta.shape + (2,))[..., 0])
+            for moments in (state.first, state.second):
+                assert getattr(moments, name).strides == theta.strides, name
+        adam_step(params, grads, state, lr=1e-3)
+        adam_step(want_params, grads, want_state, lr=1e-3)
+        for got, want in [(params, want_params), (state.first, want_state.first),
+                          (state.second, want_state.second)]:
+            for name, arr in got.items():
+                assert np.any(arr != 0.0) and np.array_equal(arr, getattr(want, name)), name
 
-    def test_moment_in_another_layout_than_its_parameter_rejected(self):
-        """Both are raveled in memory order, so their entries would not pair up."""
+    def test_moment_in_another_layout_is_stored_in_its_parameters_and_updated(self):
+        """C-layout arrays assigned to every group ravel in the parameter's order."""
         cfg = tiny_cfg()
         params = init_model_params(cfg, SplitMix64(8))
-        state = AdamState.zeros(params)
-        state.first.decomp = np.ascontiguousarray(state.first.decomp)
         grads = params.zeros_like()
         grads.decomp[...] = 0.5
-        with pytest.raises(ContractViolation, match="decomp.*contiguous"):
-            adam_step(params, grads, state, lr=1e-3)
-        assert state.step_count == 0
-        assert not np.any(state.second.decomp)
+        want_params, want_state = params.copy(), AdamState.zeros(params)
+        state = AdamState.zeros(params)
+        for groups in (params, state.first, grads):
+            for name, arr in groups.items():
+                c_layout = np.ascontiguousarray(arr)
+                setattr(groups, name, c_layout)
+                assert (getattr(groups, name) is c_layout) == (name != "decomp"), name
+                assert getattr(groups, name).strides == getattr(want_params, name).strides
+        adam_step(params, grads, state, lr=1e-3)
+        adam_step(want_params, grads, want_state, lr=1e-3)
+        assert np.any(state.second.decomp)
+        for got, want in [(params, want_params), (state.first, want_state.first),
+                          (state.second, want_state.second)]:
+            for name, arr in got.items():
+                assert np.array_equal(arr, getattr(want, name)), name
+
+    @pytest.mark.parametrize(
+        "P, D, M, K",
+        [(1, 1, 1, 1), (1, 4, 3, 2), (5, 1, 3, 2), (5, 4, 1, 2), (5, 4, 3, 1)],
+        ids=["all-1", "P-1", "D-1", "M-1", "K-1"],
+    )
+    def test_size_one_dims_train_and_update_like_the_formula(self, P, D, M, K):
+        """A size-1 axis gets other strides from np.zeros_like; the ravels still pair up."""
+        cfg = HeadConfig(input_dim=P, latent_dim=D, n_latents=M, n_classes=K)
+        state = fresh_state(cfg, seed=12)
+        rng = SplitMix64(13)
+        labels = np.arange(8) % K
+        data = FeatureDataset(
+            rng.uniform(0.0, 1.0, (8, P)), labels, tuple(f"class_{k}" for k in range(K))
+        )
+        sched = Schedule(base_lr=1e-3, decay_epochs=(), total_epochs=1, batch_size=4)
+        train_epoch(state, data, cfg, sched, 0)
+        assert state.adam.step_count == 2
+        expected = state.params.copy()
+        first, second = state.adam.first.copy(), state.adam.second.copy()
+        grads = state.params.zeros_like()
+        for _, arr in grads.items():
+            arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
+        lr, t, b1, b2 = 1e-3, 3, ADAM_BETA1, ADAM_BETA2
+        adam_step(state.params, grads, state.adam, lr)
+        for name, theta in expected.items():
+            g, m, v = getattr(grads, name), getattr(first, name), getattr(second, name)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            theta -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + ADAM_EPS)
+        for got, want in [
+            (state.params, expected), (state.adam.first, first), (state.adam.second, second)
+        ]:
+            for name, arr in got.items():
+                assert np.array_equal(arr, getattr(want, name)), name
 
     def test_paper_dims_step_and_finiteness_scan_copy_no_group(self):
         """Memory-order ravels are views: a hidden copy of decomp would take 4.7 MB."""
