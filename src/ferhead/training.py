@@ -11,6 +11,7 @@ losses use its true size.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 import warnings
@@ -346,14 +347,13 @@ def checkpoint_config(path: str) -> HeadConfig:
 
 
 def load_checkpoint(path: str, cfg: HeadConfig) -> TrainerState:
-    """Read a checkpoint, validating magic, version, and that `cfg` is its config.
+    """Read a checkpoint, validating magic, version, size, and that `cfg` is its config.
 
-    Each array is read straight from the file into its own buffer; the decomp
-    groups are read one (P, D) latent slab at a time and placed into their
-    (P, M, D) memory.
+    The file size that the header implies is checked before any array is
+    read. Each array is read in the C order of its logical shape and handed
+    to the constructors that training uses; ParamGroups lays out decomp.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
         saved = _read_header(fh, path)
         if saved != cfg:
             raise DataFormatError(
@@ -361,53 +361,29 @@ def load_checkpoint(path: str, cfg: HeadConfig) -> TrainerState:
                 f"do not match configuration {cfg}"
             )
         P, D, M, K = cfg.input_dim, cfg.latent_dim, cfg.n_latents, cfg.n_classes
+        group_shapes = [(M, P, D), (M, D, D), (M, D, D), (D, K)]
+        n_floats = 3 * sum(map(math.prod, group_shapes)) + M * D + K * M
+        expected = fh.tell() + 8 * n_floats + 16
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            short = "truncated: " if size < expected else ""
+            raise DataFormatError(f"{path}: {short}expected {expected} bytes, found {size}")
 
-        def empty_groups() -> ParamGroups:
-            return ParamGroups(
-                decomp=np.empty((P, M, D)).transpose(1, 0, 2),
-                gate=np.empty((M, D, D)),
-                message=np.empty((M, D, D)),
-                classifier=np.empty((D, K)),
-            )
+        def read(shape):
+            # the file is little-endian; astype makes the values native
+            arr = np.fromfile(fh, "<f8", math.prod(shape)).reshape(shape)
+            return arr.astype(np.float64, copy=False)
 
-        params = empty_groups()
-        state = TrainerState(
-            params=params,
-            centers=Centers(
-                latent=LatentCenters(np.empty((M, D))),
-                by_class=ClassCenters(np.empty((K, M))),
-            ),
-            adam=AdamState(first=empty_groups(), second=empty_groups()),
-            rng=SplitMix64(0),
-        )
-        offset = fh.tell()
-        slab = np.empty((P, D))
-        for arr in _checkpoint_arrays(state):
-            nbytes = arr.size * 8
-            if offset + nbytes > size:
-                raise DataFormatError(f"{path}: truncated at byte {offset}")
-            if arr.flags.c_contiguous:
-                _read_exactly(fh, arr, path, offset)
-            else:
-                for j in range(M):
-                    _read_exactly(fh, slab, path, offset + j * slab.nbytes)
-                    arr[j] = slab
-            offset += nbytes
-        if offset + 16 != size:
-            raise DataFormatError(f"{path}: expected {offset + 16} bytes, found {size}")
+        def read_groups() -> ParamGroups:
+            return ParamGroups(*map(read, group_shapes))
+
+        params = read_groups()
+        centers = Centers(LatentCenters(read((M, D))), ClassCenters(read((K, M))))
+        first, second = read_groups(), read_groups()
         step_count, rng_state = struct.unpack("<QQ", fh.read(16))
-    state.adam.step_count = step_count
-    state.rng.set_state(rng_state)
-    return state
-
-
-def _read_exactly(fh, arr: np.ndarray, path: str, offset: int) -> None:
-    """Fill the C-contiguous float64 `arr` from the file's next bytes."""
-    view = memoryview(arr).cast("B")
-    if fh.readinto(view) != len(view):
-        raise DataFormatError(f"{path}: truncated at byte {offset}")
-    if not np.little_endian:
-        arr.byteswap(inplace=True)  # the file is little-endian
+    return TrainerState(
+        params, centers, AdamState(first, second, step_count), SplitMix64(rng_state)
+    )
 
 
 def _checkpoint_arrays(state: TrainerState) -> list[np.ndarray]:

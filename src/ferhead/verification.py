@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import OracleError
+from .errors import ContractViolation, OracleError
 from .head import (
     Centers,
     HeadConfig,
@@ -146,22 +146,19 @@ def group_errors(analytic: ParamGroups, fd_vector: np.ndarray) -> dict[str, floa
 
 
 def check_instance(
-    inst: CheckInstance,
-    joint_cfg: HeadConfig | None = None,
-    h: float = 1e-5,
-    inject_sign_bug: str | None = None,
+    inst: CheckInstance, inject_sign_bug: str | None = None
 ) -> dict[str, dict[str, float]]:
     """Per-mode, per-group relative errors for one instance.
 
+    The joint mode weighs the terms with the HeadConfig default lambdas.
     inject_sign_bug flips the named group's analytic gradient — a negative
     control that must make the check fail loudly for that group.
     """
-    joint_cfg = joint_cfg or HeadConfig()
-    fd_components = fd_component_grads(inst, h)
+    fd_components = fd_component_grads(inst)
     cache = forward(inst.inputs, inst.params, inst.cfg)
     results: dict[str, dict[str, float]] = {}
     for mode in LOSS_MODES:
-        cls_w, l_compact, l_balance, l_dist = _mode_weights(mode, joint_cfg)
+        cls_w, l_compact, l_balance, l_dist = _mode_weights(mode, HeadConfig())
         mode_cfg = replace(
             inst.cfg,
             lambda_compact=l_compact,
@@ -184,21 +181,19 @@ def check_instance(
 
 
 def run_suite(
-    seeds: range,
-    tolerance: float = 1e-4,
-    h: float = 1e-5,
-    inject_sign_bug: str | None = None,
-    **instance_kwargs,
+    seeds: range, tolerance: float = 1e-4, inject_sign_bug: str | None = None
 ) -> tuple[dict[str, float], dict[str, str], bool]:
-    """Gradient check over many seeded instances.
+    """Gradient check over many seeded instances; an empty `seeds` is an error.
 
     Returns (worst error per group, worst mode per group, passed).
     """
+    if len(seeds) == 0:
+        raise ContractViolation(f"gradient check needs at least one instance, got {seeds}")
     worst: dict[str, float] = {}
     worst_mode: dict[str, str] = {}
     for seed in seeds:
-        inst = build_instance(seed, **instance_kwargs)
-        results = check_instance(inst, h=h, inject_sign_bug=inject_sign_bug)
+        inst = build_instance(seed)
+        results = check_instance(inst, inject_sign_bug=inject_sign_bug)
         for mode, errors in results.items():
             for group, err in errors.items():
                 if err > worst.get(group, -1.0):

@@ -6,7 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from ferhead.cli import RunConfig, load_run_config, main, pca_project
+from ferhead.cli import RunConfig, load_run_config, main, pca_project, write_csv
+from ferhead.head import HeadConfig
+from ferhead.training import Schedule
 
 
 @pytest.fixture
@@ -74,6 +76,43 @@ class TestConfigFile:
         path = tmp_path / "ok.config"
         path.write_text("# comment\n\nseed=4\n")
         assert load_run_config(str(path)).seed == 4
+
+    def test_defaults_match_head_config_and_schedule(self):
+        """RunConfig restates the HeadConfig and Schedule defaults; they must agree."""
+        assert RunConfig().head_config() == HeadConfig()
+        assert RunConfig().schedule() == Schedule()
+
+    @pytest.mark.parametrize(
+        "argv, config_text, key, bad",
+        [
+            (["train", "--decay-epochs", "abc"], None, "decay_epochs", "'abc'"),
+            (["train"], "decay_epochs=1,x\n", "decay_epochs", "'x'"),
+            (["sweep", "--param", "n_latents", "--values", "3.5"], None, "n_latents", "'3.5'"),
+            (["sweep", "--param", "mix_ratio", "--values", "abc"], None, "mix_ratio", "'abc'"),
+        ],
+    )
+    def test_malformed_list_value_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, argv, config_text, key, bad
+    ):
+        monkeypatch.delenv("FERHEAD_CONFIG", raising=False)
+        if config_text is not None:
+            config = tmp_path / "bad.config"
+            config.write_text(config_text)
+            argv = argv + ["--config", str(config)]
+        if argv[0] == "sweep":
+            argv = argv + ["--summary", str(tmp_path / "sweep.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert key in err and bad in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+
+class TestWriteCsv:
+    def test_cells_written_exactly(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        cells = [3, np.int64(4), 0.5, np.float64(0.1), "name", ""]
+        write_csv(str(path), ["a", "b", "c", "d", "e", "f"], [cells, cells[::-1]])
+        assert path.read_text() == "a,b,c,d,e,f\n3,4,0.5,0.1,name,\n,name,0.1,0.5,4,3\n"
 
 
 class TestTrainCommand:
@@ -344,6 +383,13 @@ class TestGradcheckCommand:
     def test_lambdas_zeroed_still_checks_classification(self):
         # classification mode is always part of the suite
         assert main(["gradcheck", "--instances", "1", "--seed", "42"]) == 0
+
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_no_instances_is_usage_error(self, capsys, instances):
+        assert main(["gradcheck", "--instances", instances]) == 2
+        captured = capsys.readouterr()
+        assert "passed" not in captured.out
+        assert "at least one instance" in captured.err
 
 
 class TestSynthCommand:

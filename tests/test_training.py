@@ -561,6 +561,16 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError, match="truncated"):
             load_checkpoint(str(path), cfg)
 
+    def test_one_float_short_names_expected_and_found_size(self, tmp_path):
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), fresh_state(cfg), cfg)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-24] + blob[-16:])  # drop the last array's last float
+        expected = f"truncated: expected {len(blob)} bytes, found {len(blob) - 8}"
+        with pytest.raises(DataFormatError, match=expected):
+            load_checkpoint(str(path), cfg)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         cfg = tiny_cfg()
         path = tmp_path / "model.ckpt"
