@@ -383,7 +383,7 @@ SWEEPABLE = (
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = _resolve_config(args)
-    values = [v for v in args.values.split(",") if v.strip() != ""]
+    values = [v for v in map(str.strip, args.values.split(",")) if v]
     if not values:
         raise ContractViolation("sweep needs a non-empty --values list")
     try:

@@ -18,6 +18,7 @@ which stays meaningful when a group's gradient is uniformly tiny.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -183,12 +184,19 @@ def check_instance(
 def run_suite(
     seeds: range, tolerance: float = 1e-4, inject_sign_bug: str | None = None
 ) -> tuple[dict[str, float], dict[str, str], bool]:
-    """Gradient check over many seeded instances; an empty `seeds` is an error.
+    """Gradient check over many seeded instances.
+
+    An empty `seeds`, or a tolerance that is not a finite number > 0, is an
+    error raised before any instance runs.
 
     Returns (worst error per group, worst mode per group, passed).
     """
     if len(seeds) == 0:
         raise ContractViolation(f"gradient check needs at least one instance, got {seeds}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ContractViolation(
+            f"gradient check tolerance must be a finite number > 0, got {tolerance}"
+        )
     worst: dict[str, float] = {}
     worst_mode: dict[str, str] = {}
     for seed in seeds:

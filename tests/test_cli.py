@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from ferhead import verification
 from ferhead.cli import RunConfig, load_run_config, main, pca_project, write_csv
 from ferhead.head import HeadConfig
 from ferhead.training import Schedule
@@ -391,6 +392,17 @@ class TestGradcheckCommand:
         assert "passed" not in captured.out
         assert "at least one instance" in captured.err
 
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+    def test_tolerance_no_result_can_meet_is_usage_error(self, capsys, monkeypatch, tolerance):
+        def no_instance(seed):
+            raise AssertionError("an instance ran")
+
+        monkeypatch.setattr(verification, "build_instance", no_instance)
+        assert main(["gradcheck", "--instances", "1", "--tolerance", tolerance]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out
+        assert "tolerance" in captured.err
+
 
 class TestSynthCommand:
     def test_requires_an_output(self):
@@ -588,6 +600,21 @@ class TestSweepCommand:
         assert lines[0].startswith("param,value,train_accuracy,test_accuracy")
         assert len(lines) == 1 + 2
         assert lines[1].split(",")[0] == "n_latents"
+
+    def test_sweep_values_are_stripped(self, toy_env, capsys):
+        tmp_path, config = toy_env
+        summary = tmp_path / "sweep.csv"
+        code = main(
+            [
+                "sweep", "--config", str(config), "--epochs", "1", "--decay-epochs", "",
+                "--param", "n_latents", "--values", " 2, 3 ",
+                "--summary", str(summary),
+            ]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in summary.read_text().splitlines()]
+        assert [row[1] for row in rows] == ["value", "2", "3"]
+        assert "n_latents=3:" in capsys.readouterr().out
 
     def test_lambda_sweep(self, toy_env):
         tmp_path, config = toy_env

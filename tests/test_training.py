@@ -1,6 +1,7 @@
 """Adam, schedule, epoch loop, evaluation, and checkpoint tests."""
 
 import hashlib
+import math
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -176,17 +177,43 @@ class TestAdamStep:
             )
             assert not grads.decomp.flags.c_contiguous
             adam_step(params, grads, state, lr)
+            root2 = math.sqrt(1.0 - b2**t)
+            alpha, eps_hat = lr * root2 / (1.0 - b1**t), eps * root2
             for name, theta in expected.items():
                 g, m, v = getattr(grads, name), getattr(first, name), getattr(second, name)
                 m *= b1
                 m += (1.0 - b1) * g
                 v *= b2
                 v += (1.0 - b2) * (g * g)
-                theta -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+                theta -= (m * alpha) / (np.sqrt(v) + eps_hat)
         assert state.step_count == 6
         for got, want in [(params, expected), (state.first, first), (state.second, second)]:
             for name, arr in got.items():
                 assert np.array_equal(arr, getattr(want, name)), name
+
+    def test_folded_update_is_kingma_ba_algorithm_1(self):
+        """The folded form is the textbook update, bias corrections moved onto lr and eps."""
+        rng = SplitMix64(5)
+        params = init_model_params(HeadConfig(), rng)
+        state = AdamState.zeros(params)
+        expected = params.copy()
+        first, second = params.zeros_like(), params.zeros_like()
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        for t, lr in enumerate([1e-3, 1e-3, 2e-4, 1e-4, 1e-5, 3e-6], start=1):
+            grads = params.zeros_like()
+            for _, arr in grads.items():
+                arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
+            adam_step(params, grads, state, lr)
+            for name, theta in expected.items():
+                g, m, v = getattr(grads, name), getattr(first, name), getattr(second, name)
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                theta -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + ADAM_EPS)
+        for got, want in [(params, expected), (state.first, first), (state.second, second)]:
+            for name, arr in got.items():
+                np.testing.assert_allclose(arr, getattr(want, name), rtol=1e-12, err_msg=name)
 
     def test_non_finite_gradient_raises_and_changes_nothing(self):
         cfg = tiny_cfg()
@@ -203,6 +230,20 @@ class TestAdamStep:
         for got, want in zip([params, state.first, state.second], snapshot):
             for name, arr in got.items():
                 assert np.array_equal(arr, getattr(want, name)), name
+
+    def test_update_that_overflows_raises_naming_the_group(self):
+        """Finite gradients, but the step carries one decomp entry past the float range."""
+        cfg = tiny_cfg()
+        params = init_model_params(cfg, SplitMix64(6))
+        params.decomp[1, 2, 3] = -1.7e308
+        grads = params.zeros_like()
+        grads.decomp[...] = 1.0
+        state = AdamState.zeros(params)
+        with np.errstate(over="ignore"), pytest.raises(
+            TrainingError, match="non-finite values in decomp after adam_step"
+        ):
+            adam_step(params, grads, state, lr=1e308)
+        assert params.decomp[1, 2, 3] == -np.inf
 
     def test_non_contiguous_moment_is_stored_dense_and_updated_in_place(self):
         """Fortran and strided moments are copied into the layout on assignment."""
@@ -270,6 +311,8 @@ class TestAdamStep:
         for _, arr in grads.items():
             arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
         lr, t, b1, b2 = 1e-3, 3, ADAM_BETA1, ADAM_BETA2
+        root2 = math.sqrt(1.0 - b2**t)
+        alpha, eps_hat = lr * root2 / (1.0 - b1**t), ADAM_EPS * root2
         adam_step(state.params, grads, state.adam, lr)
         for name, theta in expected.items():
             g, m, v = getattr(grads, name), getattr(first, name), getattr(second, name)
@@ -277,7 +320,7 @@ class TestAdamStep:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            theta -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + ADAM_EPS)
+            theta -= (m * alpha) / (np.sqrt(v) + eps_hat)
         for got, want in [
             (state.params, expected), (state.adam.first, first), (state.adam.second, second)
         ]:
