@@ -31,6 +31,7 @@ from .training import (
     adam_step,
     evaluate,
     load_checkpoint,
+    load_params,
     save_checkpoint,
     train_epoch,
 )

@@ -29,10 +29,9 @@ from .training import (
     AdamState,
     Schedule,
     TrainerState,
-    checkpoint_config,
     evaluate,
     forward_in_blocks,
-    load_checkpoint,
+    load_params,
     save_checkpoint,
     train_epoch,
 )
@@ -249,21 +248,24 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_model(args: argparse.Namespace):
-    """(config, state, dataset) for eval and inspect; the config is the checkpoint's."""
-    head_cfg = checkpoint_config(args.checkpoint_path)
-    state = load_checkpoint(args.checkpoint_path, head_cfg)
+    """(config, params, dataset) for eval and inspect.
+
+    Only the checkpoint's header and parameter groups are read; the config
+    is the checkpoint's.
+    """
+    head_cfg, params = load_params(args.checkpoint_path)
     data = load_dataset(args.data, head_cfg.n_classes)
     if data.feature_dim != head_cfg.input_dim:
         raise DataFormatError(
             f"{args.data}: feature dimension {data.feature_dim} does not match "
             f"checkpoint input dimension {head_cfg.input_dim}"
         )
-    return head_cfg, state, data
+    return head_cfg, params, data
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    head_cfg, state, data = _load_model(args)
-    report = evaluate(state.params, head_cfg, data)
+    head_cfg, params, data = _load_model(args)
+    report = evaluate(params, head_cfg, data)
     print_eval_report(report, data.class_names)
     if args.out:
         write_eval_csv(args.out, report, data.class_names)
@@ -326,13 +328,13 @@ def pca_project(features: np.ndarray) -> np.ndarray:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    head_cfg, state, data = _load_model(args)
+    head_cfg, params, data = _load_model(args)
     M, K = head_cfg.n_latents, head_cfg.n_classes
     if len(data) < 1:
         raise ContractViolation("inspect needs a non-empty dataset")
     weights, feature, omega = forward_in_blocks(
         data.features,
-        state.params,
+        params,
         head_cfg,
         lambda cache: cache.weights,
         lambda cache: cache.feature,

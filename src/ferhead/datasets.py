@@ -245,20 +245,20 @@ def load_csv(path: str, class_names: tuple[str, ...] = EXPRESSION_CLASSES) -> Fe
                     f"{path}:{lineno}: expected {p + 1} columns, found {len(parts)}"
                 )
             try:
-                labels.append(int(parts[0]))
+                label = int(parts[0])
                 features.append([float(v) for v in parts[1:]])
             except ValueError as err:
                 raise DataFormatError(f"{path}:{lineno}: {err}") from None
+            if not 0 <= label < len(class_names):
+                raise DataFormatError(
+                    f"{path}:{lineno}: label {label} out of range [0, {len(class_names)})"
+                )
+            labels.append(label)
     if not features:
         raise DataFormatError(f"{path}: no data rows")
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if labels_arr.min() < 0 or labels_arr.max() >= len(class_names):
-        bad = int(np.argmax((labels_arr < 0) | (labels_arr >= len(class_names))))
-        raise DataFormatError(
-            f"{path}:{bad + 2}: label {labels_arr[bad]} out of range "
-            f"[0, {len(class_names)})"
-        )
-    return FeatureDataset(np.asarray(features), labels_arr, class_names)
+    return FeatureDataset(
+        np.asarray(features), np.asarray(labels, dtype=np.int64), class_names
+    )
 
 
 TABLE_MAGIC = b"FDRL"

@@ -271,11 +271,15 @@ def forward(
 ) -> ForwardCache:
     """Vectorized batch forward pass; returns all intermediates.
 
-    Every intermediate is written into the arrays of `out`, which is
-    overwritten and returned, so a caller that passes its previous cache
-    back in must first copy whatever it keeps from it. When `out` is None
-    or sized for another row count, a new cache from `empty_cache` is
-    used. `inputs` refers to X itself, not a copy.
+    Every intermediate is written into the arrays of `out`, which are
+    overwritten, so a caller that passes its previous cache back in must
+    first copy whatever it keeps from it. An `out` of exactly N = len(X)
+    rows is returned itself. An `out` with more rows serves X through a new
+    ForwardCache of views of its first N rows, which is returned, so a
+    ragged last batch needs no cache of its own; each latent-major view
+    still holds contiguous (N, D) slabs. When `out` is None or has fewer
+    rows, a new cache from `empty_cache` is used. `inputs` refers to X
+    itself, not a copy.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != cfg.input_dim:
@@ -285,7 +289,12 @@ def forward(
     if not np.all(np.isfinite(X)):
         raise ContractViolation("forward inputs contain non-finite values")
     N = X.shape[0]
-    c = out if out is not None and len(out.logits) == N else empty_cache(N, cfg)
+    if out is None or len(out.logits) < N:
+        c = empty_cache(N, cfg)
+    elif len(out.logits) > N:
+        c = ForwardCache(**{f.name: getattr(out, f.name)[:N] for f in fields(out)})
+    else:
+        c = out
     c.inputs = X
     r = cfg.mix_ratio
 

@@ -41,12 +41,12 @@ ADAM_EPS = 1e-8
 # operations of a block all read it from cache; 4k to 32k ran alike.
 ADAM_BLOCK = 32768
 
-# Rows per forward call in evaluate and inspect. Every block after the first
-# is written into the first block's cache; at paper dimensions 256 rows take
-# about 19 MB of buffers. Freshly allocated blocks of this size are handed
-# back to the OS when freed and fault their pages in again on the next
-# block; with reuse, 256 rows ran as fast as 512 and 128 on 7000 rows, at
-# a lower peak than 512.
+# Rows per forward call in evaluate and inspect. Every block after the first,
+# the ragged last one included, is written into the first block's cache; at
+# paper dimensions 256 rows take about 19 MB of buffers. Freshly allocated
+# blocks of this size are handed back to the OS when freed and fault their
+# pages in again on the next block; with reuse, 256 rows ran as fast as 512
+# and 128 on 7000 rows, at a lower peak than 512.
 EVAL_BLOCK_ROWS = 256
 
 
@@ -189,18 +189,16 @@ def forward_in_blocks(X: np.ndarray, params: ParamGroups, cfg: HeadConfig, *pick
 
     Each pick maps a block's ForwardCache to an array with one leading entry
     per row; the result holds one array per pick, concatenated over the
-    blocks, so X needs at least one row. Every block is written into the
-    same cache, so each pick's array is copied before the next block runs
-    (a pick may return a view such as `cache.weights`). Only one block's
-    cache is alive at a time, so the peak memory is O(EVAL_BLOCK_ROWS) plus
-    whatever the picks keep.
+    blocks, so X needs at least one row. A call allocates one cache, and
+    every block, the ragged last one too, is written into it, so each
+    pick's array is copied before the next block runs (a pick may return a
+    view such as `cache.weights`). The peak memory is O(EVAL_BLOCK_ROWS)
+    plus whatever the picks keep.
     """
     kept = [[] for _ in picks]
     cache = None
     for start in range(0, len(X), EVAL_BLOCK_ROWS):
         block = X[start : start + EVAL_BLOCK_ROWS]
-        if len(block) < EVAL_BLOCK_ROWS:
-            cache = None  # free the full-size buffers before the ragged block's
         cache = forward(block, params, cfg, out=cache)
         for parts, pick in zip(kept, picks):
             parts.append(pick(cache).copy())
@@ -322,10 +320,18 @@ def save_checkpoint(path: str, state: TrainerState, cfg: HeadConfig) -> None:
         raise
 
 
-def _read_header(fh, path: str) -> HeadConfig:
-    """Read and check an open checkpoint's header; return its HeadConfig.
+def _group_shapes(cfg: HeadConfig) -> list[tuple[int, ...]]:
+    P, D, M, K = cfg.input_dim, cfg.latent_dim, cfg.n_latents, cfg.n_classes
+    return [(M, P, D), (M, D, D), (M, D, D), (D, K)]
 
-    Version 1 stored only P, D, M, K: its settings are defaults, with a warning.
+
+def _read_header(fh, path: str) -> HeadConfig:
+    """Read and check an open checkpoint's header and size; return its HeadConfig.
+
+    Version 1 stored only P, D, M, K: its settings are defaults, with a
+    warning. The whole file's size is then checked against the one the
+    header implies, before any array is read, so a truncated or overlong
+    file is rejected whichever arrays the caller goes on to read.
     """
     head = fh.read(8)
     if head[:4] != CHECKPOINT_MAGIC:
@@ -345,21 +351,48 @@ def _read_header(fh, path: str) -> HeadConfig:
         cfg.validate()
     except ContractViolation as err:
         raise DataFormatError(f"{path}: {err}") from None
+
+    D, M, K = cfg.latent_dim, cfg.n_latents, cfg.n_classes
+    n_floats = 3 * sum(map(math.prod, _group_shapes(cfg))) + M * D + K * M
+    expected = fh.tell() + 8 * n_floats + 16
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        short = "truncated: " if size < expected else ""
+        raise DataFormatError(f"{path}: {short}expected {expected} bytes, found {size}")
     return cfg
 
 
-def checkpoint_config(path: str) -> HeadConfig:
-    """Read the model config from a checkpoint header without loading arrays."""
+def _read_array(fh, shape: tuple[int, ...]) -> np.ndarray:
+    # the file is little-endian; astype makes the values native
+    arr = np.fromfile(fh, "<f8", math.prod(shape)).reshape(shape)
+    return arr.astype(np.float64, copy=False)
+
+
+def _read_groups(fh, cfg: HeadConfig) -> ParamGroups:
+    return ParamGroups(*(_read_array(fh, shape) for shape in _group_shapes(cfg)))
+
+
+def load_params(path: str) -> tuple[HeadConfig, ParamGroups]:
+    """Read a checkpoint's config and its four parameter groups, and no more.
+
+    The centers, Adam moments, step count and RNG state that follow the
+    groups are training state, which eval and inspect do not need, so they
+    are never read. The header and the whole file's size are checked first,
+    as `load_checkpoint` checks them and with the same errors.
+    """
     with open(path, "rb") as fh:
-        return _read_header(fh, path)
+        cfg = _read_header(fh, path)
+        return cfg, _read_groups(fh, cfg)
 
 
 def load_checkpoint(path: str, cfg: HeadConfig) -> TrainerState:
-    """Read a checkpoint, validating magic, version, size, and that `cfg` is its config.
+    """Read a whole checkpoint, checking that `cfg` is the config it holds.
 
-    The file size that the header implies is checked before any array is
-    read. Each array is read in the C order of its logical shape and handed
-    to the constructors that training uses; ParamGroups lays out decomp.
+    The header and the file size it implies are checked before any array
+    is read, then that `cfg` equals the header's config. Each array is read
+    in the C order of its logical shape and handed to the constructors that
+    training uses; ParamGroups lays out decomp. eval and inspect need only
+    the parameters: see `load_params`.
     """
     with open(path, "rb") as fh:
         saved = _read_header(fh, path)
@@ -368,26 +401,12 @@ def load_checkpoint(path: str, cfg: HeadConfig) -> TrainerState:
                 f"{path}: checkpoint dimensions and settings {saved} "
                 f"do not match configuration {cfg}"
             )
-        P, D, M, K = cfg.input_dim, cfg.latent_dim, cfg.n_latents, cfg.n_classes
-        group_shapes = [(M, P, D), (M, D, D), (M, D, D), (D, K)]
-        n_floats = 3 * sum(map(math.prod, group_shapes)) + M * D + K * M
-        expected = fh.tell() + 8 * n_floats + 16
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected:
-            short = "truncated: " if size < expected else ""
-            raise DataFormatError(f"{path}: {short}expected {expected} bytes, found {size}")
-
-        def read(shape):
-            # the file is little-endian; astype makes the values native
-            arr = np.fromfile(fh, "<f8", math.prod(shape)).reshape(shape)
-            return arr.astype(np.float64, copy=False)
-
-        def read_groups() -> ParamGroups:
-            return ParamGroups(*map(read, group_shapes))
-
-        params = read_groups()
-        centers = Centers(LatentCenters(read((M, D))), ClassCenters(read((K, M))))
-        first, second = read_groups(), read_groups()
+        D, M, K = cfg.latent_dim, cfg.n_latents, cfg.n_classes
+        params = _read_groups(fh, cfg)
+        centers = Centers(
+            LatentCenters(_read_array(fh, (M, D))), ClassCenters(_read_array(fh, (K, M)))
+        )
+        first, second = _read_groups(fh, cfg), _read_groups(fh, cfg)
         step_count, rng_state = struct.unpack("<QQ", fh.read(16))
     return TrainerState(
         params, centers, AdamState(first, second, step_count), SplitMix64(rng_state)

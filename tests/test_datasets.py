@@ -134,6 +134,12 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError, match="label 9"):
             load_csv(str(path))  # default 7 expression classes
 
+    def test_out_of_range_label_after_blank_lines_names_its_line(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("label,f_1,f_2\n\n0,1.0,2.0\n\n9,1.0,2.0\n")
+        with pytest.raises(DataFormatError, match=r"blank\.csv:5: label 9 out of range"):
+            load_csv(str(path), ("a", "b", "c"))
+
     def test_non_numeric_cell_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,f_1\n0,1.0\n0,oops\n")

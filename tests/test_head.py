@@ -134,7 +134,9 @@ class TestForwardAgainstNaiveOracle:
 
 
 class TestForwardBufferReuse:
-    @pytest.mark.parametrize("out_rows", [7, 4], ids=["same-rows", "other-rows"])
+    @pytest.mark.parametrize(
+        "out_rows", [7, 4, 10], ids=["same-rows", "other-rows", "larger-rows"]
+    )
     def test_reused_cache_equals_fresh_forward(self, out_rows):
         """Writing into a used cache leaves nothing of the previous call."""
         cfg, params, X, _ = random_instance(31, batch=7)
@@ -145,6 +147,10 @@ class TestForwardBufferReuse:
         fresh = forward(X, params, cfg)
         for f in fields(fresh):
             assert np.array_equal(getattr(got, f.name), getattr(fresh, f.name)), f.name
+        if out_rows > len(X):  # served from views of the first rows of `used`
+            for f in fields(got):
+                if f.name != "inputs":  # inputs is X itself
+                    assert np.shares_memory(getattr(got, f.name), getattr(used, f.name)), f.name
 
     def test_calls_without_out_share_no_memory(self):
         cfg, params, X, _ = random_instance(33, batch=6)

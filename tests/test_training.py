@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ferhead import training
+from ferhead import head, training
 from ferhead.datasets import FeatureDataset
 from ferhead.errors import ContractViolation, DataFormatError, TrainingError
 from ferhead.head import Centers, HeadConfig, backward, forward, init_model_params
@@ -23,9 +23,9 @@ from ferhead.training import (
     Schedule,
     TrainerState,
     adam_step,
-    checkpoint_config,
     evaluate,
     load_checkpoint,
+    load_params,
     save_checkpoint,
     train_epoch,
 )
@@ -534,6 +534,23 @@ class TestEvaluate:
         for got, want in [(weights, full.weights), (omega, full.omega), (mixed, full.mixed)]:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
+    def test_ragged_block_reuses_the_one_cache(self, monkeypatch):
+        """Two full blocks and a ragged one allocate a single cache."""
+        monkeypatch.setattr(training, "EVAL_BLOCK_ROWS", 8)
+        allocate = head.empty_cache
+        sizes = []
+
+        def counting_empty_cache(N, cfg):
+            sizes.append(N)
+            return allocate(N, cfg)
+
+        monkeypatch.setattr(head, "empty_cache", counting_empty_cache)
+        cfg = tiny_cfg()
+        state = fresh_state(cfg, seed=14)
+        X = np.random.default_rng(14).normal(size=(2 * 8 + 5, cfg.input_dim))
+        training.forward_in_blocks(X, state.params, cfg, lambda cache: cache.logits)
+        assert sizes == [8]
+
     def test_peak_memory_bounded_in_rows(self):
         """At paper dimensions, 4x the rows costs well under 1.5x the peak."""
         cfg = HeadConfig()
@@ -552,7 +569,7 @@ class TestEvaluate:
 
         small, large = peak(EVAL_BLOCK_ROWS), peak(len(X))
         assert large < 1.5 * small, (small, large)
-        # a ragged last block is allocated only after the full-size one is freed
+        # a ragged last block is written into the full-size block's cache
         ragged = peak(len(X) - 1)
         assert ragged < 1.5 * small, (small, ragged)
 
@@ -673,7 +690,7 @@ class TestCheckpoints:
         cfg = replace(tiny_cfg(), mix_ratio=0.25, center_rate=0.75)
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), fresh_state(cfg), cfg)
-        assert checkpoint_config(str(path)) == cfg
+        assert load_params(str(path))[0] == cfg
 
     def test_settings_mismatch_rejected(self, tmp_path):
         cfg = tiny_cfg()
@@ -692,7 +709,7 @@ class TestCheckpoints:
         v1.write_bytes(header + v2.read_bytes()[64:])
         defaults = HeadConfig(input_dim=6, latent_dim=4, n_latents=2, n_classes=3)
         with pytest.warns(UserWarning, match="v1.ckpt.*defaults"):
-            assert checkpoint_config(str(v1)) == defaults
+            assert load_params(str(v1))[0] == defaults
         with pytest.warns(UserWarning, match="v1.ckpt.*defaults"):
             loaded = load_checkpoint(str(v1), defaults)
         expected = load_checkpoint(str(v2), cfg)
@@ -708,4 +725,57 @@ class TestCheckpoints:
         for cut in (6, 40, 63):
             path.write_bytes(blob[:cut])
             with pytest.raises(DataFormatError, match="truncated header"):
-                checkpoint_config(str(path))
+                load_params(str(path))[0]
+
+
+class TestLoadParams:
+    def test_paper_dims_groups_equal_full_load_in_same_layout(self, tmp_path):
+        cfg = HeadConfig()
+        state = fresh_state(cfg, seed=15)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), state, cfg)
+        got_cfg, params = load_params(str(path))
+        assert got_cfg == cfg
+        full = load_checkpoint(str(path), cfg).params
+        for (name, got), (_, want) in zip(params.items(), full.items()):
+            assert np.array_equal(got, want), name
+            assert got.strides == want.strides, name
+        assert params.decomp.transpose(1, 0, 2).flags.c_contiguous  # (P, M, D) memory
+
+    def test_size_errors_match_load_checkpoint(self, tmp_path):
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), fresh_state(cfg), cfg)
+        blob = path.read_bytes()
+        for bad in (blob[: len(blob) // 2], blob[:-24] + blob[-16:], blob + b"\x00"):
+            path.write_bytes(bad)
+            with pytest.raises(DataFormatError) as full:
+                load_checkpoint(str(path), cfg)
+            with pytest.raises(DataFormatError) as params_only:
+                load_params(str(path))
+            assert str(params_only.value) == str(full.value)
+            assert "expected" in str(full.value)
+
+    def test_version_1_loads_with_warning(self, tmp_path):
+        cfg = tiny_cfg()
+        v2, v1 = tmp_path / "v2.ckpt", tmp_path / "v1.ckpt"
+        save_checkpoint(str(v2), fresh_state(cfg, seed=16), cfg)
+        v1.write_bytes(b"FDRM" + struct.pack("<5I", 1, 6, 4, 2, 3) + v2.read_bytes()[64:])
+        with pytest.warns(UserWarning, match="v1.ckpt.*defaults"):
+            got_cfg, params = load_params(str(v1))
+        assert got_cfg == HeadConfig(input_dim=6, latent_dim=4, n_latents=2, n_classes=3)
+        for (name, got), (_, want) in zip(params.items(), load_params(str(v2))[1].items()):
+            assert np.array_equal(got, want), name
+
+    def test_paper_dims_peak_memory_skips_training_state(self, tmp_path):
+        """The parameters alone: 11.3 MiB traced, against 24.8 for load_checkpoint."""
+        cfg = HeadConfig()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), fresh_state(cfg, seed=17), cfg)
+        tracemalloc.start()
+        try:
+            load_params(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2**20, peak
