@@ -293,6 +293,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if not args.out_csv and not args.out_bin:
+        raise ContractViolation("give at least one of --out-csv / --out-bin")
     spec = datasets.make_synth_spec(
         n_classes=args.classes,
         n_actions=args.actions,
@@ -303,8 +305,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         structure_seed=args.structure_seed,
     )
     data = datasets.generate(spec)
-    if not args.out_csv and not args.out_bin:
-        raise ContractViolation("give at least one of --out-csv / --out-bin")
     if args.out_csv:
         datasets.save_csv(args.out_csv, data)
     if args.out_bin:
@@ -392,9 +392,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         parsed = [int(v) if args.param == "n_latents" else float(v) for v in values]
     except ValueError as err:
         raise ContractViolation(f"--values for {args.param}: {err}") from None
+    configs = [replace(base, **{args.param: value}) for value in parsed]
+    for cfg in configs:  # a bad value is a usage error before any run trains
+        cfg.head_config()
+        cfg.schedule()
     rows = []
-    for raw, value in zip(values, parsed):
-        cfg = replace(base, **{args.param: value})
+    for raw, cfg in zip(values, configs):
         state, head_cfg, history = run_training(cfg)
         last = history[-1]
         test_accuracy = ""

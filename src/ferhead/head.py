@@ -70,8 +70,9 @@ class HeadConfig:
             if getattr(self, name) < 1:
                 raise ContractViolation(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("lambda_compact", "lambda_balance", "lambda_distribution"):
-            if getattr(self, name) < 0:
-                raise ContractViolation(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ContractViolation(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 <= self.mix_ratio <= 1.0:
             raise ContractViolation(f"mix_ratio must lie in [0, 1], got {self.mix_ratio}")
         if not 0.0 < self.center_rate <= 1.0:
@@ -236,8 +237,20 @@ def empty_cache(N: int, cfg: HeadConfig) -> ForwardCache:
     decomposition writes it as one (N, M*D) GEMM result. The loss terms and
     center updates sum these arrays in memory order, so the layouts are
     part of the bits that training produces.
+
+    The eight (N, M, D) arrays are the rows of one (8, N*M*D) allocation,
+    each reshaped to the layout above. numpy asks the kernel for
+    transparent huge pages (madvise(MADV_HUGEPAGE)) only on blocks of
+    4 MiB or more. At paper dimensions one (N, M, D) array is 2.36 MB for
+    a 256-row evaluation block and 0.59 MB for a 64-row training batch, so
+    as separate arrays they fault in 4 KiB pages, while the one block
+    (18.9 MB and 4.7 MB) gets 2 MiB pages: a 700-row `ferhead eval` made
+    ≈7.9k minor page faults with separate arrays and ≈3.4-4.1k with the
+    block. On a kernel without transparent huge pages the block faults in
+    like the separate arrays did.
     """
     M, P, D, K = cfg.n_latents, cfg.input_dim, cfg.latent_dim, cfg.n_classes
+    block = iter(np.empty((8, N * M * D)))
 
     def rows(*shape: int) -> np.ndarray:
         return np.empty((N, *shape))
@@ -245,19 +258,25 @@ def empty_cache(N: int, cfg: HeadConfig) -> ForwardCache:
     def by_latent(*shape: int) -> np.ndarray:
         return np.empty((M, N, *shape)).swapaxes(0, 1)
 
+    def rows_in_block() -> np.ndarray:
+        return next(block).reshape(N, M, D)
+
+    def by_latent_in_block() -> np.ndarray:
+        return next(block).reshape(M, N, D).swapaxes(0, 1)
+
     return ForwardCache(
         inputs=rows(P),
-        pre_latent=rows(M, D),
-        latents=rows(M, D),
-        gates=by_latent(D),
+        pre_latent=rows_in_block(),
+        latents=rows_in_block(),
+        gates=by_latent_in_block(),
         weights=by_latent(),
-        scaled=rows(M, D),
-        pre_message=by_latent(D),
-        messages=by_latent(D),
+        scaled=rows_in_block(),
+        pre_message=by_latent_in_block(),
+        messages=by_latent_in_block(),
         distances=rows(M, M),
         omega=rows(M, M),
-        aggregated=rows(M, D),
-        mixed=rows(M, D),
+        aggregated=rows_in_block(),
+        mixed=rows_in_block(),
         feature=rows(D),
         logits=rows(K),
     )

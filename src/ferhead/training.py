@@ -66,7 +66,11 @@ class Schedule:
     batch_size: int = 64
 
     def validate(self) -> None:
-        if self.base_lr <= 0 or self.batch_size < 1 or self.total_epochs < 1:
+        for name in ("base_lr", "factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ContractViolation(f"{name} must be finite and > 0, got {value}")
+        if self.batch_size < 1 or self.total_epochs < 1:
             raise ContractViolation(f"invalid schedule: {self}")
         if list(self.decay_epochs) != sorted(set(self.decay_epochs)):
             raise ContractViolation("decay epochs must be strictly increasing")

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from ferhead import verification
+from ferhead import datasets, verification
 from ferhead.cli import RunConfig, load_run_config, main, pca_project, write_csv
 from ferhead.head import HeadConfig
 from ferhead.training import Schedule
@@ -143,6 +143,30 @@ class TestTrainCommand:
         argv = ["train", "--config", str(config), "--checkpoint", str(ckpt)]
         assert main(argv + ["--n-latents", "1"]) == 0
         assert ckpt.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, setting",
+        [
+            ("--decay-factor", "-0.5", "factor"),
+            ("--decay-factor", "0", "factor"),
+            ("--decay-factor", "nan", "factor"),
+            ("--decay-factor", "inf", "factor"),
+            ("--base-lr", "nan", "base_lr"),
+            ("--lambda-compact", "inf", "lambda_compact"),
+            ("--lambda-balance", "nan", "lambda_balance"),
+        ],
+    )
+    def test_setting_that_would_train_wrong_exits_2_before_training(
+        self, toy_env, capsys, flag, value, setting
+    ):
+        """A negative or zero factor trains by ascent or not at all after a decay;
+        a non-finite rate, factor or λ trained until a non-finite update stopped it."""
+        tmp_path, config = toy_env
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "epoch" not in captured.out
+        assert setting in captured.err
 
     def test_missing_dataset_is_usage_error(self, tmp_path):
         code = main(["train", "--train-path", str(tmp_path / "absent.csv")])
@@ -293,9 +317,16 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize(
         "field, offset, value",
-        [("mix_ratio", 48, 1.5), ("mix_ratio", 48, -3.0), ("center_rate", 56, 0.0)],
+        [
+            ("mix_ratio", 48, 1.5),
+            ("mix_ratio", 48, -3.0),
+            ("center_rate", 56, 0.0),
+            ("lambda_balance", 32, float("nan")),
+            ("lambda_compact", 24, float("inf")),
+        ],
         # ids name the train flag that would have written each setting
-        ids=["--mix-ratio-1.5", "--mix-ratio--3", "--center-rate-0"],
+        ids=["--mix-ratio-1.5", "--mix-ratio--3", "--center-rate-0",
+             "--lambda-balance-nan", "--lambda-compact-inf"],
     )
     def test_out_of_range_config_exits_2_and_writes_nothing(
         self, toy_env, capsys, field, offset, value
@@ -405,8 +436,11 @@ class TestGradcheckCommand:
 
 
 class TestSynthCommand:
-    def test_requires_an_output(self):
+    def test_requires_an_output(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(datasets, "generate", lambda spec: calls.append(spec))
         assert main(["synth"]) == 2
+        assert calls == []  # rejected before any sample is drawn
 
     def test_same_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -615,6 +649,23 @@ class TestSweepCommand:
         rows = [line.split(",") for line in summary.read_text().splitlines()]
         assert [row[1] for row in rows] == ["value", "2", "3"]
         assert "n_latents=3:" in capsys.readouterr().out
+
+    def test_bad_value_is_usage_error_before_the_first_run(self, toy_env, capsys):
+        tmp_path, config = toy_env
+        summary = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        code = main(
+            [
+                "sweep", "--config", str(config), "--epochs", "1", "--decay-epochs", "",
+                "--param", "mix_ratio", "--values", "0.5,2",
+                "--summary", str(summary),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "mix_ratio=" not in captured.out  # no run trained
+        assert "mix_ratio must lie in [0, 1], got 2.0" in captured.err
+        assert not summary.exists()
 
     def test_lambda_sweep(self, toy_env):
         tmp_path, config = toy_env

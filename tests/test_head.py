@@ -3,6 +3,7 @@
 import math
 import warnings
 from dataclasses import fields
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ferhead.head import (
     backward,
     batch_cross_entropy,
     compute_losses,
+    empty_cache,
     forward,
     init_model_params,
     joint_loss,
@@ -159,6 +161,32 @@ class TestForwardBufferReuse:
             assert not np.shares_memory(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
+class TestCacheBlock:
+    BLOCK = ("pre_latent", "latents", "gates", "scaled", "pre_message", "messages",
+             "aggregated", "mixed")
+    LATENT_MAJOR = ("gates", "pre_message", "messages")
+
+    @pytest.mark.parametrize("N", [64, 256])
+    def test_eight_latent_arrays_are_rows_of_one_block(self, N):
+        """One allocation of >= 4 MiB, which numpy madvises for huge pages."""
+        cfg = HeadConfig()
+        M, D = cfg.n_latents, cfg.latent_dim
+        cache = empty_cache(N, cfg)
+        arrays = {name: getattr(cache, name) for name in self.BLOCK}
+        block = arrays["pre_latent"].base
+        assert block.shape == (8, N * M * D) and block.dtype == np.float64
+        assert block.nbytes >= 4 << 20
+        for name, arr in arrays.items():
+            assert arr.base is block, name
+            assert arr.shape == (N, M, D), name
+            if name in self.LATENT_MAJOR:
+                assert arr.strides == (D * 8, N * D * 8, 8), name
+            else:
+                assert arr.strides == (M * D * 8, D * 8, 8), name
+        for a, b in combinations(arrays, 2):
+            assert not np.shares_memory(arrays[a], arrays[b]), (a, b)
+
+
 class TestRelationDistances:
     def test_distances_bitwise_equal_broadcast_formula(self):
         """The pair loop gives exactly the (N, M, M, D) broadcast result."""
@@ -273,6 +301,13 @@ class TestCrossEntropy:
         for _ in range(100):
             logits = rng.normal(scale=10.0, size=5)
             assert cross_entropy(logits, int(rng.integers(0, 5))) >= 0
+
+
+@pytest.mark.parametrize("name", ["lambda_compact", "lambda_balance", "lambda_distribution"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_lambda_must_be_finite_and_non_negative(name, value):
+    with pytest.raises(ContractViolation, match=f"{name} must be finite and >= 0"):
+        HeadConfig(**{name: value}).validate()
 
 
 class TestJointLoss:

@@ -109,6 +109,15 @@ class TestSchedule:
         with pytest.raises(ContractViolation):
             Schedule(decay_epochs=(18, 10)).validate()
 
+    @pytest.mark.parametrize("name", ["base_lr", "factor"])
+    @pytest.mark.parametrize(
+        "value", [0.0, -0.5, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"]
+    )
+    def test_rate_and_factor_must_be_finite_and_positive(self, name, value):
+        """A factor <= 0 would train at lr 0 or by gradient ascent after a decay."""
+        with pytest.raises(ContractViolation, match=f"{name} must be finite and > 0"):
+            Schedule(**{name: value}).validate()
+
 
 class TestAdamStep:
     def test_zero_gradient_keeps_params(self):
