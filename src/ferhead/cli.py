@@ -26,6 +26,7 @@ from .head import Centers, HeadConfig, init_model_params
 from .intra import per_class_mean_weights
 from .numerics import SplitMix64
 from .training import (
+    COMPUTE_DTYPE,
     AdamState,
     Schedule,
     TrainerState,
@@ -152,11 +153,13 @@ def load_dataset(path: str, n_classes: int) -> datasets.FeatureDataset:
 def write_csv(path: str, header, rows) -> None:
     """Write a header row and then `rows` as CSV lines.
 
-    A float cell (np.float64 too) is written as repr(float(v)), which
-    round-trips exactly; any other cell as str(v).
+    A float cell (any numpy float too) is written as repr(float(v)), which
+    round-trips exactly, float32 values included; any other cell as str(v).
     """
     def line(cells) -> str:
-        cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in cells)
+        cells = (
+            repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in cells
+        )
         return ",".join(cells) + "\n"
 
     with open(path, "w", encoding="utf-8") as fh:
@@ -251,9 +254,11 @@ def _load_model(args: argparse.Namespace):
     """(config, params, dataset) for eval and inspect.
 
     Only the checkpoint's header and parameter groups are read; the config
-    is the checkpoint's.
+    is the checkpoint's. The params are narrowed to COMPUTE_DTYPE, as
+    training's are, so `eval` gives the end-of-epoch `evaluate`'s result.
     """
     head_cfg, params = load_params(args.checkpoint_path)
+    params = params.astype(COMPUTE_DTYPE)
     data = load_dataset(args.data, head_cfg.n_classes)
     if data.feature_dim != head_cfg.input_dim:
         raise DataFormatError(

@@ -37,7 +37,7 @@ class LatentCenters:
         Mutates the centers; callers must serialize this with the optimizer
         step (one update per step, after the gradient step).
         """
-        latent_batch = np.asarray(latent_batch, dtype=np.float64)
+        latent_batch = np.asarray(latent_batch)
         if latent_batch.ndim != 3 or latent_batch.shape[0] < 1:
             raise ContractViolation("center update needs a non-empty (N, M, D) batch")
         if latent_batch.shape[1:] != self.centers.shape:
@@ -53,7 +53,7 @@ def compactness_loss(latent_batch: np.ndarray, centers: LatentCenters) -> float:
 
     (1/N) sum_i sum_j ||l_ij - c_j||^2. Centers receive no gradient.
     """
-    latent_batch = np.asarray(latent_batch, dtype=np.float64)
+    latent_batch = np.asarray(latent_batch)
     if latent_batch.ndim != 3 or latent_batch.shape[0] < 1:
         raise ContractViolation("compactness_loss needs a non-empty (N, M, D) batch")
     if latent_batch.shape[1:] != centers.centers.shape:
@@ -67,5 +67,5 @@ def compactness_loss(latent_batch: np.ndarray, centers: LatentCenters) -> float:
 
 def compactness_grad(latent_batch: np.ndarray, centers: LatentCenters) -> np.ndarray:
     """d(compactness)/d(latents): (2/N)(l_ij - c_j), shape (N, M, D)."""
-    latent_batch = np.asarray(latent_batch, dtype=np.float64)
+    latent_batch = np.asarray(latent_batch)
     return 2.0 / latent_batch.shape[0] * (latent_batch - centers.centers[None, :, :])

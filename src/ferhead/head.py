@@ -19,6 +19,10 @@ batch mean of stable cross-entropy. The backward pass below accumulates the
 exact reverse-mode gradient of the joint loss through every stage; the two
 center banks are rule-updated and receive no gradient by construction.
 
+Every stage computes in the parameters' dtype: training and evaluation hold
+float32 groups (see `training.COMPUTE_DTYPE`), while the oracles that check
+this module run it on float64 groups.
+
 All loss terms carrying a 1/N batch factor inject it at their gradient
 source; the balance term is a batch-level statistic, so its per-sample
 gradient carries the same 1/N explicitly (documented to avoid double
@@ -109,7 +113,7 @@ class ParamGroups:
             arr = np.ascontiguousarray(arr)
         elif not arr.transpose(1, 0, 2).flags.c_contiguous:
             M, P, D = arr.shape
-            native = np.empty((P, M, D)).transpose(1, 0, 2)
+            native = np.empty((P, M, D), dtype=arr.dtype).transpose(1, 0, 2)
             native[...] = arr
             arr = native
         super().__setattr__(name, arr)
@@ -117,6 +121,24 @@ class ParamGroups:
     def items(self):
         for f in fields(self):
             yield f.name, getattr(self, f.name)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype that forward, backward and adam_step compute in."""
+        return np.result_type(*(arr for _, arr in self.items()))
+
+    def astype(self, dtype) -> "ParamGroups":
+        """The groups cast to `dtype` in their layout; a group already in it is kept.
+
+        An entry that is not finite in `dtype`, a finite float64 beyond the
+        float32 range included, raises TrainingError naming its group.
+        """
+        with np.errstate(over="ignore"):
+            cast = ParamGroups(
+                **{name: arr.astype(dtype, order="K", copy=False) for name, arr in self.items()}
+            )
+        cast.raise_if_not_finite(f"in {np.dtype(dtype)}")
+        return cast
 
     def decomp_matrix(self) -> np.ndarray:
         """decomp as one (P, M*D) matrix whose column block j is decomp[j]."""
@@ -227,8 +249,8 @@ def joint_loss(
     return LossBreakdown(cls, compact, balance, distribution, total)
 
 
-def empty_cache(N: int, cfg: HeadConfig) -> ForwardCache:
-    """Uninitialized buffers for a forward pass over N rows.
+def empty_cache(N: int, cfg: HeadConfig, dtype=np.float64) -> ForwardCache:
+    """Uninitialized `dtype` buffers for a forward pass over N rows.
 
     gates, weights, pre_message and messages are views of latent-major
     memory ((M, N, ...) arrays with the first two axes swapped), so each
@@ -241,22 +263,24 @@ def empty_cache(N: int, cfg: HeadConfig) -> ForwardCache:
     The eight (N, M, D) arrays are the rows of one (8, N*M*D) allocation,
     each reshaped to the layout above. numpy asks the kernel for
     transparent huge pages (madvise(MADV_HUGEPAGE)) only on blocks of
-    4 MiB or more. At paper dimensions one (N, M, D) array is 2.36 MB for
-    a 256-row evaluation block and 0.59 MB for a 64-row training batch, so
-    as separate arrays they fault in 4 KiB pages, while the one block
-    (18.9 MB and 4.7 MB) gets 2 MiB pages: a 700-row `ferhead eval` made
+    4 MiB or more. At paper dimensions in float32, one (N, M, D) array is
+    1.18 MB for a 256-row evaluation block and 0.29 MB for a 64-row
+    training batch, so as separate arrays they fault in 4 KiB pages. The
+    one block of a 256-row evaluation (9.4 MB) gets 2 MiB pages; that of a
+    64-row batch (2.4 MB) is below 4 MiB and faults in 4 KiB pages, but it
+    is allocated once per epoch. In float64 a 700-row `ferhead eval` made
     ≈7.9k minor page faults with separate arrays and ≈3.4-4.1k with the
     block. On a kernel without transparent huge pages the block faults in
     like the separate arrays did.
     """
     M, P, D, K = cfg.n_latents, cfg.input_dim, cfg.latent_dim, cfg.n_classes
-    block = iter(np.empty((8, N * M * D)))
+    block = iter(np.empty((8, N * M * D), dtype=dtype))
 
     def rows(*shape: int) -> np.ndarray:
-        return np.empty((N, *shape))
+        return np.empty((N, *shape), dtype=dtype)
 
     def by_latent(*shape: int) -> np.ndarray:
-        return np.empty((M, N, *shape)).swapaxes(0, 1)
+        return np.empty((M, N, *shape), dtype=dtype).swapaxes(0, 1)
 
     def rows_in_block() -> np.ndarray:
         return next(block).reshape(N, M, D)
@@ -288,7 +312,7 @@ def forward(
     cfg: HeadConfig,
     out: ForwardCache | None = None,
 ) -> ForwardCache:
-    """Vectorized batch forward pass; returns all intermediates.
+    """Vectorized batch forward pass in the parameters' dtype; returns all intermediates.
 
     Every intermediate is written into the arrays of `out`, which are
     overwritten, so a caller that passes its previous cache back in must
@@ -297,24 +321,32 @@ def forward(
     ForwardCache of views of its first N rows, which is returned, so a
     ragged last batch needs no cache of its own; each latent-major view
     still holds contiguous (N, D) slabs. When `out` is None or has fewer
-    rows, a new cache from `empty_cache` is used. `inputs` refers to X
-    itself, not a copy.
+    rows, a new cache from `empty_cache` is used.
+    `inputs` is X narrowed (or copied) to the parameters' dtype. A
+    non-finite X is a ContractViolation; a finite X that overflows that
+    dtype (beyond ±3.4e38 in float32) is a TrainingError, as a non-finite
+    loss is.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != cfg.input_dim:
         raise ContractViolation(
             f"forward expects (N, {cfg.input_dim}) inputs, got {X.shape}"
         )
-    if not np.all(np.isfinite(X)):
-        raise ContractViolation("forward inputs contain non-finite values")
     N = X.shape[0]
+    dtype = params.dtype
     if out is None or len(out.logits) < N:
-        c = empty_cache(N, cfg)
+        c = empty_cache(N, cfg, dtype)
     elif len(out.logits) > N:
         c = ForwardCache(**{f.name: getattr(out, f.name)[:N] for f in fields(out)})
     else:
         c = out
-    c.inputs = X
+    with np.errstate(over="ignore"):
+        np.copyto(c.inputs, X)
+    if not np.all(np.isfinite(c.inputs)):
+        if not np.all(np.isfinite(X)):
+            raise ContractViolation("forward inputs contain non-finite values")
+        raise TrainingError(f"forward inputs overflow {dtype}")
+    X = c.inputs
     r = cfg.mix_ratio
 
     def by_latent(a: np.ndarray) -> np.ndarray:
@@ -352,7 +384,7 @@ def forward(
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax (max-shifted)."""
-    z = np.asarray(logits, dtype=np.float64)
+    z = np.asarray(logits)
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -360,7 +392,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean stable cross-entropy over the batch."""
-    z = np.asarray(logits, dtype=np.float64)
+    z = np.asarray(logits)
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= z.shape[1]):
         raise ContractViolation(
@@ -502,6 +534,14 @@ def backward(
     onehot = np.zeros_like(probs)
     onehot[np.arange(N), labels] = 1.0
     dlogits = (cls_weight / N) * (probs - onehot)
+    # float32 makes the probabilities of logits more than 87 below the row's
+    # maximum subnormal, and every product they reach in the reverse pass
+    # then takes the CPU's slow path: a paper-default epoch had 7% of its
+    # dlogits entries subnormal, and its message-stage matmuls ran 3-4x
+    # slower. Such entries are flushed to zero, as flush-to-zero hardware
+    # modes do: through Adam, a gradient entry below 1.2e-38 moves its
+    # parameter by less than 1e-33.
+    dlogits[np.abs(dlogits) < np.finfo(dlogits.dtype).tiny] = 0.0
 
     dlatents_extra = cfg.lambda_compact * compactness_grad(cache.latents, centers.latent)
     dweights_extra = cfg.lambda_distribution * distribution_grad(

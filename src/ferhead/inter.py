@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation
-
 EPS_NORM = 1e-12
 
 
@@ -43,7 +41,8 @@ def pairwise_relation(
     """
     M = messages.shape[-2]
     if out is None:
-        out = (np.empty(messages.shape[:-1] + (M,)), np.empty(messages.shape[:-1] + (M,)))
+        shape = messages.shape[:-1] + (M,)
+        out = (np.empty(shape, messages.dtype), np.empty(shape, messages.dtype))
     distances, omega = out
     sq = distances  # the squared distances, until their roots replace them
     idx = np.arange(M)
@@ -61,17 +60,3 @@ def pairwise_relation(
     omega[coincident] = 0.0
     return distances, omega
 
-
-def relation_weights(messages: np.ndarray) -> np.ndarray:
-    """Pairwise relation weight matrix: tanh(distance) off-diagonal, 0 on it.
-
-    Symmetric with entries in [0, 1) by construction. Coincident messages
-    (squared distance exactly 0) map to exactly 0: the epsilon floor exists
-    only to keep the norm differentiable, and letting it leak tanh(sqrt(eps))
-    into the weights would break the identical-messages-give-zero contract.
-    Accepts a single (M, D) bank or a batched (N, M, D) stack.
-    """
-    g = np.asarray(messages, dtype=np.float64)
-    if g.ndim not in (2, 3) or g.shape[-2] < 1:
-        raise ContractViolation(f"relation_weights needs (M, D) or (N, M, D), got {g.shape}")
-    return pairwise_relation(g)[1]

@@ -42,7 +42,7 @@ class ClassCenters:
         Classes absent from the batch are left untouched rather than
         regularized toward stale statistics.
         """
-        weight_batch = np.asarray(weight_batch, dtype=np.float64)
+        weight_batch = np.asarray(weight_batch)
         labels = np.asarray(labels)
         if weight_batch.ndim != 2 or weight_batch.shape[0] < 1:
             raise ContractViolation("class center update needs a non-empty (N, M) batch")
@@ -68,7 +68,7 @@ def distribution_loss(
     weight_batch: np.ndarray, labels: np.ndarray, centers: ClassCenters
 ) -> float:
     """(1/N) sum_i ||w_i - center[label_i]||^2; gradient flows to w_i only."""
-    weight_batch = np.asarray(weight_batch, dtype=np.float64)
+    weight_batch = np.asarray(weight_batch)
     labels = np.asarray(labels)
     if weight_batch.ndim != 2 or weight_batch.shape[0] < 1:
         raise ContractViolation("distribution_loss needs a non-empty (N, M) batch")
@@ -81,28 +81,28 @@ def distribution_grad(
     weight_batch: np.ndarray, labels: np.ndarray, centers: ClassCenters
 ) -> np.ndarray:
     """d(distribution)/d(weights): (2/N)(w_i - center[label_i]), shape (N, M)."""
-    weight_batch = np.asarray(weight_batch, dtype=np.float64)
+    weight_batch = np.asarray(weight_batch)
     labels = np.asarray(labels)
     return 2.0 / weight_batch.shape[0] * (weight_batch - centers.centers[labels])
 
 
 def mean_weights(weight_batch: np.ndarray) -> np.ndarray:
     """Batch-mean intra-weight vector, shape (M,)."""
-    weight_batch = np.asarray(weight_batch, dtype=np.float64)
+    weight_batch = np.asarray(weight_batch)
     if weight_batch.ndim != 2 or weight_batch.shape[0] < 1:
         raise ContractViolation("mean_weights needs a non-empty (N, M) batch")
     return weight_batch.mean(axis=0)
 
 
-def uniform_target(n_latents: int) -> np.ndarray:
+def uniform_target(n_latents: int, dtype=np.float64) -> np.ndarray:
     """The uniform weight vector [1/M, ..., 1/M]."""
-    return np.full(n_latents, 1.0 / n_latents)
+    return np.full(n_latents, 1.0 / n_latents, dtype=dtype)
 
 
 def balance_loss(mean_w: np.ndarray) -> float:
     """L1 distance between the batch-mean weight vector and the uniform target."""
-    mean_w = np.asarray(mean_w, dtype=np.float64)
-    return float(np.abs(mean_w - uniform_target(mean_w.shape[0])).sum())
+    mean_w = np.asarray(mean_w)
+    return float(np.abs(mean_w - uniform_target(mean_w.shape[0], mean_w.dtype)).sum())
 
 
 def balance_sign(mean_w: np.ndarray) -> np.ndarray:
@@ -111,15 +111,15 @@ def balance_sign(mean_w: np.ndarray) -> np.ndarray:
     Each sample's weight vector receives this divided by N (the mean carries
     a 1/N factor per sample).
     """
-    mean_w = np.asarray(mean_w, dtype=np.float64)
-    return np.sign(mean_w - uniform_target(mean_w.shape[0]))
+    mean_w = np.asarray(mean_w)
+    return np.sign(mean_w - uniform_target(mean_w.shape[0], mean_w.dtype))
 
 
 def per_class_mean_weights(
     weight_batch: np.ndarray, labels: np.ndarray, n_classes: int
 ) -> np.ndarray:
     """Mean intra-weight vector per class, shape (K, M); absent classes get zeros."""
-    weight_batch = np.asarray(weight_batch, dtype=np.float64)
+    weight_batch = np.asarray(weight_batch)
     labels = np.asarray(labels)
     _check_labels(labels, n_classes, weight_batch.shape[0])
     out = np.zeros((n_classes, weight_batch.shape[1]))

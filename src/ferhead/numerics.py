@@ -3,8 +3,10 @@
 The head's stage math (its bias-free linear maps and their activations) runs
 in `head.forward`, which applies `relu` and `sigmoid` from here in place.
 
-Everything here is 64-bit. Gradient checking at 1e-4 tolerance is not
-feasible in float32, so the whole package standardizes on float64.
+The oracles are 64-bit: `SplitMix64` draws float64 values and
+`finite_diff_grad` differentiates in float64, since gradient checking at
+1e-4 tolerance is not feasible in float32. `relu` and `sigmoid` compute in
+their input's dtype, which is float32 in training and evaluation.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     The tanh identity never overflows and needs no masked indexing.
     """
-    s = np.multiply(np.asarray(v, dtype=np.float64), 0.5, out=out)
+    s = np.multiply(v, 0.5, out=out)
     np.tanh(s, out=s)
     s += 1.0
     s *= 0.5

@@ -5,7 +5,15 @@ center-bank updates using the latent features and importance weights cached
 by the forward pass (one forward per batch; centers see pre-step features,
 the usual center-loss convention). Batches are drawn by a seeded
 Fisher-Yates shuffle each epoch; a final partial batch is kept and its
-losses use its true size.
+losses use its true size. The shuffle picks which rows form a batch, and the
+batch takes them in dataset order, so its float32 sums (the center means
+among them) do not depend on the order the shuffle drew them in.
+
+Training and evaluation compute in COMPUTE_DTYPE (float32): a TrainerState
+narrows its parameters, Adam moments and centers once when it is built, and
+`forward` narrows each batch of features. Everything stored stays float64:
+datasets, `init_model_params` and the checkpoint file, to which saving widens
+exactly, so a checkpoint narrows back to the bits that were trained.
 """
 
 from __future__ import annotations
@@ -36,14 +44,19 @@ from .numerics import SplitMix64
 ADAM_BETA1 = 0.500
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Elements per block of adam_step. Four float64 blocks (g, m, v, theta) plus
-# two scratch blocks take 1.5 MB, which fits in L2, so the twelve update
-# operations of a block all read it from cache; 4k to 32k ran alike.
+# Elements per block of adam_step. Four float32 blocks (g, m, v, theta) plus
+# two scratch blocks take 0.75 MB (1.5 MB in float64), which fits in L2, so
+# the twelve update operations of a block all read it from cache; 4k to 32k
+# ran alike in float64.
 ADAM_BLOCK = 32768
+
+# The dtype of every training and evaluation pass; see the module docstring.
+COMPUTE_DTYPE = np.float32
 
 # Rows per forward call in evaluate and inspect. Every block after the first,
 # the ragged last one included, is written into the first block's cache; at
-# paper dimensions 256 rows take about 19 MB of buffers. Freshly allocated
+# paper dimensions 256 rows take about 10 MB of float32 buffers (19 MB in
+# float64), of which the (N, M, D) block is 9.4 MB. Freshly allocated
 # blocks of this size are handed back to the OS when freed and fault their
 # pages in again on the next block; with reuse, 256 rows ran as fast as 512
 # and 128 on 7000 rows, at a lower peak than 512.
@@ -122,6 +135,10 @@ def adam_step(
     is bitwise equal to the whole-array formula. beta1, beta2 and eps are
     ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
+    Every block computes in the parameters' dtype, with its two scratch
+    blocks allocated once per call in that dtype; alpha and eps_hat are
+    Python floats, which do not widen a float32 array.
+
     The gradient is checked before anything changes, and theta after the
     whole update, one group at a time: at two BLAS threads one dot product
     per group ran faster than one per block inside the loop.
@@ -137,8 +154,8 @@ def adam_step(
     root2 = math.sqrt(1.0 - beta2**t)
     alpha = lr * root2 / (1.0 - beta1**t)
     eps_hat = ADAM_EPS * root2
-    scratch1 = np.empty(ADAM_BLOCK)
-    scratch2 = np.empty(ADAM_BLOCK)
+    scratch1 = np.empty(ADAM_BLOCK, dtype=params.dtype)
+    scratch2 = np.empty(ADAM_BLOCK, dtype=params.dtype)
     for name, theta in params.items():
         g = getattr(grads, name).ravel(order="K")
         m = getattr(state.first, name).ravel(order="K")
@@ -165,12 +182,27 @@ def adam_step(
 
 @dataclass
 class TrainerState:
-    """Everything that evolves during training (checkpointable)."""
+    """Everything that evolves during training (checkpointable).
+
+    Building one narrows its parameters, Adam moments and both center banks
+    to COMPUTE_DTYPE, so every pass of the run computes in it; arrays
+    already in it are kept. A parameter or moment that overflows it raises
+    TrainingError. Centers that overflow it make the first batch's
+    compactness or distribution loss non-finite, which backward reports.
+    """
 
     params: ParamGroups
     centers: Centers
     adam: AdamState
     rng: SplitMix64
+
+    def __post_init__(self) -> None:
+        self.params = self.params.astype(COMPUTE_DTYPE)
+        self.adam.first = self.adam.first.astype(COMPUTE_DTYPE)
+        self.adam.second = self.adam.second.astype(COMPUTE_DTYPE)
+        with np.errstate(over="ignore"):
+            for bank in (self.centers.latent, self.centers.by_class):
+                bank.centers = bank.centers.astype(COMPUTE_DTYPE, copy=False)
 
 
 @dataclass
@@ -263,7 +295,7 @@ def train_epoch(
     sums = np.zeros(5)
     cache = grads = None
     for start in range(0, n, schedule.batch_size):
-        batch_idx = order[start : start + schedule.batch_size]
+        batch_idx = np.sort(order[start : start + schedule.batch_size])
         X = data.features[batch_idx]
         labels = data.labels[batch_idx]
         try:
@@ -300,7 +332,8 @@ def save_checkpoint(path: str, state: TrainerState, cfg: HeadConfig) -> None:
     lambda_distribution, mix_ratio, center_rate), then float64 arrays in
     fixed order (decomp, gate, message, classifier weights; latent centers;
     class centers; Adam first then second moments in the same group order),
-    then u64 step count and u64 RNG state.
+    then u64 step count and u64 RNG state. float32 arrays are widened to
+    float64, which is exact.
 
     The bytes go to `path + ".tmp"` in the same directory, which then
     replaces `path` in one `os.replace`; a save that fails part-way removes
@@ -394,9 +427,11 @@ def load_checkpoint(path: str, cfg: HeadConfig) -> TrainerState:
 
     The header and the file size it implies are checked before any array
     is read, then that `cfg` equals the header's config. Each array is read
-    in the C order of its logical shape and handed to the constructors that
-    training uses; ParamGroups lays out decomp. eval and inspect need only
-    the parameters: see `load_params`.
+    as float64 in the C order of its logical shape and handed to the
+    constructors that training uses: ParamGroups lays out decomp, and the
+    TrainerState narrows to COMPUTE_DTYPE, which gives back the bits of a
+    state saved by training. eval and inspect need only the parameters: see
+    `load_params`, which returns them in float64.
     """
     with open(path, "rb") as fh:
         saved = _read_header(fh, path)

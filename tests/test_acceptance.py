@@ -127,10 +127,10 @@ class TestTrivialCases:
         cache = forward(X, params, direct_only)
         assert np.array_equal(cache.feature, cache.scaled.sum(axis=1))
 
-        from ferhead.inter import relation_weights
+        from ferhead.inter import pairwise_relation
 
         identical = np.tile(np.array([0.5, 1.5, 2.5, 0.0]), (3, 1))
-        assert np.array_equal(relation_weights(identical), np.zeros((3, 3)))
+        assert np.array_equal(pairwise_relation(identical)[1], np.zeros((3, 3)))
 
         assert balance_loss(uniform_target(9)) == 0.0
 

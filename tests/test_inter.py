@@ -9,7 +9,7 @@ from stage_forward import stage_forward
 
 from ferhead.errors import ContractViolation
 from ferhead.head import HeadConfig
-from ferhead.inter import relation_weights
+from ferhead.inter import pairwise_relation
 
 
 def naive_messages(features, weights):
@@ -66,12 +66,12 @@ class TestEncodeMessages:
 class TestRelationWeights:
     def test_identical_messages_give_zero_matrix(self):
         g = np.tile(np.array([1.0, 2.0, 3.0]), (4, 1))
-        omega = relation_weights(g)
+        omega = pairwise_relation(g)[1]
         assert np.array_equal(omega, np.zeros((4, 4)))
 
     def test_unit_distance_pair(self):
         g = np.array([[1.0, 0.0], [0.0, 0.0]])
-        omega = relation_weights(g)
+        omega = pairwise_relation(g)[1]
         expected = math.tanh(1.0)
         assert omega[0, 1] == pytest.approx(expected, abs=1e-9)
         assert omega[1, 0] == pytest.approx(expected, abs=1e-9)
@@ -82,14 +82,14 @@ class TestRelationWeights:
         rng = np.random.default_rng(8)
         for _ in range(200):
             g = rng.normal(size=(5, 6))
-            omega = relation_weights(g)
+            omega = pairwise_relation(g)[1]
             np.testing.assert_array_equal(np.diag(omega), np.zeros(5))
             np.testing.assert_allclose(omega, omega.T, atol=1e-15)
             assert np.all((omega >= 0) & (omega < 1))
 
     def test_batched_structural_invariants(self):
         rng = np.random.default_rng(9)
-        omega = relation_weights(rng.normal(size=(7, 4, 3)))
+        omega = pairwise_relation(rng.normal(size=(7, 4, 3)))[1]
         assert omega.shape == (7, 4, 4)
         idx = np.arange(4)
         assert np.all(omega[:, idx, idx] == 0)

@@ -1,7 +1,20 @@
 """Gradient-check harness tests (the oracle machinery itself)."""
 
 import numpy as np
+import pytest
 
+from ferhead import datasets
+from ferhead.decomposition import LatentCenters
+from ferhead.head import (
+    Centers,
+    HeadConfig,
+    backward,
+    compute_losses,
+    forward,
+    init_model_params,
+)
+from ferhead.intra import ClassCenters
+from ferhead.numerics import SplitMix64, finite_diff_grad
 from ferhead.verification import (
     LOSS_MODES,
     build_instance,
@@ -85,3 +98,104 @@ class TestErrorMetric:
         # classifier coordinates influence only the classification loss
         cls_block = slice(n_params - 3 * 2, n_params)
         assert np.abs(grads[1:, cls_block]).max() == 0.0
+
+
+class TestDirectionalGradient:
+    """g.u against d/dt L(theta + t u) at t = 0, in float64.
+
+    The per-coordinate oracle above runs at desk scale with a fresh cache.
+    This one runs the layouts training uses at paper dimensions: decomp in
+    (P, M, D) memory, the latent-major views, and a ragged batch served from
+    a larger cache into reused gradients; and size-1 dimensions, whose
+    strides differ. Each group gets DIRECTIONS random unit directions u
+    (zero in the other groups); `finite_diff_grad` is the oracle, called on
+    t -> L(theta + t u). h and the tolerance were fixed before the first run.
+    """
+
+    H = 1e-5
+    TOL = 1e-4
+    DIRECTIONS = 4
+
+    @staticmethod
+    def setup_case(seed, cfg=None):
+        cfg = cfg or HeadConfig()
+        params = init_model_params(cfg, SplitMix64(seed))
+        rng = SplitMix64(seed + 1)
+        centers = Centers(
+            LatentCenters(rng.uniform(0.0, 1.0, (cfg.n_latents, cfg.latent_dim))),
+            ClassCenters(rng.uniform(0.0, cfg.latent_dim / 2.0, (cfg.n_classes, cfg.n_latents))),
+        )
+        spec = datasets.make_synth_spec(
+            n_classes=cfg.n_classes, n_actions=min(9, cfg.input_dim),
+            feature_dim=cfg.input_dim, samples_per_class=16,
+            seed=seed, structure_seed=seed,
+        )
+        data = datasets.generate(spec)
+        order = np.random.default_rng(seed).permutation(len(data))
+        return cfg, params, centers, data.features[order], data.labels[order]
+
+    def derivative_pairs(self, params, grads, X, labels, centers, cfg, seed):
+        """{group: (g.u, finite-difference derivative) per direction}."""
+        rng = np.random.default_rng(seed)
+
+        def loss(p):
+            return compute_losses(forward(X, p, cfg), labels, centers, cfg).total
+
+        pairs = {}
+        for name, g in grads.items():
+            pairs[name] = []
+            for _ in range(self.DIRECTIONS):
+                u = rng.normal(size=g.shape)
+                u /= np.linalg.norm(u)
+
+                def along(t, name=name, u=u):
+                    moved = params.copy()
+                    getattr(moved, name)[...] += t[0] * u
+                    return loss(moved)
+
+                fd = finite_diff_grad(along, np.zeros(1), self.H)[0]
+                pairs[name].append((float(np.sum(g * u)), float(fd)))
+        return pairs
+
+    @staticmethod
+    def worst_error(pairs, sign=1.0):
+        return max(
+            abs(sign * a - f) / max(abs(a), abs(f), 1e-12) for a, f in pairs
+        )
+
+    def check(self, pairs):
+        for name, group_pairs in pairs.items():
+            assert self.worst_error(group_pairs) < self.TOL, (name, group_pairs)
+            # a flipped gradient sign, as gradcheck --inject-sign-bug makes it,
+            # fails unless the loss does not depend on the group (message at
+            # M = 1, which has no pairs to relate)
+            if any(a != 0.0 or f != 0.0 for a, f in group_pairs):
+                assert self.worst_error(group_pairs, sign=-1.0) > self.TOL, name
+
+    def test_batch_of_64_with_centers_off_zero(self):
+        cfg, params, centers, X, labels = self.setup_case(71)
+        X, labels = X[:64], labels[:64]
+        grads, _ = backward(forward(X, params, cfg), labels, params, centers, cfg)
+        self.check(self.derivative_pairs(params, grads, X, labels, centers, cfg, 72))
+
+    def test_ragged_batch_through_a_larger_cache_and_reused_gradients(self):
+        cfg, params, centers, X, labels = self.setup_case(73)
+        cache = forward(X[:64], params, cfg)
+        first, _ = backward(cache, labels[:64], params, centers, cfg)
+        X37, labels37 = X[64 : 64 + 37], labels[64 : 64 + 37]
+        ragged = forward(X37, params, cfg, out=cache)
+        assert np.shares_memory(ragged.latents, cache.latents)
+        grads, _ = backward(ragged, labels37, params, centers, cfg, out=first)
+        assert grads is first
+        self.check(self.derivative_pairs(params, grads, X37, labels37, centers, cfg, 74))
+
+    @pytest.mark.parametrize(
+        "dims", [{"n_latents": 1}, {"latent_dim": 1}, {"input_dim": 1}],
+        ids=["M-1", "D-1", "P-1"],
+    )
+    def test_size_one_dims(self, dims):
+        cfg = HeadConfig(**dims)
+        cfg, params, centers, X, labels = self.setup_case(75, cfg)
+        X, labels = X[:64], labels[:64]
+        grads, _ = backward(forward(X, params, cfg), labels, params, centers, cfg)
+        self.check(self.derivative_pairs(params, grads, X, labels, centers, cfg, 76))
