@@ -255,7 +255,8 @@ def _load_model(args: argparse.Namespace):
 
     Only the checkpoint's header and parameter groups are read; the config
     is the checkpoint's. The params are narrowed to COMPUTE_DTYPE, as
-    training's are, so `eval` gives the end-of-epoch `evaluate`'s result.
+    training's are, so `eval` gives the end-of-epoch `evaluate`'s result; a
+    version-3 checkpoint's are in it already and are kept without a copy.
     """
     head_cfg, params = load_params(args.checkpoint_path)
     params = params.astype(COMPUTE_DTYPE)

@@ -95,7 +95,7 @@ class ParamGroups:
     copied into it. decomp lives in (P, M, D) memory, so `decomp_matrix()`
     is a (P, M*D) view and forward and backward run the decomposition as one
     GEMM each. Its shape stays (M, P, D), so `decomp[j]` is latent j's map,
-    as in the naive reference, and checkpoints keep their (M, P, D) byte
+    as in the naive reference; checkpoints store it in its (P, M, D) memory
     order. The other groups are C-contiguous. So two groups of the same shape
     ravel in memory order (`ravel(order="K")`) to views whose entries line
     up, which is how `adam_step` and `raise_if_not_finite` walk them without

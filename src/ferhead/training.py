@@ -11,9 +11,11 @@ among them) do not depend on the order the shuffle drew them in.
 
 Training and evaluation compute in COMPUTE_DTYPE (float32): a TrainerState
 narrows its parameters, Adam moments and centers once when it is built, and
-`forward` narrows each batch of features. Everything stored stays float64:
-datasets, `init_model_params` and the checkpoint file, to which saving widens
-exactly, so a checkpoint narrows back to the bits that were trained.
+`forward` narrows each batch of features. Datasets and `init_model_params`
+stay float64. A checkpoint (version 3) stores the float32 state in its
+memory order, so loading one needs neither a conversion nor a relayout;
+versions 1 and 2 stored float64 and still load, narrowing back to the bits
+that were trained.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -321,34 +323,55 @@ def train_epoch(
 
 
 CHECKPOINT_MAGIC = b"FDRM"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+# Per version: the header's layout after the magic and version, and the
+# arrays' element type. Versions 1 and 2 stored float64, and decomp in the C
+# order of its (M, P, D) shape.
+_VERSIONS = {1: ("<4I", "<f8"), 2: ("<4I5d", "<f8"), CHECKPOINT_VERSION: ("<4I5d", "<f4")}
+# The saved arrays in file order, named as in a TrainerState.
+_CHECKPOINT_NAMES = (
+    *(f"params.{f.name}" for f in fields(ParamGroups)),
+    "centers.latent",
+    "centers.by_class",
+    *(f"adam.{moment}.{f.name}" for moment in ("first", "second") for f in fields(ParamGroups)),
+)
 
 
 def save_checkpoint(path: str, state: TrainerState, cfg: HeadConfig) -> None:
-    """Binary little-endian checkpoint.
+    """Binary little-endian checkpoint, version 3.
 
     Layout: magic 'FDRM', u32 version, u32 P/D/M/K, the five float64 model
     settings in HeadConfig field order (lambda_compact, lambda_balance,
-    lambda_distribution, mix_ratio, center_rate), then float64 arrays in
+    lambda_distribution, mix_ratio, center_rate), then float32 arrays in
     fixed order (decomp, gate, message, classifier weights; latent centers;
     class centers; Adam first then second moments in the same group order),
-    then u64 step count and u64 RNG state. float32 arrays are widened to
-    float64, which is exact.
+    then u64 step count and u64 RNG state: 64 + 4 n + 16 bytes for n floats.
+    Each array is stored in the order of its memory in ParamGroups' layout:
+    decomp and its two moments in (P, M, D) order, every other array in the
+    C order of its shape. So a trained state is written without a copy, and
+    `load_params` reads it without a conversion or a relayout.
+
+    Every array must be float32, as training keeps them; any other dtype
+    raises ContractViolation naming the array, so nothing is rounded
+    silently.
 
     The bytes go to `path + ".tmp"` in the same directory, which then
-    replaces `path` in one `os.replace`; a save that fails part-way removes
-    the temp file and leaves any earlier checkpoint at `path` as it was.
+    replaces `path` in one `os.replace`; a save that fails part-way, a
+    refused dtype included, removes the temp file and leaves any earlier
+    checkpoint at `path` as it was.
     """
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<5I5d", CHECKPOINT_VERSION, *astuple(cfg)))
-            for arr in _checkpoint_arrays(state):
-                arr = np.asarray(arr, dtype="<f8")
-                # a decomp group goes out one (P, D) latent slab at a time
-                for part in [arr] if arr.flags.c_contiguous else arr:
-                    fh.write(np.ascontiguousarray(part))
+            for name, arr in zip(_CHECKPOINT_NAMES, _checkpoint_arrays(state), strict=True):
+                arr = np.asarray(arr)
+                if arr.dtype != np.float32:
+                    raise ContractViolation(
+                        f"{path}: cannot save {name} as {arr.dtype}; checkpoints hold float32"
+                    )
+                fh.write(np.asarray(arr, dtype="<f4").ravel())
             fh.write(struct.pack("<QQ", state.adam.step_count, state.rng.state))
         os.replace(tmp, path)
     except BaseException:
@@ -362,19 +385,21 @@ def _group_shapes(cfg: HeadConfig) -> list[tuple[int, ...]]:
     return [(M, P, D), (M, D, D), (M, D, D), (D, K)]
 
 
-def _read_header(fh, path: str) -> HeadConfig:
-    """Read and check an open checkpoint's header and size; return its HeadConfig.
+def _read_header(fh, path: str) -> tuple[HeadConfig, np.dtype]:
+    """Read and check an open checkpoint's header and size.
 
-    Version 1 stored only P, D, M, K: its settings are defaults, with a
-    warning. The whole file's size is then checked against the one the
-    header implies, before any array is read, so a truncated or overlong
-    file is rejected whichever arrays the caller goes on to read.
+    Returns the HeadConfig and the element type of the arrays: little-endian
+    float32 for version 3, float64 for versions 1 and 2. Version 1 stored
+    only P, D, M, K: its settings are defaults, with a warning. The whole
+    file's size is then checked against the one the header implies, before
+    any array is read, so a truncated or overlong file is rejected whichever
+    arrays the caller goes on to read.
     """
     head = fh.read(8)
     if head[:4] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: bad magic {head[:4]!r}")
     version = int.from_bytes(head[4:], "little")
-    layout = {1: "<4I", CHECKPOINT_VERSION: "<4I5d"}.get(version, "")
+    layout, fmt = _VERSIONS.get(version, ("", None))
     body = fh.read(struct.calcsize(layout))
     if len(head) < 8 or len(body) < struct.calcsize(layout):
         raise DataFormatError(f"{path}: truncated header")
@@ -389,24 +414,30 @@ def _read_header(fh, path: str) -> HeadConfig:
     except ContractViolation as err:
         raise DataFormatError(f"{path}: {err}") from None
 
+    fmt = np.dtype(fmt)
     D, M, K = cfg.latent_dim, cfg.n_latents, cfg.n_classes
     n_floats = 3 * sum(map(math.prod, _group_shapes(cfg))) + M * D + K * M
-    expected = fh.tell() + 8 * n_floats + 16
+    expected = fh.tell() + fmt.itemsize * n_floats + 16
     size = os.fstat(fh.fileno()).st_size
     if size != expected:
         short = "truncated: " if size < expected else ""
         raise DataFormatError(f"{path}: {short}expected {expected} bytes, found {size}")
-    return cfg
+    return cfg, fmt
 
 
-def _read_array(fh, shape: tuple[int, ...]) -> np.ndarray:
+def _read_array(fh, shape: tuple[int, ...], fmt: np.dtype) -> np.ndarray:
     # the file is little-endian; astype makes the values native
-    arr = np.fromfile(fh, "<f8", math.prod(shape)).reshape(shape)
-    return arr.astype(np.float64, copy=False)
+    arr = np.fromfile(fh, fmt, math.prod(shape)).reshape(shape)
+    return arr.astype(fmt.newbyteorder("="), copy=False)
 
 
-def _read_groups(fh, cfg: HeadConfig) -> ParamGroups:
-    return ParamGroups(*(_read_array(fh, shape) for shape in _group_shapes(cfg)))
+def _read_groups(fh, cfg: HeadConfig, fmt: np.dtype) -> ParamGroups:
+    (M, P, D), *shapes = _group_shapes(cfg)
+    if fmt.itemsize == 4:  # version 3 stores decomp in its (P, M, D) memory order
+        decomp = _read_array(fh, (P, M, D), fmt).transpose(1, 0, 2)
+    else:
+        decomp = _read_array(fh, (M, P, D), fmt)
+    return ParamGroups(decomp, *(_read_array(fh, shape, fmt) for shape in shapes))
 
 
 def load_params(path: str) -> tuple[HeadConfig, ParamGroups]:
@@ -415,11 +446,13 @@ def load_params(path: str) -> tuple[HeadConfig, ParamGroups]:
     The centers, Adam moments, step count and RNG state that follow the
     groups are training state, which eval and inspect do not need, so they
     are never read. The header and the whole file's size are checked first,
-    as `load_checkpoint` checks them and with the same errors.
+    as `load_checkpoint` checks them and with the same errors. The groups
+    come in the file's element type: float32 from a version-3 file, read
+    straight into ParamGroups' layout, and float64 from versions 1 and 2.
     """
     with open(path, "rb") as fh:
-        cfg = _read_header(fh, path)
-        return cfg, _read_groups(fh, cfg)
+        cfg, fmt = _read_header(fh, path)
+        return cfg, _read_groups(fh, cfg, fmt)
 
 
 def load_checkpoint(path: str, cfg: HeadConfig) -> TrainerState:
@@ -427,25 +460,27 @@ def load_checkpoint(path: str, cfg: HeadConfig) -> TrainerState:
 
     The header and the file size it implies are checked before any array
     is read, then that `cfg` equals the header's config. Each array is read
-    as float64 in the C order of its logical shape and handed to the
-    constructors that training uses: ParamGroups lays out decomp, and the
-    TrainerState narrows to COMPUTE_DTYPE, which gives back the bits of a
-    state saved by training. eval and inspect need only the parameters: see
-    `load_params`, which returns them in float64.
+    with one `np.fromfile` in the file's element type and order (see
+    `save_checkpoint`) and handed to the constructors that training uses.
+    A version-3 file's arrays are already float32 in ParamGroups' layout,
+    so the TrainerState keeps them as they are; a version-1 or -2 file's
+    float64 arrays are laid out by ParamGroups and narrowed to
+    COMPUTE_DTYPE, which gives back the bits of the state that was saved.
     """
     with open(path, "rb") as fh:
-        saved = _read_header(fh, path)
+        saved, fmt = _read_header(fh, path)
         if saved != cfg:
             raise DataFormatError(
                 f"{path}: checkpoint dimensions and settings {saved} "
                 f"do not match configuration {cfg}"
             )
         D, M, K = cfg.latent_dim, cfg.n_latents, cfg.n_classes
-        params = _read_groups(fh, cfg)
+        params = _read_groups(fh, cfg, fmt)
         centers = Centers(
-            LatentCenters(_read_array(fh, (M, D))), ClassCenters(_read_array(fh, (K, M)))
+            LatentCenters(_read_array(fh, (M, D), fmt)),
+            ClassCenters(_read_array(fh, (K, M), fmt)),
         )
-        first, second = _read_groups(fh, cfg), _read_groups(fh, cfg)
+        first, second = _read_groups(fh, cfg, fmt), _read_groups(fh, cfg, fmt)
         step_count, rng_state = struct.unpack("<QQ", fh.read(16))
     return TrainerState(
         params, centers, AdamState(first, second, step_count), SplitMix64(rng_state)
@@ -453,9 +488,15 @@ def load_checkpoint(path: str, cfg: HeadConfig) -> TrainerState:
 
 
 def _checkpoint_arrays(state: TrainerState) -> list[np.ndarray]:
-    arrays = [arr for _, arr in state.params.items()]
-    arrays.append(state.centers.latent.centers)
-    arrays.append(state.centers.by_class.centers)
-    arrays.extend(arr for _, arr in state.adam.first.items())
-    arrays.extend(arr for _, arr in state.adam.second.items())
-    return arrays
+    """The saved arrays in file order, each shaped so that the file holds its C order.
+
+    A decomp group is given as its (P, M*D) `decomp_matrix()`, the order of
+    its memory, so every array of a state in ParamGroups' layout ravels to a
+    view, and one that is not in it still goes out in the file's order.
+    """
+    params, first, second = (
+        [groups.decomp_matrix(), groups.gate, groups.message, groups.classifier]
+        for groups in (state.params, state.adam.first, state.adam.second)
+    )
+    return [*params, state.centers.latent.centers, state.centers.by_class.centers,
+            *first, *second]

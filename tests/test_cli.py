@@ -6,10 +6,11 @@ import struct
 import numpy as np
 import pytest
 
+from float64_checkpoint import write_float64_checkpoint
 from ferhead import datasets, verification
 from ferhead.cli import RunConfig, load_run_config, main, pca_project, write_csv
 from ferhead.head import HeadConfig
-from ferhead.training import Schedule
+from ferhead.training import Schedule, load_checkpoint, load_params
 
 
 @pytest.fixture
@@ -290,6 +291,23 @@ class TestEvalCommand:
         total = sum(int(r.split(",")[1]) for r in rows)
         correct = sum(int(r.split(",")[2]) for r in rows)
         assert correct / total == pytest.approx(final_acc, abs=1e-12)
+
+    def test_version_2_and_3_files_of_one_model_write_the_same_reports(self, toy_env):
+        tmp_path, config = toy_env
+        v3, v2 = tmp_path / "v3.ckpt", tmp_path / "v2.ckpt"
+        assert main(["train", "--config", str(config), "--checkpoint", str(v3)]) == 0
+        cfg = load_params(str(v3))[0]
+        write_float64_checkpoint(v2, load_checkpoint(str(v3), cfg), cfg, version=2)
+        train_path = load_run_config(str(config)).train_path
+        reports = {}
+        for ckpt in (v2, v3):
+            out, weights = tmp_path / f"{ckpt.stem}-eval.csv", tmp_path / f"{ckpt.stem}-w.csv"
+            assert main(["eval", "--checkpoint-path", str(ckpt), "--data", train_path,
+                         "--out", str(out)]) == 0
+            assert main(["inspect", "--checkpoint-path", str(ckpt), "--data", train_path,
+                         "--weights-csv", str(weights)]) == 0
+            reports[ckpt.stem] = (out.read_bytes(), weights.read_bytes())
+        assert reports["v2"] == reports["v3"]
 
     def test_corrupted_checkpoint_is_format_error(self, toy_env):
         tmp_path, config = toy_env

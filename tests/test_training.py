@@ -2,13 +2,14 @@
 
 import hashlib
 import math
-import struct
 import tracemalloc
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
+from float64_checkpoint import saved_arrays, write_float64_checkpoint
 from ferhead import head, training
 from ferhead.datasets import FeatureDataset
 from ferhead.errors import ContractViolation, DataFormatError, TrainingError
@@ -651,7 +652,7 @@ class TestCheckpoints:
             load_checkpoint(str(path), cfg)
 
     def test_paper_dims_roundtrip_keeps_layout_and_bytes(self, tmp_path):
-        """decomp and its moments load into (P, M, D) memory; bytes are unchanged."""
+        """decomp and its moments load into (P, M, D) memory; the file is that memory."""
         cfg = HeadConfig()
         state = fresh_state(cfg, seed=13)
         rng = np.random.default_rng(13)
@@ -664,12 +665,15 @@ class TestCheckpoints:
         assert params_digest(loaded) == params_digest(state)
         for group in (loaded.params, loaded.adam.first, loaded.adam.second):
             assert group.decomp.strides == state.params.decomp.strides
-        # the file holds every array in the C order of its logical shape
+        # the file holds every array as float32 in its memory order
+        arrays = saved_arrays(state)
         blob, offset = path.read_bytes(), 64
-        for arr in training._checkpoint_arrays(state):
-            on_disk = np.frombuffer(blob, "<f8", arr.size, offset)
-            assert np.array_equal(on_disk, arr.ravel())
-            offset += on_disk.nbytes  # float64 on disk, whatever arr's dtype
+        for arr in arrays:
+            on_disk = np.frombuffer(blob, "<f4", arr.size, offset)
+            assert on_disk.tobytes() == arr.ravel(order="K").tobytes()
+            offset += on_disk.nbytes
+        n_floats = sum(arr.size for arr in arrays)
+        assert len(blob) == offset + 16 == 64 + 4 * n_floats + 16
 
     def test_failed_save_leaves_previous_checkpoint(self, tmp_path, monkeypatch):
         cfg = tiny_cfg()
@@ -695,6 +699,46 @@ class TestCheckpoints:
         assert path.read_bytes() == before
         assert not tmp.exists()
 
+    def test_float64_array_is_refused_and_previous_checkpoint_kept(self, tmp_path):
+        """A group reassigned float64 after the state was built is not rounded silently."""
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), fresh_state(cfg, seed=18), cfg)
+        before = path.read_bytes()
+        state = fresh_state(cfg, seed=19)
+        state.params.decomp = state.params.decomp.astype(np.float64)
+        with pytest.raises(ContractViolation, match="params.decomp as float64"):
+            save_checkpoint(str(path), state, cfg)
+        assert path.read_bytes() == before
+        assert not (tmp_path / "model.ckpt.tmp").exists()
+
+    def test_versions_1_2_and_3_load_to_the_same_float32_bits(self, tmp_path):
+        cfg = HeadConfig(input_dim=6, latent_dim=4, n_latents=2, n_classes=3)
+        state = fresh_state(cfg, seed=20)
+        sched = Schedule(base_lr=1e-3, decay_epochs=(), total_epochs=1, batch_size=6)
+        train_epoch(state, tiny_dataset(per_class=4, cfg=cfg), cfg, sched, 0)
+        paths = [tmp_path / f"v{version}.ckpt" for version in (1, 2, 3)]
+        write_float64_checkpoint(paths[0], state, cfg, version=1)
+        write_float64_checkpoint(paths[1], state, cfg, version=2)
+        save_checkpoint(str(paths[2]), state, cfg)
+        with pytest.warns(UserWarning, match="v1.ckpt.*defaults"):
+            loaded = [load_checkpoint(str(paths[0]), cfg)]
+        loaded += [load_checkpoint(str(p), cfg) for p in paths[1:]]
+        for got in loaded:
+            for groups in ("params", "adam.first", "adam.second"):
+                for (name, arr), (_, want) in zip(
+                    attrgetter(groups)(got).items(), attrgetter(groups)(state).items()
+                ):
+                    assert arr.dtype == np.float32, (groups, name)
+                    assert arr.tobytes(order="A") == want.tobytes(order="A"), (groups, name)
+                    assert arr.strides == want.strides, (groups, name)
+            for bank in ("latent", "by_class"):
+                arr = getattr(got.centers, bank).centers
+                assert arr.dtype == np.float32, bank
+                assert arr.tobytes() == getattr(state.centers, bank).centers.tobytes(), bank
+            assert got.adam.step_count == state.adam.step_count > 0
+            assert got.rng.state == state.rng.state
+
     def test_peek_dims(self, tmp_path):
         cfg = replace(tiny_cfg(), mix_ratio=0.25, center_rate=0.75)
         path = tmp_path / "model.ckpt"
@@ -709,13 +753,12 @@ class TestCheckpoints:
             load_checkpoint(str(path), replace(cfg, mix_ratio=0.0))
 
     def test_version_1_loads_with_default_settings_and_warns(self, tmp_path):
-        """A v1 file (24-byte header, same arrays) loads; its settings are defaults."""
+        """A v1 file (24-byte header, v2's arrays) loads; its settings are defaults."""
         cfg = tiny_cfg()
         state = fresh_state(cfg, seed=14)
         v2, v1 = tmp_path / "v2.ckpt", tmp_path / "v1.ckpt"
-        save_checkpoint(str(v2), state, cfg)
-        header = b"FDRM" + struct.pack("<5I", 1, 6, 4, 2, 3)
-        v1.write_bytes(header + v2.read_bytes()[64:])
+        write_float64_checkpoint(v2, state, cfg, version=2)
+        write_float64_checkpoint(v1, state, cfg, version=1)
         defaults = HeadConfig(input_dim=6, latent_dim=4, n_latents=2, n_classes=3)
         with pytest.warns(UserWarning, match="v1.ckpt.*defaults"):
             assert load_params(str(v1))[0] == defaults
@@ -770,8 +813,9 @@ class TestLoadParams:
     def test_version_1_loads_with_warning(self, tmp_path):
         cfg = tiny_cfg()
         v2, v1 = tmp_path / "v2.ckpt", tmp_path / "v1.ckpt"
-        save_checkpoint(str(v2), fresh_state(cfg, seed=16), cfg)
-        v1.write_bytes(b"FDRM" + struct.pack("<5I", 1, 6, 4, 2, 3) + v2.read_bytes()[64:])
+        state = fresh_state(cfg, seed=16)
+        write_float64_checkpoint(v2, state, cfg, version=2)
+        write_float64_checkpoint(v1, state, cfg, version=1)
         with pytest.warns(UserWarning, match="v1.ckpt.*defaults"):
             got_cfg, params = load_params(str(v1))
         assert got_cfg == HeadConfig(input_dim=6, latent_dim=4, n_latents=2, n_classes=3)
@@ -779,7 +823,7 @@ class TestLoadParams:
             assert np.array_equal(got, want), name
 
     def test_paper_dims_peak_memory_skips_training_state(self, tmp_path):
-        """The parameters alone: 11.3 MiB traced, against 24.8 for load_checkpoint."""
+        """The float32 parameters alone: 3.4 MiB traced, against 10.2 for load_checkpoint."""
         cfg = HeadConfig()
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), fresh_state(cfg, seed=17), cfg)
@@ -789,4 +833,4 @@ class TestLoadParams:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 15 * 2**20, peak
+        assert peak < 5 * 2**20, peak
