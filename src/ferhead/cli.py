@@ -440,73 +440,103 @@ def _add_config_overrides(parser: argparse.ArgumentParser) -> None:
         )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ferhead",
-        description="Expression-head training, evaluation, and verification",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _train_arguments(p: argparse.ArgumentParser) -> None:
+    _add_config_overrides(p)
+    p.set_defaults(func=cmd_train)
 
-    p_train = sub.add_parser("train", help="train on a feature dataset")
-    _add_config_overrides(p_train)
-    p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    p_eval.add_argument("--checkpoint-path", required=True)
-    p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--out", help="write the evaluation report CSV here")
-    p_eval.set_defaults(func=cmd_eval)
+def _eval_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--checkpoint-path", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", help="write the evaluation report CSV here")
+    p.set_defaults(func=cmd_eval)
 
-    p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p_grad.add_argument("--instances", type=int, default=20)
-    p_grad.add_argument("--tolerance", type=float, default=1e-4)
-    p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument(
+
+def _gradcheck_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--instances", type=int, default=20)
+    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
         "--inject-sign-bug",
         choices=("decomp", "gate", "message", "classifier"),
         default=None,
         help=argparse.SUPPRESS,
     )
-    p_grad.set_defaults(func=cmd_gradcheck)
+    p.set_defaults(func=cmd_gradcheck)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic feature dataset")
-    p_synth.add_argument("--classes", type=int, default=7)
-    p_synth.add_argument("--actions", type=int, default=9)
-    p_synth.add_argument("--dim", type=int, default=512)
-    p_synth.add_argument("--noise", type=float, default=0.05)
-    p_synth.add_argument("--per-class", type=int, default=300)
-    p_synth.add_argument("--seed", type=int, default=0, help="per-sample draw seed")
-    p_synth.add_argument(
+
+def _synth_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--classes", type=int, default=7)
+    p.add_argument("--actions", type=int, default=9)
+    p.add_argument("--dim", type=int, default=512)
+    p.add_argument("--noise", type=float, default=0.05)
+    p.add_argument("--per-class", type=int, default=300)
+    p.add_argument("--seed", type=int, default=0, help="per-sample draw seed")
+    p.add_argument(
         "--structure-seed",
         type=int,
         default=0,
         help="action-direction/class-profile seed (share across train/test)",
     )
-    p_synth.add_argument("--out-csv")
-    p_synth.add_argument("--out-bin")
-    p_synth.set_defaults(func=cmd_synth)
+    p.add_argument("--out-csv")
+    p.add_argument("--out-bin")
+    p.set_defaults(func=cmd_synth)
 
-    p_inspect = sub.add_parser("inspect", help="export model analyses as CSV")
-    p_inspect.add_argument("--checkpoint-path", required=True)
-    p_inspect.add_argument("--data", required=True)
-    p_inspect.add_argument("--weights-csv", help="per-class mean intra-weight vectors")
-    p_inspect.add_argument("--pca-csv", help="2-D projection of expression features")
-    p_inspect.add_argument("--relations-csv", help="per-sample relation weight dump")
-    p_inspect.set_defaults(func=cmd_inspect)
 
-    p_sweep = sub.add_parser("sweep", help="train once per value of one parameter")
-    _add_config_overrides(p_sweep)
-    p_sweep.add_argument("--param", required=True, choices=SWEEPABLE)
-    p_sweep.add_argument("--values", required=True, help="comma-separated value list")
-    p_sweep.add_argument("--summary", required=True, help="summary CSV path")
-    p_sweep.set_defaults(func=cmd_sweep)
+def _inspect_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--checkpoint-path", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--weights-csv", help="per-class mean intra-weight vectors")
+    p.add_argument("--pca-csv", help="2-D projection of expression features")
+    p.add_argument("--relations-csv", help="per-sample relation weight dump")
+    p.set_defaults(func=cmd_inspect)
 
+
+def _sweep_arguments(p: argparse.ArgumentParser) -> None:
+    _add_config_overrides(p)
+    p.add_argument("--param", required=True, choices=SWEEPABLE)
+    p.add_argument("--values", required=True, help="comma-separated value list")
+    p.add_argument("--summary", required=True, help="summary CSV path")
+    p.set_defaults(func=cmd_sweep)
+
+
+# name -> (help line, function that adds the subcommand's arguments)
+COMMANDS = {
+    "train": ("train on a feature dataset", _train_arguments),
+    "eval": ("evaluate a checkpoint on a dataset", _eval_arguments),
+    "gradcheck": ("finite-difference gradient check", _gradcheck_arguments),
+    "synth": ("generate a synthetic feature dataset", _synth_arguments),
+    "inspect": ("export model analyses as CSV", _inspect_arguments),
+    "sweep": ("train once per value of one parameter", _sweep_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ferhead parser, or, given a command name, one for that command alone.
+
+    Each subparser costs about as much as its arguments do, and a process
+    runs one command, so `main` builds only the one `argv[0]` names and
+    falls back to the full parser for help, a missing command and an unknown
+    one. The one-command parser's usage still names every command, so its
+    unrecognized-argument errors read as the full parser's do.
+    """
+    parser = argparse.ArgumentParser(
+        prog="ferhead",
+        description="Expression-head training, evaluation, and verification",
+    )
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ContractViolation, DataFormatError, TrainingError, OracleError, OSError) as err:

@@ -8,11 +8,13 @@ features are post-ReLU.
 
 On-disk formats: CSV stores float64 at full precision (17 significant
 digits); the binary table stores float32 (features are classification
-inputs, f32 is plenty) and promotes back to float64 on load.
+inputs, f32 is plenty) and loads as float32, the dtype training and
+evaluation compute in, so its rows reach `head.forward` unconverted.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -43,12 +45,14 @@ def default_class_names(n_classes: int) -> tuple[str, ...]:
 class FeatureDataset:
     """N basic features with class labels."""
 
-    features: np.ndarray  # (N, P) float64
+    features: np.ndarray  # (N, P) float32 as given (a binary table), else float64
     labels: np.ndarray    # (N,) int64 in [0, K)
     class_names: tuple[str, ...] = EXPRESSION_CLASSES
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = np.asarray(self.features)
+        if self.features.dtype != np.float32:
+            self.features = self.features.astype(np.float64, copy=False)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.labels.ndim != 1:
             raise ContractViolation(
@@ -277,29 +281,28 @@ def save_bin(path: str, data: FeatureDataset) -> None:
 
 
 def load_bin(path: str, class_names: tuple[str, ...] | None = None) -> FeatureDataset:
-    """Read the binary table, promoting features f32 -> f64."""
+    """Read the binary table; features stay float32, as stored.
+
+    The header and the file size are checked before any row is read, and
+    the rows are read straight into the returned array.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != TABLE_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 20:
-        raise DataFormatError(f"{path}: truncated header")
-    version, n, p, k = struct.unpack_from("<4I", blob, 4)
-    if version != TABLE_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    expected = 20 + n * p * 4 + n * 4
-    if len(blob) != expected:
-        raise DataFormatError(
-            f"{path}: expected {expected} bytes for N={n} P={p}, found {len(blob)}"
-        )
-    features = (
-        np.frombuffer(blob, dtype="<f4", count=n * p, offset=20)
-        .astype(np.float64)
-        .reshape(n, p)
-    )
-    labels = np.frombuffer(blob, dtype="<u4", count=n, offset=20 + n * p * 4).astype(
-        np.int64
-    )
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(20)
+        if header[:4] != TABLE_MAGIC:
+            raise DataFormatError(f"{path}: bad magic {header[:4]!r}")
+        if len(header) < 20:
+            raise DataFormatError(f"{path}: truncated header")
+        version, n, p, k = struct.unpack_from("<4I", header, 4)
+        if version != TABLE_VERSION:
+            raise DataFormatError(f"{path}: unsupported version {version}")
+        expected = 20 + n * p * 4 + n * 4
+        if size != expected:
+            raise DataFormatError(
+                f"{path}: expected {expected} bytes for N={n} P={p}, found {size}"
+            )
+        features = np.fromfile(fh, dtype="<f4", count=n * p).reshape(n, p)
+        labels = np.fromfile(fh, dtype="<u4", count=n).astype(np.int64)
     if class_names is None:
         class_names = default_class_names(k)
     if len(class_names) != k:

@@ -8,9 +8,16 @@ import pytest
 
 from float64_checkpoint import write_float64_checkpoint
 from ferhead import datasets, verification
-from ferhead.cli import RunConfig, load_run_config, main, pca_project, write_csv
+from ferhead.cli import (
+    RunConfig,
+    build_parser,
+    load_run_config,
+    main,
+    pca_project,
+    write_csv,
+)
 from ferhead.head import HeadConfig
-from ferhead.training import Schedule, load_checkpoint, load_params
+from ferhead.training import COMPUTE_DTYPE, Schedule, evaluate, load_checkpoint, load_params
 
 
 @pytest.fixture
@@ -107,6 +114,57 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert key in err and bad in err
         assert not (tmp_path / "sweep.csv").exists()
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train"],
+            ["train", "--config", "run.config", "--epochs", "2", "--base-lr", "0.01",
+             "--decay-epochs", "1", "--mix-ratio", "0.25", "--train-path", "t.csv"],
+            ["eval", "--checkpoint-path", "m.ckpt", "--data", "t.bin"],
+            ["eval", "--checkpoint-path", "m.ckpt", "--data", "t.bin", "--out", "r.csv"],
+            ["gradcheck"],
+            ["gradcheck", "--instances", "3", "--tolerance", "1e-3", "--seed", "4",
+             "--inject-sign-bug", "gate"],
+            ["synth"],
+            ["synth", "--classes", "3", "--dim", "16", "--per-class", "5", "--noise", "0",
+             "--structure-seed", "2", "--out-csv", "a.csv", "--out-bin", "a.bin"],
+            ["inspect", "--checkpoint-path", "m.ckpt", "--data", "t.bin"],
+            ["inspect", "--checkpoint-path", "m.ckpt", "--data", "t.bin", "--weights-csv",
+             "w.csv", "--pca-csv", "p.csv", "--relations-csv", "r.csv"],
+            ["sweep", "--param", "mix_ratio", "--values", "0,0.5", "--summary", "s.csv"],
+            ["sweep", "--config", "run.config", "--lambda-balance", "0", "--threads", "2",
+             "--param", "n_latents", "--values", "1,3", "--summary", "s.csv"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_one_command_parser_parses_as_the_full_one(self, argv):
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["-h"], 0),
+            ([], 2),
+            (["bogus"], 2),
+            (["eval", "-h"], 0),
+            (["eval"], 2),
+            (["eval", "--checkpoint-path", "m.ckpt", "--data", "t.bin", "--bogus"], 2),
+        ],
+        ids=["help", "no-command", "unknown-command", "command-help", "missing-flags",
+             "unknown-flag"],
+    )
+    def test_usage_help_and_errors_read_as_the_full_parser_s(self, argv, code, capsys):
+        with pytest.raises(SystemExit) as via_main:
+            main(argv)
+        printed = capsys.readouterr()
+        with pytest.raises(SystemExit) as via_full:
+            build_parser().parse_args(argv)
+        assert via_main.value.code == via_full.value.code == code
+        assert printed == capsys.readouterr()
+        assert printed.out or printed.err
 
 
 class TestWriteCsv:
@@ -308,6 +366,38 @@ class TestEvalCommand:
                          "--weights-csv", str(weights)]) == 0
             reports[ckpt.stem] = (out.read_bytes(), weights.read_bytes())
         assert reports["v2"] == reports["v3"]
+
+    def test_float32_and_float64_tables_of_one_set_write_the_same_reports(self, toy_env):
+        """A binary table (float32 rows) and a CSV of its values (float64) evaluate alike."""
+        tmp_path, config = toy_env
+        ckpt, table, text = tmp_path / "m.ckpt", tmp_path / "t.bin", tmp_path / "t.csv"
+        assert main(["train", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        assert main(["synth", "--classes", "3", "--actions", "4", "--dim", "24",
+                     "--per-class", "8", "--noise", "0.02", "--seed", "5",
+                     "--structure-seed", "1", "--out-bin", str(table)]) == 0
+        as32 = datasets.load_bin(str(table))
+        datasets.save_csv(str(text), as32)
+        as64 = datasets.load_csv(str(text), as32.class_names)
+        assert (as32.features.dtype, as64.features.dtype) == (np.float32, np.float64)
+        np.testing.assert_array_equal(as32.features, as64.features)
+
+        cfg, params = load_params(str(ckpt))
+        params = params.astype(COMPUTE_DTYPE)
+        r32, r64 = evaluate(params, cfg, as32), evaluate(params, cfg, as64)
+        assert r32.accuracy == r64.accuracy
+        np.testing.assert_array_equal(r32.confusion, r64.confusion)
+        np.testing.assert_array_equal(r32.per_class_accuracy, r64.per_class_accuracy)
+
+        reports = {}
+        for data in (table, text):
+            out, weights, pca = (tmp_path / f"{data.suffix[1:]}-{kind}.csv"
+                                 for kind in ("eval", "w", "pca"))
+            assert main(["eval", "--checkpoint-path", str(ckpt), "--data", str(data),
+                         "--out", str(out)]) == 0
+            assert main(["inspect", "--checkpoint-path", str(ckpt), "--data", str(data),
+                         "--weights-csv", str(weights), "--pca-csv", str(pca)]) == 0
+            reports[data.suffix] = (out.read_bytes(), weights.read_bytes(), pca.read_bytes())
+        assert reports[".bin"] == reports[".csv"]
 
     def test_corrupted_checkpoint_is_format_error(self, toy_env):
         tmp_path, config = toy_env

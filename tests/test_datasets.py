@@ -1,5 +1,8 @@
 """Synthetic generator and CSV/binary round-trip tests."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -191,6 +194,67 @@ class TestBinaryRoundTrip:
         path.write_bytes(b"FDRL" + struct.pack("<4I", 9, 0, 0, 0))
         with pytest.raises(DataFormatError, match="version"):
             load_bin(str(path))
+
+
+class TestBinaryLoad:
+    def test_rows_are_the_stored_float32_values(self, tmp_path):
+        data = generate(small_spec())
+        path = tmp_path / "data.bin"
+        save_bin(str(path), data)
+        loaded = load_bin(str(path), data.class_names)
+        n, p = data.features.shape
+        stored = np.frombuffer(path.read_bytes(), dtype="<f4", count=n * p, offset=20)
+        assert loaded.features.dtype == np.float32
+        assert loaded.features.shape == (n, p)
+        assert loaded.features.flags.c_contiguous
+        assert loaded.features.astype("<f4").tobytes() == stored.tobytes()
+
+    def test_loading_peaks_at_the_returned_arrays(self, tmp_path):
+        """No whole-file bytes object and no widened copy: peak <= 1.1x the result."""
+        rng = np.random.default_rng(0)
+        data = FeatureDataset(
+            rng.random((7000, 512), dtype=np.float32),
+            rng.integers(0, len(EXPRESSION_CLASSES), 7000),
+            EXPRESSION_CLASSES,
+        )
+        path = tmp_path / "large.bin"
+        save_bin(str(path), data)
+        tracemalloc.start()
+        try:
+            loaded = load_bin(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = loaded.features.nbytes + loaded.labels.nbytes
+        assert peak <= 1.1 * returned, f"peak {peak} bytes for {returned} returned"
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda blob: blob[:-5], "expected 800 bytes for N=15 P=12, found 795"),
+            (lambda blob: blob + b"\0", "expected 800 bytes for N=15 P=12, found 801"),
+            (lambda blob: b"WHAT" + blob[4:], "bad magic b'WHAT'"),
+            (lambda blob: blob[:10], "truncated header"),
+            (lambda blob: blob[:4] + struct.pack("<I", 9) + blob[8:], "unsupported version 9"),
+        ],
+        ids=["truncated", "overlong", "bad-magic", "short-header", "bad-version"],
+    )
+    def test_damaged_file_messages(self, tmp_path, damage, message):
+        path = tmp_path / "data.bin"
+        save_bin(str(path), generate(small_spec()))  # 15 rows of 12 features
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(DataFormatError) as err:
+            load_bin(str(path))
+        assert str(err.value) == f"{path}: {message}"
+
+
+class TestFeatureDatasetDtype:
+    def test_float32_kept_anything_else_float64(self):
+        labels = np.zeros(2, dtype=int)
+        as32 = np.ones((2, 3), dtype=np.float32)
+        assert FeatureDataset(as32, labels, ("a",)).features is as32
+        for given in (np.ones((2, 3), dtype=np.float16), np.ones((2, 3), dtype=int), [[1.0] * 3] * 2):
+            assert FeatureDataset(given, labels, ("a",)).features.dtype == np.float64
 
 
 class TestFeatureDatasetValidation:

@@ -11,6 +11,7 @@ import pytest
 from naive_reference import naive_head_forward, naive_losses
 from stage_forward import stage_forward
 
+from ferhead.datasets import generate, load_bin, make_synth_spec, save_bin
 from ferhead.errors import ContractViolation, TrainingError
 from ferhead.head import (
     Centers,
@@ -75,6 +76,26 @@ class TestForwardAgainstNaiveOracle:
                 np.testing.assert_allclose(
                     cache.logits[i], ref["logits"], rtol=1e-10, atol=1e-12
                 )
+
+    def test_float64_params_on_a_float32_table(self, tmp_path):
+        """Rows loaded as stored (float32) meet the oracle as the benchmark's check does."""
+        cfg = small_cfg()
+        table = tmp_path / "rows.bin"
+        spec = make_synth_spec(
+            n_classes=cfg.n_classes, n_actions=4, feature_dim=cfg.input_dim, samples_per_class=3
+        )
+        save_bin(str(table), generate(spec))
+        data = load_bin(str(table))
+        assert data.features.dtype == np.float32
+        params = init_model_params(cfg, SplitMix64(0))
+        assert params.dtype == np.float64
+        cache = forward(data.features, params, cfg)
+        for i, row in enumerate(data.features):
+            ref = naive_head_forward(
+                row.tolist(), params.decomp.tolist(), params.gate.tolist(),
+                params.message.tolist(), params.classifier.tolist(), cfg.mix_ratio,
+            )
+            np.testing.assert_allclose(cache.logits[i], ref["logits"], rtol=1e-9, atol=1e-9)
 
     def test_losses_match_naive(self):
         cfg, params, X, labels = random_instance(7, batch=6)
