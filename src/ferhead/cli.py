@@ -2,18 +2,21 @@
 
 Run configuration for train and sweep is a flat key=value file (diff-able
 experiment ledger) with CLI flags taking precedence; unknown keys are
-rejected. The FERHEAD_CONFIG environment variable supplies a default config
+rejected. Its keys are HeadConfig's fields, then the schedule's and the
+run's own. The FERHEAD_CONFIG environment variable supplies a default config
 path and nothing else. eval and inspect take their model config from the
-checkpoint header alone. Every command is deterministic given --seed:
-training runs one batched forward and backward per step, and repeated runs on
-the same machine with the same BLAS thread count give identical bytes.
---threads (the `threads` key) is accepted so that older configuration files
-still load, and has no effect.
+checkpoint header alone. Every set a command reads must fit the model's
+class count and input dimension (`load_dataset`). Every command is
+deterministic given --seed: training runs one batched forward and backward
+per step, and repeated runs on the same machine with the same BLAS thread
+count give identical bytes. --threads (the `threads` key) is accepted so
+that older configuration files still load, and has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -41,23 +44,15 @@ CONFIG_ENV_VAR = "FERHEAD_CONFIG"
 
 
 @dataclass
-class RunConfig:
-    """Every knob of a run; serializes to/from flat key=value text."""
+class RunConfig(HeadConfig):
+    """Every knob of a run: HeadConfig's fields first, then the schedule
+    (Schedule's defaults) and the run's own; serializes to key=value text."""
 
-    input_dim: int = 512
-    latent_dim: int = 128
-    n_latents: int = 9
-    n_classes: int = 7
-    lambda_compact: float = 1e-4
-    lambda_balance: float = 1.0
-    lambda_distribution: float = 1e-4
-    mix_ratio: float = 0.5
-    center_rate: float = 0.5
-    base_lr: float = 1e-4
-    decay_epochs: str = "10,18,25,32"
-    decay_factor: float = 0.1
-    epochs: int = 40
-    batch_size: int = 64
+    base_lr: float = Schedule.base_lr
+    decay_epochs: str = ",".join(map(str, Schedule.decay_epochs))
+    decay_factor: float = Schedule.factor
+    epochs: int = Schedule.total_epochs
+    batch_size: int = Schedule.batch_size
     seed: int = 0
     threads: int = 1  # no effect; kept so configuration files that set it still load
     train_path: str = ""
@@ -94,10 +89,11 @@ class RunConfig:
                 fh.write(f"{f.name}={getattr(self, f.name)!r}\n")
 
 
-def load_run_config(path: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse key=value lines; blank lines and # comments allowed."""
-    cfg = base or RunConfig()
-    known = {f.name: f.type for f in fields(RunConfig)}
+def load_run_config(path: str) -> RunConfig:
+    """Parse key=value lines; blank lines and # comments allowed. A quoted
+    string value is read as the Python literal `dump` writes, any other as is."""
+    cfg = RunConfig()
+    known = {f.name for f in fields(RunConfig)}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -116,19 +112,21 @@ def load_run_config(path: str, base: RunConfig | None = None) -> RunConfig:
                     parsed = int(value)
                 elif isinstance(current, float):
                     parsed = float(value)
+                elif len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
+                    parsed = ast.literal_eval(value)
+                    if not isinstance(parsed, str):
+                        raise ValueError(f"{value} is not a string")
                 else:
-                    parsed = value.strip("'\"")
-            except ValueError as err:
+                    parsed = value
+            except (ValueError, SyntaxError) as err:
                 raise DataFormatError(f"{path}:{lineno}: {err}") from None
             setattr(cfg, key, parsed)
     return cfg
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    if config_path:
-        cfg = load_run_config(config_path, cfg)
+    cfg = load_run_config(config_path) if config_path else RunConfig()
     for f in fields(RunConfig):
         override = getattr(args, f.name, None)
         if override is not None:
@@ -136,18 +134,24 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def load_dataset(path: str, n_classes: int) -> datasets.FeatureDataset:
-    """Load CSV or binary table, sniffing the binary magic."""
+def load_dataset(path: str, head_cfg: HeadConfig) -> datasets.FeatureDataset:
+    """Load a CSV or binary table (sniffing the binary magic); check K and P."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == datasets.TABLE_MAGIC:
         data = datasets.load_bin(path)
-        if data.n_classes != n_classes:
+        if data.n_classes != head_cfg.n_classes:
             raise DataFormatError(
-                f"{path}: file declares {data.n_classes} classes, run expects {n_classes}"
+                f"{path}: file declares {data.n_classes} classes, run expects {head_cfg.n_classes}"
             )
-        return data
-    return datasets.load_csv(path, datasets.default_class_names(n_classes))
+    else:
+        data = datasets.load_csv(path, datasets.default_class_names(head_cfg.n_classes))
+    if data.feature_dim != head_cfg.input_dim:
+        raise DataFormatError(
+            f"{path}: feature dimension {data.feature_dim} does not match "
+            f"the model's input_dim {head_cfg.input_dim}"
+        )
+    return data
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -173,12 +177,7 @@ def run_training(cfg: RunConfig, progress=None):
     sched = cfg.schedule()
     if not cfg.train_path:
         raise ContractViolation("no training set given (train_path)")
-    data = load_dataset(cfg.train_path, cfg.n_classes)
-    if data.feature_dim != cfg.input_dim:
-        raise DataFormatError(
-            f"{cfg.train_path}: feature dimension {data.feature_dim} does not match "
-            f"configured input_dim {cfg.input_dim}"
-        )
+    data = load_dataset(cfg.train_path, head_cfg)
     rng = SplitMix64(cfg.seed)
     params = init_model_params(head_cfg, rng)
     state = TrainerState(
@@ -242,7 +241,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         save_checkpoint(cfg.checkpoint, state, head_cfg)
         cfg.dump(cfg.checkpoint + ".config")
     if cfg.test_path:
-        data = load_dataset(cfg.test_path, cfg.n_classes)
+        data = load_dataset(cfg.test_path, head_cfg)
         report = evaluate(state.params, head_cfg, data)
         print_eval_report(report, data.class_names)
         if cfg.eval_csv:
@@ -260,13 +259,7 @@ def _load_model(args: argparse.Namespace):
     """
     head_cfg, params = load_params(args.checkpoint_path)
     params = params.astype(COMPUTE_DTYPE)
-    data = load_dataset(args.data, head_cfg.n_classes)
-    if data.feature_dim != head_cfg.input_dim:
-        raise DataFormatError(
-            f"{args.data}: feature dimension {data.feature_dim} does not match "
-            f"checkpoint input dimension {head_cfg.input_dim}"
-        )
-    return head_cfg, params, data
+    return head_cfg, params, load_dataset(args.data, head_cfg)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -408,7 +401,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         last = history[-1]
         test_accuracy = ""
         if cfg.test_path:
-            data = load_dataset(cfg.test_path, cfg.n_classes)
+            data = load_dataset(cfg.test_path, head_cfg)
             test_accuracy = evaluate(state.params, head_cfg, data).accuracy
         row = {
             "param": args.param,

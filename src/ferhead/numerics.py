@@ -41,9 +41,6 @@ class SplitMix64:
         """Current 64-bit state, suitable for checkpointing."""
         return self._state
 
-    def set_state(self, state: int) -> None:
-        self._state = state & _MASK64
-
     def next_uint64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
         z = self._state

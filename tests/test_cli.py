@@ -1,13 +1,16 @@
 """CLI command tests: config handling, artifacts, exit codes, determinism."""
 
 import os
+import re
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from float64_checkpoint import write_float64_checkpoint
 from ferhead import datasets, verification
+from ferhead.errors import DataFormatError
 from ferhead.cli import (
     RunConfig,
     build_parser,
@@ -90,6 +93,45 @@ class TestConfigFile:
         """RunConfig restates the HeadConfig and Schedule defaults; they must agree."""
         assert RunConfig().head_config() == HeadConfig()
         assert RunConfig().schedule() == Schedule()
+
+    def test_run_config_surface_is_pinned(self, tmp_path):
+        """HeadConfig's fields, then the schedule's, then the run's own, as before."""
+        assert [f.name for f in fields(RunConfig)] == [
+            "input_dim", "latent_dim", "n_latents", "n_classes", "lambda_compact",
+            "lambda_balance", "lambda_distribution", "mix_ratio", "center_rate",
+            "base_lr", "decay_epochs", "decay_factor", "epochs", "batch_size", "seed",
+            "threads", "train_path", "test_path", "checkpoint", "log_path", "eval_csv",
+        ]
+        path = tmp_path / "defaults.config"
+        RunConfig().dump(str(path))
+        assert path.read_text() == (
+            "input_dim=512\nlatent_dim=128\nn_latents=9\nn_classes=7\n"
+            "lambda_compact=0.0001\nlambda_balance=1.0\nlambda_distribution=0.0001\n"
+            "mix_ratio=0.5\ncenter_rate=0.5\nbase_lr=0.0001\ndecay_epochs='10,18,25,32'\n"
+            "decay_factor=0.1\nepochs=40\nbatch_size=64\nseed=0\nthreads=1\n"
+            "train_path=''\ntest_path=''\ncheckpoint=''\nlog_path=''\neval_csv=''\n"
+        )
+        assert RunConfig().head_config() == HeadConfig()
+        assert RunConfig().schedule() == Schedule()
+
+    @pytest.mark.parametrize("text", ["a\\b", "tab\there", 'x"', "q'", "it's"])
+    def test_dumped_strings_reload_as_written(self, tmp_path, text):
+        cfg = RunConfig(train_path=text, checkpoint=text + ".ckpt")
+        path = tmp_path / "dump.config"
+        cfg.dump(str(path))
+        assert load_run_config(str(path)) == cfg
+
+    def test_unquoted_value_is_taken_as_written(self, tmp_path):
+        path = tmp_path / "hand.config"
+        path.write_text("train_path=/data/my set's \\x.csv\n")
+        assert load_run_config(str(path)).train_path == "/data/my set's \\x.csv"
+
+    @pytest.mark.parametrize("value", ["'a'b'", '"a\\"', "'a', 'b'"])
+    def test_malformed_quoted_value_names_the_line(self, tmp_path, value):
+        path = tmp_path / "bad.config"
+        path.write_text(f"seed=1\ntrain_path={value}\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:2: ")):
+            load_run_config(str(path))
 
     @pytest.mark.parametrize(
         "argv, config_text, key, bad",
@@ -787,3 +829,29 @@ class TestSweepCommand:
         )
         assert code == 0
         assert len(summary.read_text().splitlines()) == 3
+
+
+class TestDatasetChecks:
+    @pytest.mark.parametrize("command", ["train", "sweep", "eval"])
+    def test_wrong_feature_dimension_names_file_and_both_dimensions(
+        self, toy_env, capsys, command
+    ):
+        """Every set a command reads is checked against the model's input_dim (24)."""
+        tmp_path, config = toy_env
+        wrong = tmp_path / "wrong.bin"
+        assert main(["synth", "--classes", "3", "--actions", "4", "--dim", "16",
+                     "--per-class", "5", "--out-bin", str(wrong)]) == 0
+        run = ["--config", str(config), "--epochs", "1", "--decay-epochs", ""]
+        if command == "train":
+            argv = ["train", *run, "--test-path", str(wrong)]
+        elif command == "sweep":
+            argv = ["sweep", *run, "--test-path", str(wrong), "--param", "mix_ratio",
+                    "--values", "0.5", "--summary", str(tmp_path / "sweep.csv")]
+        else:
+            ckpt = tmp_path / "model.ckpt"
+            assert main(["train", *run, "--checkpoint", str(ckpt)]) == 0
+            argv = ["eval", "--checkpoint-path", str(ckpt), "--data", str(wrong)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{wrong}: feature dimension 16 " in err and "input_dim 24" in err

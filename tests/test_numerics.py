@@ -105,7 +105,7 @@ class TestSplitMix64:
         rng.random(100)
         saved = rng.state
         first = rng.next_uint64()
-        rng.set_state(saved)
+        rng = SplitMix64(saved)
         assert rng.next_uint64() == first
 
     def test_permutation_is_permutation(self):
