@@ -30,7 +30,6 @@ from .training import (
     TrainerState,
     adam_step,
     evaluate,
-    load_checkpoint,
     load_params,
     save_checkpoint,
     train_epoch,

@@ -6,7 +6,8 @@ rejected. Its keys are HeadConfig's fields, then the schedule's and the
 run's own. The FERHEAD_CONFIG environment variable supplies a default config
 path and nothing else. eval and inspect take their model config from the
 checkpoint header alone. Every set a command reads must fit the model's
-class count and input dimension (`load_dataset`). Every command is
+class count and input dimension (`check_table`, from the table's header;
+train and sweep check their test set's before training). Every command is
 deterministic given --seed: training runs one batched forward and backward
 per step, and repeated runs on the same machine with the same BLAS thread
 count give identical bytes. --threads (the `threads` key) is accepted so
@@ -134,24 +135,30 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def load_dataset(path: str, head_cfg: HeadConfig) -> datasets.FeatureDataset:
-    """Load a CSV or binary table (sniffing the binary magic); check K and P."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == datasets.TABLE_MAGIC:
-        data = datasets.load_bin(path)
-        if data.n_classes != head_cfg.n_classes:
-            raise DataFormatError(
-                f"{path}: file declares {data.n_classes} classes, run expects {head_cfg.n_classes}"
-            )
-    else:
-        data = datasets.load_csv(path, datasets.default_class_names(head_cfg.n_classes))
-    if data.feature_dim != head_cfg.input_dim:
+def check_table(path: str, head_cfg: HeadConfig) -> int | None:
+    """Check a table's header against the model (K where stored, and P).
+
+    Reads no row. Returns the class count a binary table stores, or None for
+    a CSV.
+    """
+    p, k = datasets.table_header(path)
+    if k is not None and k != head_cfg.n_classes:
         raise DataFormatError(
-            f"{path}: feature dimension {data.feature_dim} does not match "
+            f"{path}: file declares {k} classes, run expects {head_cfg.n_classes}"
+        )
+    if p != head_cfg.input_dim:
+        raise DataFormatError(
+            f"{path}: feature dimension {p} does not match "
             f"the model's input_dim {head_cfg.input_dim}"
         )
-    return data
+    return k
+
+
+def load_dataset(path: str, head_cfg: HeadConfig) -> datasets.FeatureDataset:
+    """Load a CSV or binary table whose header `check_table` has checked."""
+    if check_table(path, head_cfg) is None:
+        return datasets.load_csv(path, datasets.default_class_names(head_cfg.n_classes))
+    return datasets.load_bin(path)
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -178,6 +185,8 @@ def run_training(cfg: RunConfig, progress=None):
     if not cfg.train_path:
         raise ContractViolation("no training set given (train_path)")
     data = load_dataset(cfg.train_path, head_cfg)
+    if cfg.test_path:  # checked now, loaded after training so the run does not hold it
+        check_table(cfg.test_path, head_cfg)
     rng = SplitMix64(cfg.seed)
     params = init_model_params(head_cfg, rng)
     state = TrainerState(
@@ -238,7 +247,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if cfg.log_path:
         write_csv(cfg.log_path, history[0].keys(), (row.values() for row in history))
     if cfg.checkpoint:
-        save_checkpoint(cfg.checkpoint, state, head_cfg)
+        save_checkpoint(cfg.checkpoint, state.params, head_cfg)
         cfg.dump(cfg.checkpoint + ".config")
     if cfg.test_path:
         data = load_dataset(cfg.test_path, head_cfg)
@@ -255,7 +264,7 @@ def _load_model(args: argparse.Namespace):
     Only the checkpoint's header and parameter groups are read; the config
     is the checkpoint's. The params are narrowed to COMPUTE_DTYPE, as
     training's are, so `eval` gives the end-of-epoch `evaluate`'s result; a
-    version-3 checkpoint's are in it already and are kept without a copy.
+    version-3 or -4 checkpoint's are in it already and are kept without a copy.
     """
     head_cfg, params = load_params(args.checkpoint_path)
     params = params.astype(COMPUTE_DTYPE)

@@ -229,14 +229,18 @@ def save_csv(path: str, data: FeatureDataset) -> None:
             fh.write(str(int(label)) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _csv_header(fh, path: str) -> int:
+    """Read and check an open CSV table's header row; return P."""
+    columns = fh.readline().rstrip("\n").split(",")
+    if len(columns) < 2 or columns[0] != "label":
+        raise DataFormatError(f"{path}:1: expected header label,f_1..f_P")
+    return len(columns) - 1
+
+
 def load_csv(path: str, class_names: tuple[str, ...] = EXPRESSION_CLASSES) -> FeatureDataset:
     """Parse a label,f_1..f_P table; errors carry 1-based line numbers."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        columns = header.split(",")
-        if len(columns) < 2 or columns[0] != "label":
-            raise DataFormatError(f"{path}:1: expected header label,f_1..f_P")
-        p = len(columns) - 1
+        p = _csv_header(fh, path)
         features = []
         labels = []
         for lineno, line in enumerate(fh, start=2):
@@ -280,6 +284,39 @@ def save_bin(path: str, data: FeatureDataset) -> None:
         fh.write(np.ascontiguousarray(data.labels, dtype="<u4").tobytes())
 
 
+def _bin_header(fh, path: str) -> tuple[int, int, int]:
+    """Read and check an open binary table's header and file size; return N, P, K."""
+    size = os.fstat(fh.fileno()).st_size
+    header = fh.read(20)
+    if header[:4] != TABLE_MAGIC:
+        raise DataFormatError(f"{path}: bad magic {header[:4]!r}")
+    if len(header) < 20:
+        raise DataFormatError(f"{path}: truncated header")
+    version, n, p, k = struct.unpack_from("<4I", header, 4)
+    if version != TABLE_VERSION:
+        raise DataFormatError(f"{path}: unsupported version {version}")
+    expected = 20 + n * p * 4 + n * 4
+    if size != expected:
+        raise DataFormatError(
+            f"{path}: expected {expected} bytes for N={n} P={p}, found {size}"
+        )
+    return n, p, k
+
+
+def table_header(path: str) -> tuple[int, int | None]:
+    """P and K from a CSV or binary table's header alone, sniffing the binary magic.
+
+    K is None for a CSV, which does not store it. The header is checked as
+    `load_bin` and `load_csv` check it, and no row is read.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(4) == TABLE_MAGIC:
+            fh.seek(0)
+            return _bin_header(fh, path)[1:]
+    with open(path, "r", encoding="utf-8") as fh:
+        return _csv_header(fh, path), None
+
+
 def load_bin(path: str, class_names: tuple[str, ...] | None = None) -> FeatureDataset:
     """Read the binary table; features stay float32, as stored.
 
@@ -287,20 +324,7 @@ def load_bin(path: str, class_names: tuple[str, ...] | None = None) -> FeatureDa
     the rows are read straight into the returned array.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        header = fh.read(20)
-        if header[:4] != TABLE_MAGIC:
-            raise DataFormatError(f"{path}: bad magic {header[:4]!r}")
-        if len(header) < 20:
-            raise DataFormatError(f"{path}: truncated header")
-        version, n, p, k = struct.unpack_from("<4I", header, 4)
-        if version != TABLE_VERSION:
-            raise DataFormatError(f"{path}: unsupported version {version}")
-        expected = 20 + n * p * 4 + n * 4
-        if size != expected:
-            raise DataFormatError(
-                f"{path}: expected {expected} bytes for N={n} P={p}, found {size}"
-            )
+        n, p, k = _bin_header(fh, path)
         features = np.fromfile(fh, dtype="<f4", count=n * p).reshape(n, p)
         labels = np.fromfile(fh, dtype="<u4", count=n).astype(np.int64)
     if class_names is None:

@@ -36,11 +36,6 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
-    @property
-    def state(self) -> int:
-        """Current 64-bit state, suitable for checkpointing."""
-        return self._state
-
     def next_uint64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
         z = self._state

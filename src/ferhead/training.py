@@ -12,10 +12,12 @@ among them) do not depend on the order the shuffle drew them in.
 Training and evaluation compute in COMPUTE_DTYPE (float32): a TrainerState
 narrows its parameters, Adam moments and centers once when it is built, and
 `forward` narrows each batch of features. Datasets and `init_model_params`
-stay float64. A checkpoint (version 3) stores the float32 state in its
-memory order, so loading one needs neither a conversion nor a relayout;
-versions 1 and 2 stored float64 and still load, narrowing back to the bits
-that were trained.
+stay float64. A checkpoint (version 4) stores the model alone: its config
+and the four float32 parameter groups in their memory order, so loading one
+needs neither a conversion nor a relayout. The centers and Adam moments are
+used only in training and are not saved. Versions 1 to 3 also stored them,
+and versions 1 and 2 stored float64; their groups still load, narrowing
+back to the bits that were trained.
 """
 
 from __future__ import annotations
@@ -25,14 +27,12 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .datasets import FeatureDataset
-from .decomposition import LatentCenters
 from .errors import ContractViolation, DataFormatError, TrainingError
-from .intra import ClassCenters
 from .head import (
     Centers,
     HeadConfig,
@@ -184,7 +184,7 @@ def adam_step(
 
 @dataclass
 class TrainerState:
-    """Everything that evolves during training (checkpointable).
+    """Everything that evolves during training; a checkpoint saves only its params.
 
     Building one narrows its parameters, Adam moments and both center banks
     to COMPUTE_DTYPE, so every pass of the run computes in it; arrays
@@ -323,36 +323,35 @@ def train_epoch(
 
 
 CHECKPOINT_MAGIC = b"FDRM"
-CHECKPOINT_VERSION = 3
-# Per version: the header's layout after the magic and version, and the
-# arrays' element type. Versions 1 and 2 stored float64, and decomp in the C
-# order of its (M, P, D) shape.
-_VERSIONS = {1: ("<4I", "<f8"), 2: ("<4I5d", "<f8"), CHECKPOINT_VERSION: ("<4I5d", "<f4")}
-# The saved arrays in file order, named as in a TrainerState.
-_CHECKPOINT_NAMES = (
-    *(f"params.{f.name}" for f in fields(ParamGroups)),
-    "centers.latent",
-    "centers.by_class",
-    *(f"adam.{moment}.{f.name}" for moment in ("first", "second") for f in fields(ParamGroups)),
-)
+CHECKPOINT_VERSION = 4
+# Per version: the header's layout after the magic and version, the arrays'
+# element type, and whether the training state follows the four groups.
+# Versions 1 and 2 stored float64, and decomp in the C order of its (M, P, D)
+# shape. Versions 1 to 3 went on after the groups with the latent and class
+# centers, the Adam first and second moments in group order, and a u64 step
+# count and u64 RNG state; no reader uses them.
+_VERSIONS = {
+    1: ("<4I", "<f8", True),
+    2: ("<4I5d", "<f8", True),
+    3: ("<4I5d", "<f4", True),
+    CHECKPOINT_VERSION: ("<4I5d", "<f4", False),
+}
 
 
-def save_checkpoint(path: str, state: TrainerState, cfg: HeadConfig) -> None:
-    """Binary little-endian checkpoint, version 3.
+def save_checkpoint(path: str, params: ParamGroups, cfg: HeadConfig) -> None:
+    """Binary little-endian checkpoint, version 4: the model and nothing else.
 
     Layout: magic 'FDRM', u32 version, u32 P/D/M/K, the five float64 model
     settings in HeadConfig field order (lambda_compact, lambda_balance,
-    lambda_distribution, mix_ratio, center_rate), then float32 arrays in
-    fixed order (decomp, gate, message, classifier weights; latent centers;
-    class centers; Adam first then second moments in the same group order),
-    then u64 step count and u64 RNG state: 64 + 4 n + 16 bytes for n floats.
-    Each array is stored in the order of its memory in ParamGroups' layout:
-    decomp and its two moments in (P, M, D) order, every other array in the
-    C order of its shape. So a trained state is written without a copy, and
-    `load_params` reads it without a conversion or a relayout.
+    lambda_distribution, mix_ratio, center_rate), then the four float32
+    groups (decomp, gate, message, classifier): 64 + 4 n bytes for n
+    parameters. Each group is stored in the order of its memory in
+    ParamGroups' layout, decomp in (P, M, D) order and every other group in
+    the C order of its shape, so trained params are written without a copy,
+    and `load_params` reads them without a conversion or a relayout.
 
-    Every array must be float32, as training keeps them; any other dtype
-    raises ContractViolation naming the array, so nothing is rounded
+    Every group must be float32, as training keeps them; any other dtype
+    raises ContractViolation naming the group, so nothing is rounded
     silently.
 
     The bytes go to `path + ".tmp"` in the same directory, which then
@@ -365,14 +364,13 @@ def save_checkpoint(path: str, state: TrainerState, cfg: HeadConfig) -> None:
         with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<5I5d", CHECKPOINT_VERSION, *astuple(cfg)))
-            for name, arr in zip(_CHECKPOINT_NAMES, _checkpoint_arrays(state), strict=True):
-                arr = np.asarray(arr)
+            for name, arr in params.items():
                 if arr.dtype != np.float32:
                     raise ContractViolation(
-                        f"{path}: cannot save {name} as {arr.dtype}; checkpoints hold float32"
+                        f"{path}: cannot save params.{name} as {arr.dtype}; "
+                        "checkpoints hold float32"
                     )
-                fh.write(np.asarray(arr, dtype="<f4").ravel())
-            fh.write(struct.pack("<QQ", state.adam.step_count, state.rng.state))
+                fh.write(np.asarray(arr, dtype="<f4").ravel(order="K"))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -389,17 +387,17 @@ def _read_header(fh, path: str) -> tuple[HeadConfig, np.dtype]:
     """Read and check an open checkpoint's header and size.
 
     Returns the HeadConfig and the element type of the arrays: little-endian
-    float32 for version 3, float64 for versions 1 and 2. Version 1 stored
-    only P, D, M, K: its settings are defaults, with a warning. The whole
-    file's size is then checked against the one the header implies, before
-    any array is read, so a truncated or overlong file is rejected whichever
-    arrays the caller goes on to read.
+    float32 for versions 3 and 4, float64 for versions 1 and 2. Version 1
+    stored only P, D, M, K: its settings are defaults, with a warning. The
+    whole file's size, the training state of versions 1 to 3 included, is
+    then checked against the one the header implies, before any array is
+    read, so a truncated or overlong file is rejected.
     """
     head = fh.read(8)
     if head[:4] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: bad magic {head[:4]!r}")
     version = int.from_bytes(head[4:], "little")
-    layout, fmt = _VERSIONS.get(version, ("", None))
+    layout, fmt, training_state = _VERSIONS.get(version, ("", None, False))
     body = fh.read(struct.calcsize(layout))
     if len(head) < 8 or len(body) < struct.calcsize(layout):
         raise DataFormatError(f"{path}: truncated header")
@@ -416,8 +414,10 @@ def _read_header(fh, path: str) -> tuple[HeadConfig, np.dtype]:
 
     fmt = np.dtype(fmt)
     D, M, K = cfg.latent_dim, cfg.n_latents, cfg.n_classes
-    n_floats = 3 * sum(map(math.prod, _group_shapes(cfg))) + M * D + K * M
-    expected = fh.tell() + fmt.itemsize * n_floats + 16
+    n_floats = sum(map(math.prod, _group_shapes(cfg)))
+    expected = fh.tell() + fmt.itemsize * n_floats
+    if training_state:  # two moments of every group, both center banks, two u64
+        expected += fmt.itemsize * (2 * n_floats + M * D + K * M) + 16
     size = os.fstat(fh.fileno()).st_size
     if size != expected:
         short = "truncated: " if size < expected else ""
@@ -431,72 +431,20 @@ def _read_array(fh, shape: tuple[int, ...], fmt: np.dtype) -> np.ndarray:
     return arr.astype(fmt.newbyteorder("="), copy=False)
 
 
-def _read_groups(fh, cfg: HeadConfig, fmt: np.dtype) -> ParamGroups:
-    (M, P, D), *shapes = _group_shapes(cfg)
-    if fmt.itemsize == 4:  # version 3 stores decomp in its (P, M, D) memory order
-        decomp = _read_array(fh, (P, M, D), fmt).transpose(1, 0, 2)
-    else:
-        decomp = _read_array(fh, (M, P, D), fmt)
-    return ParamGroups(decomp, *(_read_array(fh, shape, fmt) for shape in shapes))
-
-
 def load_params(path: str) -> tuple[HeadConfig, ParamGroups]:
-    """Read a checkpoint's config and its four parameter groups, and no more.
+    """Read a checkpoint's config and its four parameter groups.
 
-    The centers, Adam moments, step count and RNG state that follow the
-    groups are training state, which eval and inspect do not need, so they
-    are never read. The header and the whole file's size are checked first,
-    as `load_checkpoint` checks them and with the same errors. The groups
-    come in the file's element type: float32 from a version-3 file, read
+    The header and the whole file's size are checked first. The groups come
+    in the file's element type: float32 from a version-3 or -4 file, read
     straight into ParamGroups' layout, and float64 from versions 1 and 2.
+    The training state that follows the groups in versions 1 to 3 is never
+    read.
     """
     with open(path, "rb") as fh:
         cfg, fmt = _read_header(fh, path)
-        return cfg, _read_groups(fh, cfg, fmt)
-
-
-def load_checkpoint(path: str, cfg: HeadConfig) -> TrainerState:
-    """Read a whole checkpoint, checking that `cfg` is the config it holds.
-
-    The header and the file size it implies are checked before any array
-    is read, then that `cfg` equals the header's config. Each array is read
-    with one `np.fromfile` in the file's element type and order (see
-    `save_checkpoint`) and handed to the constructors that training uses.
-    A version-3 file's arrays are already float32 in ParamGroups' layout,
-    so the TrainerState keeps them as they are; a version-1 or -2 file's
-    float64 arrays are laid out by ParamGroups and narrowed to
-    COMPUTE_DTYPE, which gives back the bits of the state that was saved.
-    """
-    with open(path, "rb") as fh:
-        saved, fmt = _read_header(fh, path)
-        if saved != cfg:
-            raise DataFormatError(
-                f"{path}: checkpoint dimensions and settings {saved} "
-                f"do not match configuration {cfg}"
-            )
-        D, M, K = cfg.latent_dim, cfg.n_latents, cfg.n_classes
-        params = _read_groups(fh, cfg, fmt)
-        centers = Centers(
-            LatentCenters(_read_array(fh, (M, D), fmt)),
-            ClassCenters(_read_array(fh, (K, M), fmt)),
-        )
-        first, second = _read_groups(fh, cfg, fmt), _read_groups(fh, cfg, fmt)
-        step_count, rng_state = struct.unpack("<QQ", fh.read(16))
-    return TrainerState(
-        params, centers, AdamState(first, second, step_count), SplitMix64(rng_state)
-    )
-
-
-def _checkpoint_arrays(state: TrainerState) -> list[np.ndarray]:
-    """The saved arrays in file order, each shaped so that the file holds its C order.
-
-    A decomp group is given as its (P, M*D) `decomp_matrix()`, the order of
-    its memory, so every array of a state in ParamGroups' layout ravels to a
-    view, and one that is not in it still goes out in the file's order.
-    """
-    params, first, second = (
-        [groups.decomp_matrix(), groups.gate, groups.message, groups.classifier]
-        for groups in (state.params, state.adam.first, state.adam.second)
-    )
-    return [*params, state.centers.latent.centers, state.centers.by_class.centers,
-            *first, *second]
+        (M, P, D), *shapes = _group_shapes(cfg)
+        if fmt.itemsize == 4:  # decomp in its (P, M, D) memory order
+            decomp = _read_array(fh, (P, M, D), fmt).transpose(1, 0, 2)
+        else:
+            decomp = _read_array(fh, (M, P, D), fmt)
+        return cfg, ParamGroups(decomp, *(_read_array(fh, shape, fmt) for shape in shapes))

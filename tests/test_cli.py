@@ -8,8 +8,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from float64_checkpoint import write_float64_checkpoint
-from ferhead import datasets, verification
+from float64_checkpoint import write_old_checkpoint
+from ferhead import cli, datasets, verification
 from ferhead.errors import DataFormatError
 from ferhead.cli import (
     RunConfig,
@@ -19,8 +19,16 @@ from ferhead.cli import (
     pca_project,
     write_csv,
 )
-from ferhead.head import HeadConfig
-from ferhead.training import COMPUTE_DTYPE, Schedule, evaluate, load_checkpoint, load_params
+from ferhead.head import Centers, HeadConfig
+from ferhead.numerics import SplitMix64
+from ferhead.training import (
+    COMPUTE_DTYPE,
+    AdamState,
+    Schedule,
+    TrainerState,
+    evaluate,
+    load_params,
+)
 
 
 @pytest.fixture
@@ -393,21 +401,24 @@ class TestEvalCommand:
         assert correct / total == pytest.approx(final_acc, abs=1e-12)
 
     def test_version_2_and_3_files_of_one_model_write_the_same_reports(self, toy_env):
+        """As the version-4 file that train wrote, whose params they hold."""
         tmp_path, config = toy_env
-        v3, v2 = tmp_path / "v3.ckpt", tmp_path / "v2.ckpt"
-        assert main(["train", "--config", str(config), "--checkpoint", str(v3)]) == 0
-        cfg = load_params(str(v3))[0]
-        write_float64_checkpoint(v2, load_checkpoint(str(v3), cfg), cfg, version=2)
+        v4, v3, v2 = (tmp_path / f"v{version}.ckpt" for version in (4, 3, 2))
+        assert main(["train", "--config", str(config), "--checkpoint", str(v4)]) == 0
+        cfg, params = load_params(str(v4))
+        state = TrainerState(params, Centers.zeros(cfg), AdamState.zeros(params), SplitMix64(0))
+        for version, path in ((2, v2), (3, v3)):
+            write_old_checkpoint(path, state, cfg, version=version)
         train_path = load_run_config(str(config)).train_path
         reports = {}
-        for ckpt in (v2, v3):
+        for ckpt in (v2, v3, v4):
             out, weights = tmp_path / f"{ckpt.stem}-eval.csv", tmp_path / f"{ckpt.stem}-w.csv"
             assert main(["eval", "--checkpoint-path", str(ckpt), "--data", train_path,
                          "--out", str(out)]) == 0
             assert main(["inspect", "--checkpoint-path", str(ckpt), "--data", train_path,
                          "--weights-csv", str(weights)]) == 0
             reports[ckpt.stem] = (out.read_bytes(), weights.read_bytes())
-        assert reports["v2"] == reports["v3"]
+        assert reports["v2"] == reports["v3"] == reports["v4"]
 
     def test_float32_and_float64_tables_of_one_set_write_the_same_reports(self, toy_env):
         """A binary table (float32 rows) and a CSV of its values (float64) evaluate alike."""
@@ -623,7 +634,6 @@ class TestInspectCommand:
         """--pca-csv of a --mix-ratio 0 model projects the features of that model."""
         from ferhead.datasets import load_csv
         from ferhead.head import HeadConfig, forward
-        from ferhead.training import load_checkpoint
 
         tmp_path, config = toy_env
         ckpt, pca = tmp_path / "m.ckpt", tmp_path / "pca.csv"
@@ -640,7 +650,8 @@ class TestInspectCommand:
         )
         cfg = HeadConfig(input_dim=24, latent_dim=6, n_latents=3, n_classes=3, mix_ratio=0.0)
         data = load_csv(train_path, tuple(f"class_{k}" for k in range(3)))
-        params = load_checkpoint(str(ckpt), cfg).params
+        saved_cfg, params = load_params(str(ckpt))
+        assert saved_cfg == cfg
         expected = pca_project(forward(data.features, params, cfg).feature)
         got = np.loadtxt(pca, delimiter=",", skiprows=1)
         np.testing.assert_array_equal(got[:, 0], data.labels)
@@ -680,7 +691,7 @@ class TestInspectCommand:
         """Over more rows than one block, the exports equal one full forward's."""
         from ferhead.datasets import load_csv
         from ferhead.head import HeadConfig, forward
-        from ferhead.training import EVAL_BLOCK_ROWS, load_checkpoint
+        from ferhead.training import EVAL_BLOCK_ROWS
 
         tmp_path, config = toy_env
         ckpt = tmp_path / "model.ckpt"
@@ -708,8 +719,9 @@ class TestInspectCommand:
         names = tuple(f"class_{k}" for k in range(3))
         data = load_csv(str(big), names)
         assert len(data) > EVAL_BLOCK_ROWS
-        cfg = HeadConfig(input_dim=24, latent_dim=6, n_latents=3, n_classes=3)
-        cache = forward(data.features, load_checkpoint(str(ckpt), cfg).params, cfg)
+        cfg, params = load_params(str(ckpt))
+        assert cfg == HeadConfig(input_dim=24, latent_dim=6, n_latents=3, n_classes=3)
+        cache = forward(data.features, params, cfg)
         expected = [cache.weights[data.labels == k].mean(axis=0) for k in range(3)]
         rows = [line.split(",") for line in weights_csv.read_text().splitlines()[1:]]
         assert [row[0] for row in rows] == list(names)
@@ -722,19 +734,13 @@ class TestInspectCommand:
 
     def test_empty_dataset_exits_2_and_writes_nothing(self, tmp_path, capsys):
         from ferhead.datasets import FeatureDataset, save_bin
-        from ferhead.head import Centers, HeadConfig, init_model_params
-        from ferhead.numerics import SplitMix64
-        from ferhead.training import AdamState, TrainerState, save_checkpoint
+        from ferhead.head import HeadConfig, init_model_params
+        from ferhead.training import save_checkpoint
 
         cfg = HeadConfig(input_dim=8, latent_dim=4, n_latents=2, n_classes=3)
-        rng = SplitMix64(0)
-        params = init_model_params(cfg, rng)
+        params = init_model_params(cfg, SplitMix64(0)).astype(COMPUTE_DTYPE)
         ckpt = tmp_path / "model.ckpt"
-        save_checkpoint(
-            str(ckpt),
-            TrainerState(params, Centers.zeros(cfg), AdamState.zeros(params), rng),
-            cfg,
-        )
+        save_checkpoint(str(ckpt), params, cfg)
         empty = tmp_path / "empty.bin"
         save_bin(
             str(empty),
@@ -855,3 +861,34 @@ class TestDatasetChecks:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"{wrong}: feature dimension 16 " in err and "input_dim 24" in err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("table", ["bin_dim", "bin_classes", "csv_dim"])
+    def test_wrong_test_set_exits_2_before_the_first_epoch(
+        self, toy_env, capsys, monkeypatch, command, table
+    ):
+        """The test set's header is checked before training; the rows are read after it."""
+        tmp_path, config = toy_env
+        classes, dim = ("4", "24") if table == "bin_classes" else ("3", "16")
+        suffix = "csv" if table == "csv_dim" else "bin"
+        wrong = tmp_path / f"wrong.{suffix}"
+        assert main(["synth", "--classes", classes, "--actions", "4", "--dim", dim,
+                     "--per-class", "5", f"--out-{suffix}", str(wrong)]) == 0
+        epochs = []
+        real_epoch = cli.train_epoch
+        monkeypatch.setattr(cli, "train_epoch", lambda *a: epochs.append(a) or real_epoch(*a))
+        ckpt, log, summary = (tmp_path / name for name in ("m.ckpt", "log.csv", "sweep.csv"))
+        argv = [command, "--config", str(config), "--epochs", "1", "--decay-epochs", "",
+                "--test-path", str(wrong), "--checkpoint", str(ckpt), "--log-path", str(log)]
+        if command == "sweep":
+            argv += ["--param", "mix_ratio", "--values", "0.5", "--summary", str(summary)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and epochs == []
+        written = (ckpt, log, tmp_path / "m.ckpt.config", summary)
+        assert not any(path.exists() for path in written)
+        if table == "bin_classes":
+            assert f"{wrong}: file declares 4 classes, run expects 3" in err
+        else:
+            assert f"{wrong}: feature dimension 16 does not match the model's input_dim 24" in err

@@ -1,10 +1,10 @@
 """The compute dtype: training and evaluation in float32, the oracles in float64.
 
 TrainerState and `eval`/`inspect` narrow the parameters once; datasets and
-init_model_params stay float64, and checkpoint files store the float32 state
-(version 3; versions 1 and 2 stored float64). These tests pin which side of
-that line each entry point is on, and bound how far a float32 pass strays
-from the float64 one at paper dimensions.
+init_model_params stay float64, and checkpoint files store the float32
+parameters (versions 3 and 4; versions 1 and 2 stored float64). These tests
+pin which side of that line each entry point is on, and bound how far a
+float32 pass strays from the float64 one at paper dimensions.
 """
 
 import argparse
@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from float64_checkpoint import write_float64_checkpoint
+from float64_checkpoint import write_old_checkpoint
 from naive_reference import naive_head_forward
 
 from ferhead import cli, datasets
@@ -26,7 +26,6 @@ from ferhead.training import (
     COMPUTE_DTYPE,
     AdamState,
     TrainerState,
-    load_checkpoint,
     load_params,
     save_checkpoint,
 )
@@ -125,19 +124,17 @@ class TestDtypeContract:
         assert inst.centers.latent.centers.dtype == np.float64
 
         state = state_of(params, Centers.zeros(cfg))
-        v2, v3 = tmp_path / "v2.ckpt", tmp_path / "v3.ckpt"
-        write_float64_checkpoint(v2, state, cfg, version=2)
-        save_checkpoint(str(v3), state, cfg)
+        v2, v3, v4 = (tmp_path / f"v{version}.ckpt" for version in (2, 3, 4))
+        write_old_checkpoint(v2, state, cfg, version=2)
+        write_old_checkpoint(v3, state, cfg, version=3)
+        save_checkpoint(str(v4), state.params, cfg)
         self.write_set(tmp_path / "data.bin")
-        for path, stored in ((v2, np.float64), (v3, np.float32)):
+        for path, stored in ((v2, np.float64), (v3, np.float32), (v4, np.float32)):
             _, loaded = load_params(str(path))
             assert set(self.dtypes(loaded).values()) == {np.dtype(stored)}, path
             args = argparse.Namespace(checkpoint_path=str(path), data=str(tmp_path / "data.bin"))
             _, model, _ = cli._load_model(args)
             assert set(self.dtypes(model).values()) == {np.dtype(COMPUTE_DTYPE)}, path
-            # a TrainerState computes in float32 wherever it comes from
-            resumed = load_checkpoint(str(path), cfg)
-            assert set(self.dtypes(resumed.params).values()) == {np.dtype(COMPUTE_DTYPE)}, path
 
     def test_float32_checkpoint_round_trip_keeps_every_bit(self, tmp_path):
         cfg = HeadConfig()
@@ -146,7 +143,7 @@ class TestDtypeContract:
         for _, arr in state.params.items():
             arr *= rng.uniform(0.5, 2.0, arr.shape).astype(np.float32)  # all 24 mantissa bits
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), state, cfg)
+        save_checkpoint(str(path), state.params, cfg)
         _, loaded = load_params(str(path))
         narrowed = loaded.astype(COMPUTE_DTYPE)
         for (name, got), (_, want) in zip(narrowed.items(), state.params.items()):

@@ -17,6 +17,7 @@ from ferhead.datasets import (
     make_synth_spec,
     save_bin,
     save_csv,
+    table_header,
 )
 from ferhead.errors import ContractViolation, DataFormatError
 from ferhead.numerics import SplitMix64
@@ -246,6 +247,28 @@ class TestBinaryLoad:
         with pytest.raises(DataFormatError) as err:
             load_bin(str(path))
         assert str(err.value) == f"{path}: {message}"
+
+
+class TestTableHeader:
+    def test_both_formats_give_p_and_the_stored_k(self, tmp_path):
+        data = generate(small_spec())  # 3 classes, 12 features
+        save_bin(str(tmp_path / "d.bin"), data)
+        save_csv(str(tmp_path / "d.csv"), data)
+        assert table_header(str(tmp_path / "d.bin")) == (12, 3)
+        assert table_header(str(tmp_path / "d.csv")) == (12, None)
+
+    def test_damaged_headers_fail_as_the_loaders_do(self, tmp_path):
+        data = generate(small_spec())
+        binary, text = tmp_path / "d.bin", tmp_path / "d.csv"
+        save_bin(str(binary), data)
+        binary.write_bytes(binary.read_bytes()[:-5])
+        text.write_text("f_1,f_2\n1,2\n")
+        for path, load in ((binary, load_bin), (text, load_csv)):
+            with pytest.raises(DataFormatError) as from_header:
+                table_header(str(path))
+            with pytest.raises(DataFormatError) as from_load:
+                load(str(path))
+            assert str(from_header.value) == str(from_load.value)
 
 
 class TestFeatureDatasetDtype:

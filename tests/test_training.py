@@ -4,12 +4,11 @@ import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
-from operator import attrgetter
 
 import numpy as np
 import pytest
 
-from float64_checkpoint import saved_arrays, write_float64_checkpoint
+from float64_checkpoint import write_old_checkpoint
 from ferhead import head, training
 from ferhead.datasets import FeatureDataset
 from ferhead.errors import ContractViolation, DataFormatError, TrainingError
@@ -25,7 +24,6 @@ from ferhead.training import (
     TrainerState,
     adam_step,
     evaluate,
-    load_checkpoint,
     load_params,
     save_checkpoint,
     train_epoch,
@@ -584,6 +582,14 @@ class TestEvaluate:
         assert ragged < 1.5 * small, (small, ragged)
 
 
+def assert_same_groups(got, want):
+    """Equal float32 bits in the same memory layout, group by group."""
+    for (name, arr), (_, ref) in zip(got.items(), want.items()):
+        assert arr.dtype == np.float32, name
+        assert arr.tobytes(order="A") == ref.tobytes(order="A"), name
+        assert arr.strides == ref.strides, name
+
+
 class TestCheckpoints:
     def test_roundtrip_identity(self, tmp_path):
         cfg = tiny_cfg()
@@ -592,110 +598,105 @@ class TestCheckpoints:
         sched = Schedule(base_lr=1e-3, decay_epochs=(), total_epochs=1, batch_size=6)
         train_epoch(state, data, cfg, sched, 0)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), state, cfg)
-        loaded = load_checkpoint(str(path), cfg)
-        assert params_digest(loaded) == params_digest(state)
-        assert loaded.adam.step_count == state.adam.step_count
-        assert loaded.rng.state == state.rng.state
+        save_checkpoint(str(path), state.params, cfg)
+        loaded_cfg, loaded = load_params(str(path))
+        assert loaded_cfg == cfg
+        assert_same_groups(loaded, state.params)
 
     def test_save_load_save_idempotent(self, tmp_path):
         cfg = tiny_cfg()
         state = fresh_state(cfg, seed=10)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(str(p1), state, cfg)
-        save_checkpoint(str(p2), load_checkpoint(str(p1), cfg), cfg)
+        save_checkpoint(str(p1), state.params, cfg)
+        save_checkpoint(str(p2), load_params(str(p1))[1], cfg)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_dimension_mismatch_rejected(self, tmp_path):
-        cfg = tiny_cfg()
-        state = fresh_state(cfg)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), state, cfg)
-        wrong = HeadConfig(input_dim=7, latent_dim=4, n_latents=2, n_classes=3)
-        with pytest.raises(DataFormatError, match="dimensions"):
-            load_checkpoint(str(path), wrong)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(DataFormatError, match="magic"):
-            load_checkpoint(str(path), tiny_cfg())
+            load_params(str(path))
 
     def test_truncation_rejected(self, tmp_path):
         cfg = tiny_cfg()
         state = fresh_state(cfg)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), state, cfg)
+        save_checkpoint(str(path), state.params, cfg)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(DataFormatError, match="truncated"):
-            load_checkpoint(str(path), cfg)
+            load_params(str(path))
 
     def test_one_float_short_names_expected_and_found_size(self, tmp_path):
         cfg = tiny_cfg()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), fresh_state(cfg), cfg)
+        save_checkpoint(str(path), fresh_state(cfg).params, cfg)
         blob = path.read_bytes()
-        path.write_bytes(blob[:-24] + blob[-16:])  # drop the last array's last float
-        expected = f"truncated: expected {len(blob)} bytes, found {len(blob) - 8}"
+        path.write_bytes(blob[:-4])  # drop the classifier's last float
+        expected = f"truncated: expected {len(blob)} bytes, found {len(blob) - 4}"
         with pytest.raises(DataFormatError, match=expected):
-            load_checkpoint(str(path), cfg)
+            load_params(str(path))
 
     def test_trailing_bytes_rejected(self, tmp_path):
         cfg = tiny_cfg()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), fresh_state(cfg), cfg)
+        save_checkpoint(str(path), fresh_state(cfg).params, cfg)
         size = path.stat().st_size
         with open(path, "ab") as fh:
             fh.write(b"\x00")
         with pytest.raises(DataFormatError, match=f"expected {size} bytes, found {size + 1}"):
-            load_checkpoint(str(path), cfg)
+            load_params(str(path))
+
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_one_byte_short_or_long_names_expected_size(self, tmp_path, version):
+        """The size check covers version 3's training state and version 4's bare groups."""
+        cfg = tiny_cfg()
+        state = fresh_state(cfg, seed=21)
+        path = tmp_path / f"v{version}.ckpt"
+        if version == 3:
+            write_old_checkpoint(path, state, cfg, version=3)
+        else:
+            save_checkpoint(str(path), state.params, cfg)
+        blob = path.read_bytes()
+        for bad, found in ((blob[:-1], len(blob) - 1), (blob + b"\x00", len(blob) + 1)):
+            path.write_bytes(bad)
+            with pytest.raises(DataFormatError, match=f"expected {len(blob)} bytes, found {found}"):
+                load_params(str(path))
 
     def test_paper_dims_roundtrip_keeps_layout_and_bytes(self, tmp_path):
-        """decomp and its moments load into (P, M, D) memory; the file is that memory."""
+        """decomp loads into (P, M, D) memory; the file is the header and every group's memory."""
         cfg = HeadConfig()
-        state = fresh_state(cfg, seed=13)
-        rng = np.random.default_rng(13)
-        for group in (state.adam.first, state.adam.second):
-            for _, arr in group.items():
-                arr[...] = rng.normal(size=arr.shape)
+        params = fresh_state(cfg, seed=13).params
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), state, cfg)
-        loaded = load_checkpoint(str(path), cfg)
-        assert params_digest(loaded) == params_digest(state)
-        for group in (loaded.params, loaded.adam.first, loaded.adam.second):
-            assert group.decomp.strides == state.params.decomp.strides
-        # the file holds every array as float32 in its memory order
-        arrays = saved_arrays(state)
+        save_checkpoint(str(path), params, cfg)
+        assert_same_groups(load_params(str(path))[1], params)
         blob, offset = path.read_bytes(), 64
-        for arr in arrays:
+        for _, arr in params.items():
             on_disk = np.frombuffer(blob, "<f4", arr.size, offset)
             assert on_disk.tobytes() == arr.ravel(order="K").tobytes()
             offset += on_disk.nbytes
-        n_floats = sum(arr.size for arr in arrays)
-        assert len(blob) == offset + 16 == 64 + 4 * n_floats + 16
+        assert sum(arr.size for _, arr in params.items()) == 885_632
+        assert len(blob) == offset == 64 + 4 * 885_632
 
-    def test_failed_save_leaves_previous_checkpoint(self, tmp_path, monkeypatch):
+    def test_failed_save_leaves_previous_checkpoint(self, tmp_path):
         cfg = tiny_cfg()
         state = fresh_state(cfg, seed=11)
         path = tmp_path / "model.ckpt"
         tmp = tmp_path / "model.ckpt.tmp"
-        save_checkpoint(str(path), state, cfg)
+        save_checkpoint(str(path), state.params, cfg)
         before = path.read_bytes()
+        params = fresh_state(cfg, seed=12).params
 
         class DiskFull:
-            """An array whose write fails after the header and one array."""
+            """Groups whose write fails after the header and one group."""
 
-            def __array__(self, *args, **kwargs):
+            def items(self):
+                yield "decomp", params.decomp
                 assert tmp.exists()  # the partial write goes to the temp file
                 raise OSError("disk full")
 
-        arrays = training._checkpoint_arrays(state)
-        monkeypatch.setattr(
-            training, "_checkpoint_arrays", lambda _: [arrays[0], DiskFull()]
-        )
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(str(path), fresh_state(cfg, seed=12), cfg)
+            save_checkpoint(str(path), DiskFull(), cfg)
         assert path.read_bytes() == before
         assert not tmp.exists()
 
@@ -703,76 +704,57 @@ class TestCheckpoints:
         """A group reassigned float64 after the state was built is not rounded silently."""
         cfg = tiny_cfg()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), fresh_state(cfg, seed=18), cfg)
+        save_checkpoint(str(path), fresh_state(cfg, seed=18).params, cfg)
         before = path.read_bytes()
         state = fresh_state(cfg, seed=19)
         state.params.decomp = state.params.decomp.astype(np.float64)
         with pytest.raises(ContractViolation, match="params.decomp as float64"):
-            save_checkpoint(str(path), state, cfg)
+            save_checkpoint(str(path), state.params, cfg)
         assert path.read_bytes() == before
         assert not (tmp_path / "model.ckpt.tmp").exists()
 
     def test_versions_1_2_and_3_load_to_the_same_float32_bits(self, tmp_path):
+        """Old files of one trained state give the groups a version-4 file of it gives."""
         cfg = HeadConfig(input_dim=6, latent_dim=4, n_latents=2, n_classes=3)
         state = fresh_state(cfg, seed=20)
         sched = Schedule(base_lr=1e-3, decay_epochs=(), total_epochs=1, batch_size=6)
         train_epoch(state, tiny_dataset(per_class=4, cfg=cfg), cfg, sched, 0)
-        paths = [tmp_path / f"v{version}.ckpt" for version in (1, 2, 3)]
-        write_float64_checkpoint(paths[0], state, cfg, version=1)
-        write_float64_checkpoint(paths[1], state, cfg, version=2)
-        save_checkpoint(str(paths[2]), state, cfg)
+        assert state.adam.step_count > 0
+        paths = [tmp_path / f"v{version}.ckpt" for version in (1, 2, 3, 4)]
+        for version, path in zip((1, 2, 3), paths):
+            write_old_checkpoint(path, state, cfg, version=version)
+        save_checkpoint(str(paths[3]), state.params, cfg)
         with pytest.warns(UserWarning, match="v1.ckpt.*defaults"):
-            loaded = [load_checkpoint(str(paths[0]), cfg)]
-        loaded += [load_checkpoint(str(p), cfg) for p in paths[1:]]
-        for got in loaded:
-            for groups in ("params", "adam.first", "adam.second"):
-                for (name, arr), (_, want) in zip(
-                    attrgetter(groups)(got).items(), attrgetter(groups)(state).items()
-                ):
-                    assert arr.dtype == np.float32, (groups, name)
-                    assert arr.tobytes(order="A") == want.tobytes(order="A"), (groups, name)
-                    assert arr.strides == want.strides, (groups, name)
-            for bank in ("latent", "by_class"):
-                arr = getattr(got.centers, bank).centers
-                assert arr.dtype == np.float32, bank
-                assert arr.tobytes() == getattr(state.centers, bank).centers.tobytes(), bank
-            assert got.adam.step_count == state.adam.step_count > 0
-            assert got.rng.state == state.rng.state
+            loaded = [load_params(str(paths[0]))[1]]
+        loaded += [load_params(str(p))[1] for p in paths[1:]]
+        assert [groups.dtype for groups in loaded] == [np.float64] * 2 + [np.float32] * 2
+        for groups in loaded:
+            assert_same_groups(groups.astype(training.COMPUTE_DTYPE), state.params)
 
     def test_peek_dims(self, tmp_path):
         cfg = replace(tiny_cfg(), mix_ratio=0.25, center_rate=0.75)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), fresh_state(cfg), cfg)
+        save_checkpoint(str(path), fresh_state(cfg).params, cfg)
         assert load_params(str(path))[0] == cfg
-
-    def test_settings_mismatch_rejected(self, tmp_path):
-        cfg = tiny_cfg()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), fresh_state(cfg), cfg)
-        with pytest.raises(DataFormatError, match="mix_ratio=0.0"):
-            load_checkpoint(str(path), replace(cfg, mix_ratio=0.0))
 
     def test_version_1_loads_with_default_settings_and_warns(self, tmp_path):
         """A v1 file (24-byte header, v2's arrays) loads; its settings are defaults."""
         cfg = tiny_cfg()
         state = fresh_state(cfg, seed=14)
         v2, v1 = tmp_path / "v2.ckpt", tmp_path / "v1.ckpt"
-        write_float64_checkpoint(v2, state, cfg, version=2)
-        write_float64_checkpoint(v1, state, cfg, version=1)
+        write_old_checkpoint(v2, state, cfg, version=2)
+        write_old_checkpoint(v1, state, cfg, version=1)
         defaults = HeadConfig(input_dim=6, latent_dim=4, n_latents=2, n_classes=3)
         with pytest.warns(UserWarning, match="v1.ckpt.*defaults"):
-            assert load_params(str(v1))[0] == defaults
-        with pytest.warns(UserWarning, match="v1.ckpt.*defaults"):
-            loaded = load_checkpoint(str(v1), defaults)
-        expected = load_checkpoint(str(v2), cfg)
-        assert params_digest(loaded) == params_digest(expected)
-        assert loaded.adam.step_count == expected.adam.step_count
-        assert loaded.rng.state == expected.rng.state
+            got_cfg, loaded = load_params(str(v1))
+        assert got_cfg == defaults
+        for (name, got), (_, want) in zip(loaded.items(), load_params(str(v2))[1].items()):
+            assert np.array_equal(got, want), name
 
     def test_header_cut_short_rejected(self, tmp_path):
         cfg = tiny_cfg()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), fresh_state(cfg), cfg)
+        save_checkpoint(str(path), fresh_state(cfg).params, cfg)
         blob = path.read_bytes()
         for cut in (6, 40, 63):
             path.write_bytes(blob[:cut])
@@ -785,37 +767,18 @@ class TestLoadParams:
         cfg = HeadConfig()
         state = fresh_state(cfg, seed=15)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), state, cfg)
+        save_checkpoint(str(path), state.params, cfg)
         got_cfg, params = load_params(str(path))
         assert got_cfg == cfg
-        full = load_checkpoint(str(path), cfg).params
-        # load_checkpoint's TrainerState narrows; compare with the narrowed params
-        narrowed = params.astype(training.COMPUTE_DTYPE)
-        for (name, got), (_, want) in zip(narrowed.items(), full.items()):
-            assert np.array_equal(got, want), name
-            assert got.strides == want.strides, name
+        assert_same_groups(params, state.params)
         assert params.decomp.transpose(1, 0, 2).flags.c_contiguous  # (P, M, D) memory
-
-    def test_size_errors_match_load_checkpoint(self, tmp_path):
-        cfg = tiny_cfg()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), fresh_state(cfg), cfg)
-        blob = path.read_bytes()
-        for bad in (blob[: len(blob) // 2], blob[:-24] + blob[-16:], blob + b"\x00"):
-            path.write_bytes(bad)
-            with pytest.raises(DataFormatError) as full:
-                load_checkpoint(str(path), cfg)
-            with pytest.raises(DataFormatError) as params_only:
-                load_params(str(path))
-            assert str(params_only.value) == str(full.value)
-            assert "expected" in str(full.value)
 
     def test_version_1_loads_with_warning(self, tmp_path):
         cfg = tiny_cfg()
         v2, v1 = tmp_path / "v2.ckpt", tmp_path / "v1.ckpt"
         state = fresh_state(cfg, seed=16)
-        write_float64_checkpoint(v2, state, cfg, version=2)
-        write_float64_checkpoint(v1, state, cfg, version=1)
+        write_old_checkpoint(v2, state, cfg, version=2)
+        write_old_checkpoint(v1, state, cfg, version=1)
         with pytest.warns(UserWarning, match="v1.ckpt.*defaults"):
             got_cfg, params = load_params(str(v1))
         assert got_cfg == HeadConfig(input_dim=6, latent_dim=4, n_latents=2, n_classes=3)
@@ -823,14 +786,17 @@ class TestLoadParams:
             assert np.array_equal(got, want), name
 
     def test_paper_dims_peak_memory_skips_training_state(self, tmp_path):
-        """The float32 parameters alone: 3.4 MiB traced, against 10.2 for load_checkpoint."""
+        """The float32 parameters alone: 3.4 MiB traced, from a version-3 or -4 file."""
         cfg = HeadConfig()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), fresh_state(cfg, seed=17), cfg)
-        tracemalloc.start()
-        try:
-            load_params(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 2**20, peak
+        state = fresh_state(cfg, seed=17)
+        v3, v4 = tmp_path / "v3.ckpt", tmp_path / "v4.ckpt"
+        write_old_checkpoint(v3, state, cfg, version=3)
+        save_checkpoint(str(v4), state.params, cfg)
+        for path in (v3, v4):
+            tracemalloc.start()
+            try:
+                load_params(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 * 2**20, (path, peak)
