@@ -30,7 +30,6 @@ from .head import Centers, HeadConfig, init_model_params
 from .intra import per_class_mean_weights
 from .numerics import SplitMix64
 from .training import (
-    COMPUTE_DTYPE,
     AdamState,
     Schedule,
     TrainerState,
@@ -95,7 +94,7 @@ def load_run_config(path: str) -> RunConfig:
     string value is read as the Python literal `dump` writes, any other as is."""
     cfg = RunConfig()
     known = {f.name for f in fields(RunConfig)}
-    with open(path, "r", encoding="utf-8") as fh:
+    with datasets.open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -262,12 +261,10 @@ def _load_model(args: argparse.Namespace):
     """(config, params, dataset) for eval and inspect.
 
     Only the checkpoint's header and parameter groups are read; the config
-    is the checkpoint's. The params are narrowed to COMPUTE_DTYPE, as
-    training's are, so `eval` gives the end-of-epoch `evaluate`'s result; a
-    version-3 or -4 checkpoint's are in it already and are kept without a copy.
+    is the checkpoint's, and the params are the float32 ones training ended
+    with, so `eval` gives the end-of-epoch `evaluate`'s result.
     """
     head_cfg, params = load_params(args.checkpoint_path)
-    params = params.astype(COMPUTE_DTYPE)
     return head_cfg, params, load_dataset(args.data, head_cfg)
 
 

@@ -14,6 +14,7 @@ evaluation compute in, so its rows reach `head.forward` unconverted.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass
@@ -220,6 +221,27 @@ def generate(spec: SynthSpec) -> FeatureDataset:
     return FeatureDataset(features, labels, spec.class_names)
 
 
+@contextlib.contextmanager
+def open_text(path: str):
+    """Open `path` as UTF-8 text for reading.
+
+    A byte that is not UTF-8 raises DataFormatError naming the file and the
+    first line that holds one (read again as bytes: a newline byte never
+    occurs inside a multi-byte UTF-8 character).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as err:
+                    raise DataFormatError(f"{path}:{lineno}: not UTF-8 text: {err}") from None
+        raise DataFormatError(f"{path}: not UTF-8 text") from None
+
+
 def save_csv(path: str, data: FeatureDataset) -> None:
     """Header label,f_1..f_P; float64 at 17 significant digits (round-trip exact)."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -239,7 +261,7 @@ def _csv_header(fh, path: str) -> int:
 
 def load_csv(path: str, class_names: tuple[str, ...] = EXPRESSION_CLASSES) -> FeatureDataset:
     """Parse a label,f_1..f_P table; errors carry 1-based line numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         p = _csv_header(fh, path)
         features = []
         labels = []
@@ -313,7 +335,7 @@ def table_header(path: str) -> tuple[int, int | None]:
         if fh.read(4) == TABLE_MAGIC:
             fh.seek(0)
             return _bin_header(fh, path)[1:]
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return _csv_header(fh, path), None
 
 

@@ -15,9 +15,9 @@ narrows its parameters, Adam moments and centers once when it is built, and
 stay float64. A checkpoint (version 4) stores the model alone: its config
 and the four float32 parameter groups in their memory order, so loading one
 needs neither a conversion nor a relayout. The centers and Adam moments are
-used only in training and are not saved. Versions 1 to 3 also stored them,
-and versions 1 and 2 stored float64; their groups still load, narrowing
-back to the bits that were trained.
+used only in training and are not saved. Version 4 is the only version
+`load_params` reads; a model saved in an older one is rebuilt by training
+again from the `.config` file saved next to it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import contextlib
 import math
 import os
 import struct
-import warnings
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -324,18 +323,8 @@ def train_epoch(
 
 CHECKPOINT_MAGIC = b"FDRM"
 CHECKPOINT_VERSION = 4
-# Per version: the header's layout after the magic and version, the arrays'
-# element type, and whether the training state follows the four groups.
-# Versions 1 and 2 stored float64, and decomp in the C order of its (M, P, D)
-# shape. Versions 1 to 3 went on after the groups with the latent and class
-# centers, the Adam first and second moments in group order, and a u64 step
-# count and u64 RNG state; no reader uses them.
-_VERSIONS = {
-    1: ("<4I", "<f8", True),
-    2: ("<4I5d", "<f8", True),
-    3: ("<4I5d", "<f4", True),
-    CHECKPOINT_VERSION: ("<4I5d", "<f4", False),
-}
+# the 64-byte header: magic, version, P, D, M, K, HeadConfig's five settings
+_HEADER = struct.Struct("<4s5I5d")
 
 
 def save_checkpoint(path: str, params: ParamGroups, cfg: HeadConfig) -> None:
@@ -362,8 +351,7 @@ def save_checkpoint(path: str, params: ParamGroups, cfg: HeadConfig) -> None:
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<5I5d", CHECKPOINT_VERSION, *astuple(cfg)))
+            fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *astuple(cfg)))
             for name, arr in params.items():
                 if arr.dtype != np.float32:
                     raise ContractViolation(
@@ -383,68 +371,60 @@ def _group_shapes(cfg: HeadConfig) -> list[tuple[int, ...]]:
     return [(M, P, D), (M, D, D), (M, D, D), (D, K)]
 
 
-def _read_header(fh, path: str) -> tuple[HeadConfig, np.dtype]:
-    """Read and check an open checkpoint's header and size.
+def _read_header(fh, path: str) -> HeadConfig:
+    """Read and check an open checkpoint's header and size; return its HeadConfig.
 
-    Returns the HeadConfig and the element type of the arrays: little-endian
-    float32 for versions 3 and 4, float64 for versions 1 and 2. Version 1
-    stored only P, D, M, K: its settings are defaults, with a warning. The
-    whole file's size, the training state of versions 1 to 3 included, is
-    then checked against the one the header implies, before any array is
-    read, so a truncated or overlong file is rejected.
+    A file of any version but CHECKPOINT_VERSION is refused with the
+    command that rebuilds its model from the `.config` that `train` wrote
+    next to it. The whole file's size is checked against the one the header
+    implies before any array is read, so a truncated or overlong file is
+    rejected.
     """
-    head = fh.read(8)
-    if head[:4] != CHECKPOINT_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {head[:4]!r}")
-    version = int.from_bytes(head[4:], "little")
-    layout, fmt, training_state = _VERSIONS.get(version, ("", None, False))
-    body = fh.read(struct.calcsize(layout))
-    if len(head) < 8 or len(body) < struct.calcsize(layout):
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
         raise DataFormatError(f"{path}: truncated header")
-    if not layout:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    if version == 1:
-        warnings.warn(f"{path}: version-1 checkpoint stores no model settings; "
-                      "using HeadConfig defaults for them")
-    cfg = HeadConfig(*struct.unpack(layout, body))
+    magic, version, *settings = _HEADER.unpack(head)
+    if magic != CHECKPOINT_MAGIC:
+        raise DataFormatError(f"{path}: bad magic {magic!r}")
+    if version != CHECKPOINT_VERSION:
+        raise DataFormatError(
+            f"{path}: unsupported version {version}, not {CHECKPOINT_VERSION}; "
+            f"rebuild the model with `ferhead train --config {path}.config`"
+        )
+    cfg = HeadConfig(*settings)
     try:
         cfg.validate()
     except ContractViolation as err:
         raise DataFormatError(f"{path}: {err}") from None
 
-    fmt = np.dtype(fmt)
-    D, M, K = cfg.latent_dim, cfg.n_latents, cfg.n_classes
-    n_floats = sum(map(math.prod, _group_shapes(cfg)))
-    expected = fh.tell() + fmt.itemsize * n_floats
-    if training_state:  # two moments of every group, both center banks, two u64
-        expected += fmt.itemsize * (2 * n_floats + M * D + K * M) + 16
+    expected = _HEADER.size + 4 * sum(map(math.prod, _group_shapes(cfg)))
     size = os.fstat(fh.fileno()).st_size
     if size != expected:
         short = "truncated: " if size < expected else ""
         raise DataFormatError(f"{path}: {short}expected {expected} bytes, found {size}")
-    return cfg, fmt
+    return cfg
 
 
-def _read_array(fh, shape: tuple[int, ...], fmt: np.dtype) -> np.ndarray:
+def _read_array(fh, shape: tuple[int, ...]) -> np.ndarray:
     # the file is little-endian; astype makes the values native
-    arr = np.fromfile(fh, fmt, math.prod(shape)).reshape(shape)
-    return arr.astype(fmt.newbyteorder("="), copy=False)
+    arr = np.fromfile(fh, "<f4", math.prod(shape)).reshape(shape)
+    return arr.astype(np.float32, copy=False)
 
 
 def load_params(path: str) -> tuple[HeadConfig, ParamGroups]:
-    """Read a checkpoint's config and its four parameter groups.
+    """Read a version-4 checkpoint's config and its four float32 parameter groups.
 
-    The header and the whole file's size are checked first. The groups come
-    in the file's element type: float32 from a version-3 or -4 file, read
-    straight into ParamGroups' layout, and float64 from versions 1 and 2.
-    The training state that follows the groups in versions 1 to 3 is never
-    read.
+    The header and the whole file's size are checked first, then the groups
+    are read straight into ParamGroups' layout. A non-finite weight raises
+    DataFormatError naming the file and its group.
     """
     with open(path, "rb") as fh:
-        cfg, fmt = _read_header(fh, path)
+        cfg = _read_header(fh, path)
         (M, P, D), *shapes = _group_shapes(cfg)
-        if fmt.itemsize == 4:  # decomp in its (P, M, D) memory order
-            decomp = _read_array(fh, (P, M, D), fmt).transpose(1, 0, 2)
-        else:
-            decomp = _read_array(fh, (M, P, D), fmt)
-        return cfg, ParamGroups(decomp, *(_read_array(fh, shape, fmt) for shape in shapes))
+        decomp = _read_array(fh, (P, M, D)).transpose(1, 0, 2)  # (P, M, D) memory
+        params = ParamGroups(decomp, *(_read_array(fh, shape) for shape in shapes))
+    try:
+        params.raise_if_not_finite("as stored")
+    except TrainingError as err:
+        raise DataFormatError(f"{path}: {err}") from None
+    return cfg, params

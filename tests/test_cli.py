@@ -8,7 +8,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from float64_checkpoint import write_old_checkpoint
 from ferhead import cli, datasets, verification
 from ferhead.errors import DataFormatError
 from ferhead.cli import (
@@ -19,15 +18,14 @@ from ferhead.cli import (
     pca_project,
     write_csv,
 )
-from ferhead.head import Centers, HeadConfig
+from ferhead.head import HeadConfig, init_model_params
 from ferhead.numerics import SplitMix64
 from ferhead.training import (
     COMPUTE_DTYPE,
-    AdamState,
     Schedule,
-    TrainerState,
     evaluate,
     load_params,
+    save_checkpoint,
 )
 
 
@@ -76,6 +74,16 @@ def toy_env(tmp_path):
        + "\n"
     )
     return tmp_path, config
+
+
+def save_toy_model(path, config, nan_gate=False):
+    """An untrained version-4 checkpoint of toy_env's model, one gate weight NaN if asked."""
+    cfg = load_run_config(str(config)).head_config()
+    params = init_model_params(cfg, SplitMix64(0)).astype(COMPUTE_DTYPE)
+    if nan_gate:
+        params.gate[1, 2, 3] = np.nan
+    save_checkpoint(str(path), params, cfg)
+    return path
 
 
 class TestConfigFile:
@@ -400,26 +408,6 @@ class TestEvalCommand:
         correct = sum(int(r.split(",")[2]) for r in rows)
         assert correct / total == pytest.approx(final_acc, abs=1e-12)
 
-    def test_version_2_and_3_files_of_one_model_write_the_same_reports(self, toy_env):
-        """As the version-4 file that train wrote, whose params they hold."""
-        tmp_path, config = toy_env
-        v4, v3, v2 = (tmp_path / f"v{version}.ckpt" for version in (4, 3, 2))
-        assert main(["train", "--config", str(config), "--checkpoint", str(v4)]) == 0
-        cfg, params = load_params(str(v4))
-        state = TrainerState(params, Centers.zeros(cfg), AdamState.zeros(params), SplitMix64(0))
-        for version, path in ((2, v2), (3, v3)):
-            write_old_checkpoint(path, state, cfg, version=version)
-        train_path = load_run_config(str(config)).train_path
-        reports = {}
-        for ckpt in (v2, v3, v4):
-            out, weights = tmp_path / f"{ckpt.stem}-eval.csv", tmp_path / f"{ckpt.stem}-w.csv"
-            assert main(["eval", "--checkpoint-path", str(ckpt), "--data", train_path,
-                         "--out", str(out)]) == 0
-            assert main(["inspect", "--checkpoint-path", str(ckpt), "--data", train_path,
-                         "--weights-csv", str(weights)]) == 0
-            reports[ckpt.stem] = (out.read_bytes(), weights.read_bytes())
-        assert reports["v2"] == reports["v3"] == reports["v4"]
-
     def test_float32_and_float64_tables_of_one_set_write_the_same_reports(self, toy_env):
         """A binary table (float32 rows) and a CSV of its values (float64) evaluate alike."""
         tmp_path, config = toy_env
@@ -435,7 +423,6 @@ class TestEvalCommand:
         np.testing.assert_array_equal(as32.features, as64.features)
 
         cfg, params = load_params(str(ckpt))
-        params = params.astype(COMPUTE_DTYPE)
         r32, r64 = evaluate(params, cfg, as32), evaluate(params, cfg, as64)
         assert r32.accuracy == r64.accuracy
         np.testing.assert_array_equal(r32.confusion, r64.confusion)
@@ -452,12 +439,34 @@ class TestEvalCommand:
             reports[data.suffix] = (out.read_bytes(), weights.read_bytes(), pca.read_bytes())
         assert reports[".bin"] == reports[".csv"]
 
-    def test_corrupted_checkpoint_is_format_error(self, toy_env):
+    def test_corrupted_checkpoint_is_format_error(self, toy_env, capsys):
         tmp_path, config = toy_env
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"JUNKJUNKJUNK" + b"\x00" * 60)
         train_path = load_run_config(str(config)).train_path
         assert main(["eval", "--checkpoint-path", str(bad), "--data", train_path]) == 2
+        # every version but 4 names itself and the command that rebuilds its model
+        blob = bytearray(save_toy_model(bad, config).read_bytes())
+        for version in (0, 1, 2, 3, 5):
+            blob[4:8] = struct.pack("<I", version)
+            bad.write_bytes(bytes(blob))
+            capsys.readouterr()
+            assert main(["eval", "--checkpoint-path", str(bad), "--data", train_path]) == 2
+            err = capsys.readouterr().err
+            assert f"{bad}: unsupported version {version}, " in err
+            assert f"`ferhead train --config {bad}.config`" in err
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_non_finite_weight_exits_2_naming_file_and_group(self, toy_env, capsys, command):
+        tmp_path, config = toy_env
+        ckpt, out = tmp_path / "model.ckpt", tmp_path / "report.csv"
+        save_toy_model(ckpt, config, nan_gate=True)
+        flag = "--out" if command == "eval" else "--weights-csv"
+        train_path = load_run_config(str(config)).train_path
+        argv = [command, "--checkpoint-path", str(ckpt), "--data", train_path, flag, str(out)]
+        assert main(argv) == 2
+        assert f"error: {ckpt}: non-finite values in gate" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dimension_mismatch_is_explicit_error(self, toy_env, capsys):
         tmp_path, config = toy_env
@@ -892,3 +901,31 @@ class TestDatasetChecks:
             assert f"{wrong}: file declares 4 classes, run expects 3" in err
         else:
             assert f"{wrong}: feature dimension 16 does not match the model's input_dim 24" in err
+
+    @pytest.mark.parametrize("case", ["table-line-1", "table-line-2", "table-last-line", "config"])
+    def test_text_that_is_not_utf8_exits_2_naming_the_line(self, toy_env, capsys, case):
+        """A table or config file holding a byte that is not UTF-8 is a format error."""
+        tmp_path, config = toy_env
+        text = (tmp_path / "train.csv").read_bytes()
+        header, rows = text.split(b"\n", 1)
+        bad = tmp_path / "bad.txt"
+        ckpt, log, out = (tmp_path / name for name in ("m.ckpt", "log.csv", "eval.csv"))
+        if case == "config":
+            bad.write_bytes(config.read_bytes() + b"\xff\xfe\n")
+            line = len(config.read_bytes().splitlines()) + 1
+            argv = ["train", "--config", str(bad), "--checkpoint", str(ckpt),
+                    "--log-path", str(log)]
+            written = [ckpt, log, tmp_path / "m.ckpt.config"]
+        else:
+            line, blob = {
+                "table-line-1": (1, b"\xff\xfe" + text),
+                "table-line-2": (2, header + b"\n\xff\n" + rows),
+                "table-last-line": (len(text.splitlines()) + 1, text + b"\xff\n"),
+            }[case]
+            bad.write_bytes(blob)
+            save_toy_model(ckpt, config)
+            argv = ["eval", "--checkpoint-path", str(ckpt), "--data", str(bad), "--out", str(out)]
+            written = [out]
+        assert main(argv) == 2
+        assert f"error: {bad}:{line}: not UTF-8 text" in capsys.readouterr().err
+        assert not any(path.exists() for path in written)

@@ -1,10 +1,10 @@
 """The compute dtype: training and evaluation in float32, the oracles in float64.
 
-TrainerState and `eval`/`inspect` narrow the parameters once; datasets and
-init_model_params stay float64, and checkpoint files store the float32
-parameters (versions 3 and 4; versions 1 and 2 stored float64). These tests
-pin which side of that line each entry point is on, and bound how far a
-float32 pass strays from the float64 one at paper dimensions.
+TrainerState narrows the parameters once; datasets and init_model_params
+stay float64, and checkpoint files store the float32 parameters, which
+`eval` and `inspect` load as stored. These tests pin which side of that
+line each entry point is on, and bound how far a float32 pass strays from
+the float64 one at paper dimensions.
 """
 
 import argparse
@@ -13,7 +13,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from float64_checkpoint import write_old_checkpoint
 from naive_reference import naive_head_forward
 
 from ferhead import cli, datasets
@@ -124,17 +123,14 @@ class TestDtypeContract:
         assert inst.centers.latent.centers.dtype == np.float64
 
         state = state_of(params, Centers.zeros(cfg))
-        v2, v3, v4 = (tmp_path / f"v{version}.ckpt" for version in (2, 3, 4))
-        write_old_checkpoint(v2, state, cfg, version=2)
-        write_old_checkpoint(v3, state, cfg, version=3)
-        save_checkpoint(str(v4), state.params, cfg)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), state.params, cfg)
         self.write_set(tmp_path / "data.bin")
-        for path, stored in ((v2, np.float64), (v3, np.float32), (v4, np.float32)):
-            _, loaded = load_params(str(path))
-            assert set(self.dtypes(loaded).values()) == {np.dtype(stored)}, path
-            args = argparse.Namespace(checkpoint_path=str(path), data=str(tmp_path / "data.bin"))
-            _, model, _ = cli._load_model(args)
-            assert set(self.dtypes(model).values()) == {np.dtype(COMPUTE_DTYPE)}, path
+        _, loaded = load_params(str(path))
+        assert set(self.dtypes(loaded).values()) == {np.dtype(COMPUTE_DTYPE)}
+        args = argparse.Namespace(checkpoint_path=str(path), data=str(tmp_path / "data.bin"))
+        _, model, _ = cli._load_model(args)
+        assert set(self.dtypes(model).values()) == {np.dtype(COMPUTE_DTYPE)}
 
     def test_float32_checkpoint_round_trip_keeps_every_bit(self, tmp_path):
         cfg = HeadConfig()
@@ -145,8 +141,7 @@ class TestDtypeContract:
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), state.params, cfg)
         _, loaded = load_params(str(path))
-        narrowed = loaded.astype(COMPUTE_DTYPE)
-        for (name, got), (_, want) in zip(narrowed.items(), state.params.items()):
+        for (name, got), (_, want) in zip(loaded.items(), state.params.items()):
             assert got.tobytes(order="A") == want.tobytes(order="A"), name
             assert got.strides == want.strides, name
 

@@ -8,7 +8,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from float64_checkpoint import write_old_checkpoint
 from ferhead import head, training
 from ferhead.datasets import FeatureDataset
 from ferhead.errors import ContractViolation, DataFormatError, TrainingError
@@ -647,16 +646,10 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError, match=f"expected {size} bytes, found {size + 1}"):
             load_params(str(path))
 
-    @pytest.mark.parametrize("version", [3, 4])
-    def test_one_byte_short_or_long_names_expected_size(self, tmp_path, version):
-        """The size check covers version 3's training state and version 4's bare groups."""
+    def test_one_byte_short_or_long_names_expected_size(self, tmp_path):
         cfg = tiny_cfg()
-        state = fresh_state(cfg, seed=21)
-        path = tmp_path / f"v{version}.ckpt"
-        if version == 3:
-            write_old_checkpoint(path, state, cfg, version=3)
-        else:
-            save_checkpoint(str(path), state.params, cfg)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), fresh_state(cfg, seed=21).params, cfg)
         blob = path.read_bytes()
         for bad, found in ((blob[:-1], len(blob) - 1), (blob + b"\x00", len(blob) + 1)):
             path.write_bytes(bad)
@@ -713,53 +706,21 @@ class TestCheckpoints:
         assert path.read_bytes() == before
         assert not (tmp_path / "model.ckpt.tmp").exists()
 
-    def test_versions_1_2_and_3_load_to_the_same_float32_bits(self, tmp_path):
-        """Old files of one trained state give the groups a version-4 file of it gives."""
-        cfg = HeadConfig(input_dim=6, latent_dim=4, n_latents=2, n_classes=3)
-        state = fresh_state(cfg, seed=20)
-        sched = Schedule(base_lr=1e-3, decay_epochs=(), total_epochs=1, batch_size=6)
-        train_epoch(state, tiny_dataset(per_class=4, cfg=cfg), cfg, sched, 0)
-        assert state.adam.step_count > 0
-        paths = [tmp_path / f"v{version}.ckpt" for version in (1, 2, 3, 4)]
-        for version, path in zip((1, 2, 3), paths):
-            write_old_checkpoint(path, state, cfg, version=version)
-        save_checkpoint(str(paths[3]), state.params, cfg)
-        with pytest.warns(UserWarning, match="v1.ckpt.*defaults"):
-            loaded = [load_params(str(paths[0]))[1]]
-        loaded += [load_params(str(p))[1] for p in paths[1:]]
-        assert [groups.dtype for groups in loaded] == [np.float64] * 2 + [np.float32] * 2
-        for groups in loaded:
-            assert_same_groups(groups.astype(training.COMPUTE_DTYPE), state.params)
-
     def test_peek_dims(self, tmp_path):
         cfg = replace(tiny_cfg(), mix_ratio=0.25, center_rate=0.75)
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), fresh_state(cfg).params, cfg)
         assert load_params(str(path))[0] == cfg
 
-    def test_version_1_loads_with_default_settings_and_warns(self, tmp_path):
-        """A v1 file (24-byte header, v2's arrays) loads; its settings are defaults."""
-        cfg = tiny_cfg()
-        state = fresh_state(cfg, seed=14)
-        v2, v1 = tmp_path / "v2.ckpt", tmp_path / "v1.ckpt"
-        write_old_checkpoint(v2, state, cfg, version=2)
-        write_old_checkpoint(v1, state, cfg, version=1)
-        defaults = HeadConfig(input_dim=6, latent_dim=4, n_latents=2, n_classes=3)
-        with pytest.warns(UserWarning, match="v1.ckpt.*defaults"):
-            got_cfg, loaded = load_params(str(v1))
-        assert got_cfg == defaults
-        for (name, got), (_, want) in zip(loaded.items(), load_params(str(v2))[1].items()):
-            assert np.array_equal(got, want), name
-
     def test_header_cut_short_rejected(self, tmp_path):
         cfg = tiny_cfg()
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), fresh_state(cfg).params, cfg)
         blob = path.read_bytes()
-        for cut in (6, 40, 63):
+        for cut in range(64):
             path.write_bytes(blob[:cut])
             with pytest.raises(DataFormatError, match="truncated header"):
-                load_params(str(path))[0]
+                load_params(str(path))
 
 
 class TestLoadParams:
@@ -773,30 +734,15 @@ class TestLoadParams:
         assert_same_groups(params, state.params)
         assert params.decomp.transpose(1, 0, 2).flags.c_contiguous  # (P, M, D) memory
 
-    def test_version_1_loads_with_warning(self, tmp_path):
-        cfg = tiny_cfg()
-        v2, v1 = tmp_path / "v2.ckpt", tmp_path / "v1.ckpt"
-        state = fresh_state(cfg, seed=16)
-        write_old_checkpoint(v2, state, cfg, version=2)
-        write_old_checkpoint(v1, state, cfg, version=1)
-        with pytest.warns(UserWarning, match="v1.ckpt.*defaults"):
-            got_cfg, params = load_params(str(v1))
-        assert got_cfg == HeadConfig(input_dim=6, latent_dim=4, n_latents=2, n_classes=3)
-        for (name, got), (_, want) in zip(params.items(), load_params(str(v2))[1].items()):
-            assert np.array_equal(got, want), name
-
-    def test_paper_dims_peak_memory_skips_training_state(self, tmp_path):
-        """The float32 parameters alone: 3.4 MiB traced, from a version-3 or -4 file."""
+    def test_paper_dims_peak_memory_is_the_params_alone(self, tmp_path):
+        """The float32 parameters alone: 3.4 MiB traced."""
         cfg = HeadConfig()
-        state = fresh_state(cfg, seed=17)
-        v3, v4 = tmp_path / "v3.ckpt", tmp_path / "v4.ckpt"
-        write_old_checkpoint(v3, state, cfg, version=3)
-        save_checkpoint(str(v4), state.params, cfg)
-        for path in (v3, v4):
-            tracemalloc.start()
-            try:
-                load_params(str(path))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 5 * 2**20, (path, peak)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), fresh_state(cfg, seed=17).params, cfg)
+        tracemalloc.start()
+        try:
+            load_params(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, peak
