@@ -156,7 +156,7 @@ def check_table(path: str, head_cfg: HeadConfig) -> int | None:
 def load_dataset(path: str, head_cfg: HeadConfig) -> datasets.FeatureDataset:
     """Load a CSV or binary table whose header `check_table` has checked."""
     if check_table(path, head_cfg) is None:
-        return datasets.load_csv(path, datasets.default_class_names(head_cfg.n_classes))
+        return datasets.load_csv(path, head_cfg.n_classes)
     return datasets.load_bin(path)
 
 
@@ -247,7 +247,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         write_csv(cfg.log_path, history[0].keys(), (row.values() for row in history))
     if cfg.checkpoint:
         save_checkpoint(cfg.checkpoint, state.params, head_cfg)
-        cfg.dump(cfg.checkpoint + ".config")
+        # absolute paths, so `train --config` rebuilds the model from any directory
+        paths = ("train_path", "test_path", "checkpoint", "log_path", "eval_csv")
+        absolute = {k: os.path.abspath(getattr(cfg, k)) for k in paths if getattr(cfg, k)}
+        replace(cfg, **absolute).dump(cfg.checkpoint + ".config")
     if cfg.test_path:
         data = load_dataset(cfg.test_path, head_cfg)
         report = evaluate(state.params, head_cfg, data)

@@ -6,10 +6,10 @@ space, mixed with class-specific nonnegative profiles, so the decomposition
 has recoverable structure to find. Samples are ReLU-clamped because backbone
 features are post-ReLU.
 
-On-disk formats: CSV stores float64 at full precision (17 significant
-digits); the binary table stores float32 (features are classification
-inputs, f32 is plenty) and loads as float32, the dtype training and
-evaluation compute in, so its rows reach `head.forward` unconverted.
+A dataset holds its features in float32, the dtype training and evaluation
+compute in, so its rows reach `head.forward` unconverted. On-disk formats:
+CSV stores each float32 value at 9 significant digits, which round-trips it
+exactly; the binary table stores the float32 rows as they are.
 """
 
 from __future__ import annotations
@@ -44,16 +44,15 @@ def default_class_names(n_classes: int) -> tuple[str, ...]:
 
 @dataclass
 class FeatureDataset:
-    """N basic features with class labels."""
+    """N basic features, narrowed to float32, with class labels."""
 
-    features: np.ndarray  # (N, P) float32 as given (a binary table), else float64
+    features: np.ndarray  # (N, P) float32
     labels: np.ndarray    # (N,) int64 in [0, K)
-    class_names: tuple[str, ...] = EXPRESSION_CLASSES
+    n_classes: int
 
     def __post_init__(self):
-        self.features = np.asarray(self.features)
-        if self.features.dtype != np.float32:
-            self.features = self.features.astype(np.float64, copy=False)
+        with np.errstate(over="ignore"):
+            self.features = np.asarray(self.features, dtype=np.float32)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.labels.ndim != 1:
             raise ContractViolation(
@@ -64,7 +63,7 @@ class FeatureDataset:
             raise ContractViolation(
                 f"{self.features.shape[0]} features vs {self.labels.shape[0]} labels"
             )
-        k = len(self.class_names)
+        k = self.n_classes
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= k):
             raise ContractViolation(
                 f"labels must lie in [0, {k}), got range "
@@ -75,8 +74,8 @@ class FeatureDataset:
         return self.features.shape[0]
 
     @property
-    def n_classes(self) -> int:
-        return len(self.class_names)
+    def class_names(self) -> tuple[str, ...]:
+        return default_class_names(self.n_classes)
 
     @property
     def feature_dim(self) -> int:
@@ -99,7 +98,6 @@ class SynthSpec:
     samples_per_class: int = 300
     seed: int = 0
     jitter: float = 0.3
-    class_names: tuple[str, ...] = EXPRESSION_CLASSES
 
     def __post_init__(self):
         self.action_dirs = np.asarray(self.action_dirs, dtype=np.float64)
@@ -112,10 +110,10 @@ class SynthSpec:
     def validate(self) -> None:
         if self.action_dirs.ndim != 2 or self.class_profiles.ndim != 2:
             raise ContractViolation("action_dirs and class_profiles must be 2-D")
-        if self.class_profiles.shape != (len(self.class_names), self.n_actions):
+        if len(self.class_profiles) < 1 or self.class_profiles.shape[1] != self.n_actions:
             raise ContractViolation(
-                f"class_profiles shape {self.class_profiles.shape} does not match "
-                f"{len(self.class_names)} classes x {self.n_actions} actions"
+                f"class_profiles shape {self.class_profiles.shape} is not "
+                f"(K >= 1) classes x {self.n_actions} actions"
             )
         norms = np.linalg.norm(self.action_dirs, axis=1)
         if not np.allclose(norms, 1.0, atol=1e-9):
@@ -179,7 +177,6 @@ def make_synth_spec(
     samples_per_class: int = 300,
     seed: int = 0,
     structure_seed: int = 0,
-    class_names: tuple[str, ...] | None = None,
 ) -> SynthSpec:
     """SynthSpec with the default direction/profile construction.
 
@@ -187,8 +184,6 @@ def make_synth_spec(
     directions and class profiles. Train and test sets from the same
     population share structure_seed and differ in seed.
     """
-    if class_names is None:
-        class_names = default_class_names(n_classes)
     rng = SplitMix64(structure_seed ^ 0xD1F7)
     return SynthSpec(
         action_dirs=default_action_dirs(n_actions, feature_dim, rng),
@@ -196,18 +191,17 @@ def make_synth_spec(
         noise_sigma=noise_sigma,
         samples_per_class=samples_per_class,
         seed=seed,
-        class_names=class_names,
     )
 
 
 def generate(spec: SynthSpec) -> FeatureDataset:
-    """Deterministic synthetic dataset: samples_per_class rows for each class."""
+    """Deterministic: samples_per_class rows per class, computed in float64, stored as float32."""
     spec.validate()
     rng = SplitMix64(spec.seed)
-    K = len(spec.class_names)
+    K = len(spec.class_profiles)
     P = spec.action_dirs.shape[1]
     n_total = K * spec.samples_per_class
-    features = np.empty((n_total, P))
+    features = np.empty((n_total, P), dtype=np.float32)
     labels = np.empty(n_total, dtype=np.int64)
     row = 0
     for k in range(K):
@@ -218,7 +212,7 @@ def generate(spec: SynthSpec) -> FeatureDataset:
         features[row : row + spec.samples_per_class] = np.maximum(mixed, 0.0)
         labels[row : row + spec.samples_per_class] = k
         row += spec.samples_per_class
-    return FeatureDataset(features, labels, spec.class_names)
+    return FeatureDataset(features, labels, K)
 
 
 @contextlib.contextmanager
@@ -243,12 +237,12 @@ def open_text(path: str):
 
 
 def save_csv(path: str, data: FeatureDataset) -> None:
-    """Header label,f_1..f_P; float64 at 17 significant digits (round-trip exact)."""
+    """Header label,f_1..f_P; float32 at 9 significant digits (round-trip exact)."""
     with open(path, "w", encoding="utf-8") as fh:
         header = "label," + ",".join(f"f_{i + 1}" for i in range(data.feature_dim))
         fh.write(header + "\n")
         for label, row in zip(data.labels, data.features):
-            fh.write(str(int(label)) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(str(int(label)) + "," + ",".join(f"{v:.9g}" for v in row.tolist()) + "\n")
 
 
 def _csv_header(fh, path: str) -> int:
@@ -259,8 +253,9 @@ def _csv_header(fh, path: str) -> int:
     return len(columns) - 1
 
 
-def load_csv(path: str, class_names: tuple[str, ...] = EXPRESSION_CLASSES) -> FeatureDataset:
-    """Parse a label,f_1..f_P table; errors carry 1-based line numbers."""
+def load_csv(path: str, n_classes: int) -> FeatureDataset:
+    """Parse a label,f_1..f_P table into float32 rows; errors carry 1-based
+    line numbers, and a cell not finite in float32 (nan, inf, 1e39) is one."""
     with open_text(path) as fh:
         p = _csv_header(fh, path)
         features = []
@@ -276,19 +271,23 @@ def load_csv(path: str, class_names: tuple[str, ...] = EXPRESSION_CLASSES) -> Fe
                 )
             try:
                 label = int(parts[0])
-                features.append([float(v) for v in parts[1:]])
+                with np.errstate(over="ignore"):
+                    row = np.array([float(v) for v in parts[1:]], dtype=np.float32)
             except ValueError as err:
                 raise DataFormatError(f"{path}:{lineno}: {err}") from None
-            if not 0 <= label < len(class_names):
+            if not 0 <= label < n_classes:
                 raise DataFormatError(
-                    f"{path}:{lineno}: label {label} out of range [0, {len(class_names)})"
+                    f"{path}:{lineno}: label {label} out of range [0, {n_classes})"
                 )
+            finite = np.isfinite(row)
+            if not finite.all():
+                j = finite.argmin() + 1
+                raise DataFormatError(f"{path}:{lineno}: f_{j}={parts[j]} is not finite in float32")
+            features.append(row)
             labels.append(label)
     if not features:
         raise DataFormatError(f"{path}: no data rows")
-    return FeatureDataset(
-        np.asarray(features), np.asarray(labels, dtype=np.int64), class_names
-    )
+    return FeatureDataset(np.stack(features), np.asarray(labels, dtype=np.int64), n_classes)
 
 
 TABLE_MAGIC = b"FDRL"
@@ -339,7 +338,7 @@ def table_header(path: str) -> tuple[int, int | None]:
         return _csv_header(fh, path), None
 
 
-def load_bin(path: str, class_names: tuple[str, ...] | None = None) -> FeatureDataset:
+def load_bin(path: str) -> FeatureDataset:
     """Read the binary table; features stay float32, as stored.
 
     The header and the file size are checked before any row is read, and
@@ -349,10 +348,4 @@ def load_bin(path: str, class_names: tuple[str, ...] | None = None) -> FeatureDa
         n, p, k = _bin_header(fh, path)
         features = np.fromfile(fh, dtype="<f4", count=n * p).reshape(n, p)
         labels = np.fromfile(fh, dtype="<u4", count=n).astype(np.int64)
-    if class_names is None:
-        class_names = default_class_names(k)
-    if len(class_names) != k:
-        raise DataFormatError(
-            f"{path}: file declares {k} classes, caller supplied {len(class_names)} names"
-        )
-    return FeatureDataset(features, labels, class_names)
+    return FeatureDataset(features, labels, k)

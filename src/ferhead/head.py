@@ -249,7 +249,7 @@ def joint_loss(
     return LossBreakdown(cls, compact, balance, distribution, total)
 
 
-def empty_cache(N: int, cfg: HeadConfig, dtype=np.float64) -> ForwardCache:
+def empty_cache(N: int, cfg: HeadConfig, dtype) -> ForwardCache:
     """Uninitialized `dtype` buffers for a forward pass over N rows.
 
     gates, weights, pre_message and messages are views of latent-major

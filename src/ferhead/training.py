@@ -11,13 +11,13 @@ among them) do not depend on the order the shuffle drew them in.
 
 Training and evaluation compute in COMPUTE_DTYPE (float32): a TrainerState
 narrows its parameters, Adam moments and centers once when it is built, and
-`forward` narrows each batch of features. Datasets and `init_model_params`
-stay float64. A checkpoint (version 4) stores the model alone: its config
-and the four float32 parameter groups in their memory order, so loading one
-needs neither a conversion nor a relayout. The centers and Adam moments are
-used only in training and are not saved. Version 4 is the only version
-`load_params` reads; a model saved in an older one is rebuilt by training
-again from the `.config` file saved next to it.
+a dataset holds float32 features, so `forward` copies each batch unconverted;
+`init_model_params` stays float64 for the oracles. A checkpoint (version 4)
+stores the model alone: its config and the four float32 parameter groups in
+their memory order, so loading one needs neither a conversion nor a relayout.
+The centers and Adam moments are used only in training and are not saved.
+Version 4 is the only version `load_params` reads; a model saved in an older
+one is rebuilt by training again from the `.config` file saved next to it.
 """
 
 from __future__ import annotations

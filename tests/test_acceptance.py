@@ -307,13 +307,13 @@ class TestFormatRoundTrips:
         )
         csv_path = tmp_path / "d.csv"
         datasets.save_csv(str(csv_path), data)
-        loaded = datasets.load_csv(str(csv_path), data.class_names)
+        loaded = datasets.load_csv(str(csv_path), data.n_classes)
         assert np.array_equal(loaded.features, data.features)
         assert np.array_equal(loaded.labels, data.labels)
 
         bin_path = tmp_path / "d.bin"
         datasets.save_bin(str(bin_path), data)
-        loaded_bin = datasets.load_bin(str(bin_path), data.class_names)
+        loaded_bin = datasets.load_bin(str(bin_path))
         assert np.array_equal(
             loaded_bin.features, data.features.astype(np.float32).astype(np.float64)
         )

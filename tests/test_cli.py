@@ -305,11 +305,7 @@ class TestTrainCommand:
         from ferhead.datasets import FeatureDataset, save_csv
 
         bad = tmp_path / "overflow.csv"
-        names = ("class_0", "class_1", "class_2")
-        save_csv(
-            str(bad),
-            FeatureDataset(np.full((12, 6), 1e200), np.arange(12) % 3, names),
-        )
+        save_csv(str(bad), FeatureDataset(np.full((12, 6), 1e30), np.arange(12) % 3, 3))
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(
                 ["train", "--train-path", str(bad), "--input-dim", "6",
@@ -373,6 +369,26 @@ class TestTrainCommand:
         blob2 = ckpt2.read_bytes()
         assert blob1 == blob2
 
+    def test_dumped_config_rebuilds_the_model_from_another_directory(self, toy_env, monkeypatch):
+        """The sidecar holds absolute paths, so `train --config` works from anywhere."""
+        tmp_path, config = toy_env
+        run, elsewhere = tmp_path / "run", tmp_path / "elsewhere" / "deeper"
+        run.mkdir()
+        elsewhere.mkdir(parents=True)
+        monkeypatch.chdir(run)
+        assert main(["train", "--config", str(config), "--train-path", "../train.csv",
+                     "--test-path", "../test.csv", "--checkpoint", "m.ckpt",
+                     "--log-path", "log.csv"]) == 0
+        first = (run / "m.ckpt").read_bytes()
+        sidecar = load_run_config(str(run / "m.ckpt.config"))
+        paths = [sidecar.train_path, sidecar.test_path, sidecar.checkpoint, sidecar.log_path]
+        assert all(map(os.path.isabs, paths)) and sidecar.eval_csv == ""
+        assert os.path.samefile(sidecar.train_path, tmp_path / "train.csv")
+        (run / "m.ckpt").unlink()
+        monkeypatch.chdir(elsewhere)
+        assert main(["train", "--config", str(run / "m.ckpt.config")]) == 0
+        assert (run / "m.ckpt").read_bytes() == first
+
     def test_env_var_supplies_default_config(self, toy_env, monkeypatch):
         tmp_path, config = toy_env
         ckpt = tmp_path / "env.ckpt"
@@ -409,7 +425,8 @@ class TestEvalCommand:
         assert correct / total == pytest.approx(final_acc, abs=1e-12)
 
     def test_float32_and_float64_tables_of_one_set_write_the_same_reports(self, toy_env):
-        """A binary table (float32 rows) and a CSV of its values (float64) evaluate alike."""
+        """A binary table and a CSV of float64 values that round to its rows load to
+        the same float32 rows and evaluate alike."""
         tmp_path, config = toy_env
         ckpt, table, text = tmp_path / "m.ckpt", tmp_path / "t.bin", tmp_path / "t.csv"
         assert main(["train", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
@@ -417,9 +434,12 @@ class TestEvalCommand:
                      "--per-class", "8", "--noise", "0.02", "--seed", "5",
                      "--structure-seed", "1", "--out-bin", str(table)]) == 0
         as32 = datasets.load_bin(str(table))
-        datasets.save_csv(str(text), as32)
-        as64 = datasets.load_csv(str(text), as32.class_names)
-        assert (as32.features.dtype, as64.features.dtype) == (np.float32, np.float64)
+        wide = as32.features.astype(np.float64) * (1 + 2.0**-30)  # within half a float32 ulp
+        assert not np.array_equal(wide, as32.features)
+        header = ["label", *(f"f_{i + 1}" for i in range(as32.feature_dim))]
+        write_csv(str(text), header, ([label, *row] for label, row in zip(as32.labels, wide)))
+        as64 = datasets.load_csv(str(text), as32.n_classes)
+        assert as64.features.dtype == np.float32
         np.testing.assert_array_equal(as32.features, as64.features)
 
         cfg, params = load_params(str(ckpt))
@@ -631,10 +651,9 @@ class TestSynthCommand:
         )
         from ferhead.datasets import load_bin, load_csv
 
-        names = ("class_0", "class_1", "class_2")
-        a = load_csv(str(csv_p), names)
-        b = load_bin(str(bin_p), names)
-        np.testing.assert_allclose(a.features, b.features, atol=1e-6)
+        a = load_csv(str(csv_p), 3)
+        b = load_bin(str(bin_p))
+        np.testing.assert_array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
 
@@ -658,7 +677,7 @@ class TestInspectCommand:
             == 0
         )
         cfg = HeadConfig(input_dim=24, latent_dim=6, n_latents=3, n_classes=3, mix_ratio=0.0)
-        data = load_csv(train_path, tuple(f"class_{k}" for k in range(3)))
+        data = load_csv(train_path, 3)
         saved_cfg, params = load_params(str(ckpt))
         assert saved_cfg == cfg
         expected = pca_project(forward(data.features, params, cfg).feature)
@@ -725,15 +744,14 @@ class TestInspectCommand:
             == 0
         )
 
-        names = tuple(f"class_{k}" for k in range(3))
-        data = load_csv(str(big), names)
+        data = load_csv(str(big), 3)
         assert len(data) > EVAL_BLOCK_ROWS
         cfg, params = load_params(str(ckpt))
         assert cfg == HeadConfig(input_dim=24, latent_dim=6, n_latents=3, n_classes=3)
         cache = forward(data.features, params, cfg)
         expected = [cache.weights[data.labels == k].mean(axis=0) for k in range(3)]
         rows = [line.split(",") for line in weights_csv.read_text().splitlines()[1:]]
-        assert [row[0] for row in rows] == list(names)
+        assert [row[0] for row in rows] == ["class_0", "class_1", "class_2"]
         got = np.array([[float(v) for v in row[1:]] for row in rows])
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
@@ -753,7 +771,7 @@ class TestInspectCommand:
         empty = tmp_path / "empty.bin"
         save_bin(
             str(empty),
-            FeatureDataset(np.zeros((0, 8)), np.zeros(0, dtype=np.int64), ("a", "b", "c")),
+            FeatureDataset(np.zeros((0, 8)), np.zeros(0, dtype=np.int64), 3),
         )
         outputs = [tmp_path / name for name in ("weights.csv", "pca.csv", "rel.csv")]
         code = main(
@@ -928,4 +946,30 @@ class TestDatasetChecks:
             written = [out]
         assert main(argv) == 2
         assert f"error: {bad}:{line}: not UTF-8 text" in capsys.readouterr().err
+        assert not any(path.exists() for path in written)
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e39"])
+    def test_cell_not_finite_in_float32_exits_2_naming_the_line(
+        self, toy_env, capsys, command, cell
+    ):
+        """nan, inf and a value beyond float32's range are format errors at load."""
+        tmp_path, config = toy_env
+        lines = (tmp_path / "train.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[5] = cell
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "eval.csv"
+        if command == "eval":
+            save_toy_model(ckpt, config)
+            argv = ["eval", "--checkpoint-path", str(ckpt), "--data", str(bad), "--out", str(out)]
+            written = [out]
+        else:
+            argv = ["train", "--config", str(config), "--train-path", str(bad),
+                    "--checkpoint", str(ckpt)]
+            written = [ckpt]
+        assert main(argv) == 2
+        assert f"error: {bad}:4: f_5={cell} is not finite in float32" in capsys.readouterr().err
         assert not any(path.exists() for path in written)

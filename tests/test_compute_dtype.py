@@ -99,8 +99,8 @@ class TestDtypeContract:
     def write_set(self, path, seed=0):
         rng = SplitMix64(seed)
         X = rng.uniform(0.0, 1.0, (12, self.CFG.input_dim))
-        names = tuple(f"class_{k}" for k in range(self.CFG.n_classes))
-        datasets.save_bin(str(path), datasets.FeatureDataset(X, np.arange(12) % 3, names))
+        data = datasets.FeatureDataset(X, np.arange(12) % 3, self.CFG.n_classes)
+        datasets.save_bin(str(path), data)
 
     def test_run_training_holds_float32_params_moments_and_centers(self, tmp_path):
         self.write_set(tmp_path / "train.bin")

@@ -78,7 +78,6 @@ class TestGenerate:
             noise_sigma=0.0,
             samples_per_class=20,
             seed=3,
-            class_names=("a", "b", "c"),
         )
         data = generate(spec)
         # brute-force oracle: project each sample onto every action direction
@@ -113,9 +112,22 @@ class TestCsvRoundTrip:
         data = generate(small_spec())
         path = tmp_path / "data.csv"
         save_csv(str(path), data)
-        loaded = load_csv(str(path), data.class_names)
+        loaded = load_csv(str(path), data.n_classes)
         assert np.array_equal(loaded.features, data.features)
         assert np.array_equal(loaded.labels, data.labels)
+
+    def test_every_float32_round_trips_at_nine_digits(self, tmp_path):
+        values = np.random.default_rng(0).integers(0, 2**32, 4000, dtype=np.uint32).view(np.float32)
+        extremes = [np.finfo(np.float32).max, np.finfo(np.float32).smallest_subnormal, -0.0]
+        values = np.concatenate([values[np.isfinite(values)], np.float32(extremes)])
+        data = FeatureDataset(values.reshape(-1, 1), np.zeros(len(values), dtype=int), 1)
+        path = tmp_path / "bits.csv"
+        save_csv(str(path), data)
+        cells = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
+        # at most 9 significant digits, and some values need all 9
+        assert max(len(c.lstrip("-").split("e")[0].replace(".", "").strip("0")) for c in cells) == 9
+        loaded = load_csv(str(path), 1)
+        assert loaded.features.view(np.uint32).tobytes() == data.features.view(np.uint32).tobytes()
 
     def test_header_shape(self, tmp_path):
         data = generate(small_spec())
@@ -130,25 +142,25 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("label,f_1,f_2\n0,1.0,2.0\n1,3.0\n")
         with pytest.raises(DataFormatError, match=":3"):
-            load_csv(str(path), ("a", "b"))
+            load_csv(str(path), 2)
 
     def test_out_of_range_label(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,f_1\n9,1.0\n")
         with pytest.raises(DataFormatError, match="label 9"):
-            load_csv(str(path))  # default 7 expression classes
+            load_csv(str(path), 7)
 
     def test_out_of_range_label_after_blank_lines_names_its_line(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("label,f_1,f_2\n\n0,1.0,2.0\n\n9,1.0,2.0\n")
         with pytest.raises(DataFormatError, match=r"blank\.csv:5: label 9 out of range"):
-            load_csv(str(path), ("a", "b", "c"))
+            load_csv(str(path), 3)
 
     def test_non_numeric_cell_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,f_1\n0,1.0\n0,oops\n")
         with pytest.raises(DataFormatError, match=":3"):
-            load_csv(str(path), ("a",))
+            load_csv(str(path), 1)
 
 
 class TestBinaryRoundTrip:
@@ -156,16 +168,12 @@ class TestBinaryRoundTrip:
         data = generate(small_spec())
         path = tmp_path / "data.bin"
         save_bin(str(path), data)
-        loaded = load_bin(str(path), data.class_names)
-        np.testing.assert_array_equal(
-            loaded.features, data.features.astype(np.float32).astype(np.float64)
-        )
+        loaded = load_bin(str(path))
+        np.testing.assert_array_equal(loaded.features, data.features)
         assert np.array_equal(loaded.labels, data.labels)
 
     def test_exact_byte_layout(self, tmp_path):
-        data = FeatureDataset(
-            np.array([[1.5, -2.5]]), np.array([3]), EXPRESSION_CLASSES
-        )
+        data = FeatureDataset(np.array([[1.5, -2.5]]), np.array([3]), 7)
         path = tmp_path / "tiny.bin"
         save_bin(str(path), data)
         blob = path.read_bytes()
@@ -202,7 +210,7 @@ class TestBinaryLoad:
         data = generate(small_spec())
         path = tmp_path / "data.bin"
         save_bin(str(path), data)
-        loaded = load_bin(str(path), data.class_names)
+        loaded = load_bin(str(path))
         n, p = data.features.shape
         stored = np.frombuffer(path.read_bytes(), dtype="<f4", count=n * p, offset=20)
         assert loaded.features.dtype == np.float32
@@ -215,8 +223,8 @@ class TestBinaryLoad:
         rng = np.random.default_rng(0)
         data = FeatureDataset(
             rng.random((7000, 512), dtype=np.float32),
-            rng.integers(0, len(EXPRESSION_CLASSES), 7000),
-            EXPRESSION_CLASSES,
+            rng.integers(0, 7, 7000),
+            7,
         )
         path = tmp_path / "large.bin"
         save_bin(str(path), data)
@@ -263,7 +271,7 @@ class TestTableHeader:
         save_bin(str(binary), data)
         binary.write_bytes(binary.read_bytes()[:-5])
         text.write_text("f_1,f_2\n1,2\n")
-        for path, load in ((binary, load_bin), (text, load_csv)):
+        for path, load in ((binary, load_bin), (text, lambda path: load_csv(path, 3))):
             with pytest.raises(DataFormatError) as from_header:
                 table_header(str(path))
             with pytest.raises(DataFormatError) as from_load:
@@ -272,19 +280,35 @@ class TestTableHeader:
 
 
 class TestFeatureDatasetDtype:
-    def test_float32_kept_anything_else_float64(self):
+    def test_float32_kept_anything_else_narrowed_to_float32(self):
         labels = np.zeros(2, dtype=int)
         as32 = np.ones((2, 3), dtype=np.float32)
-        assert FeatureDataset(as32, labels, ("a",)).features is as32
-        for given in (np.ones((2, 3), dtype=np.float16), np.ones((2, 3), dtype=int), [[1.0] * 3] * 2):
-            assert FeatureDataset(given, labels, ("a",)).features.dtype == np.float64
+        assert FeatureDataset(as32, labels, 1).features is as32
+        for given in (np.ones((2, 3)), np.ones((2, 3), dtype=np.float16),
+                      np.ones((2, 3), dtype=int), [[1.0] * 3] * 2):
+            assert FeatureDataset(given, labels, 1).features.dtype == np.float32
+        # beyond float32's range narrows to inf without a warning; forward rejects it
+        assert np.isinf(FeatureDataset(np.full((2, 3), 1e39), labels, 1).features).all()
+
+    def test_generate_and_both_loaders_give_float32(self, tmp_path):
+        data = generate(small_spec())
+        save_csv(str(tmp_path / "d.csv"), data)
+        save_bin(str(tmp_path / "d.bin"), data)
+        for got in (data, load_csv(str(tmp_path / "d.csv"), 3), load_bin(str(tmp_path / "d.bin"))):
+            assert got.features.dtype == np.float32
+            np.testing.assert_array_equal(got.features, data.features)
+
+    def test_class_names_follow_the_class_count(self):
+        features, labels = np.zeros((1, 2)), np.zeros(1, dtype=int)
+        assert FeatureDataset(features, labels, 7).class_names == EXPRESSION_CLASSES
+        assert FeatureDataset(features, labels, 2).class_names == ("class_0", "class_1")
 
 
 class TestFeatureDatasetValidation:
     def test_length_mismatch(self):
         with pytest.raises(ContractViolation):
-            FeatureDataset(np.zeros((3, 2)), np.zeros(2, dtype=int), ("a",))
+            FeatureDataset(np.zeros((3, 2)), np.zeros(2, dtype=int), 1)
 
     def test_label_range(self):
         with pytest.raises(ContractViolation):
-            FeatureDataset(np.zeros((2, 2)), np.array([0, 5]), ("a", "b"))
+            FeatureDataset(np.zeros((2, 2)), np.array([0, 5]), 2)

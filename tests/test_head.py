@@ -192,7 +192,7 @@ class TestCacheBlock:
         """One allocation of >= 4 MiB, which numpy madvises for huge pages."""
         cfg = HeadConfig()
         M, D = cfg.n_latents, cfg.latent_dim
-        cache = empty_cache(N, cfg)
+        cache = empty_cache(N, cfg, np.float64)
         arrays = {name: getattr(cache, name) for name in self.BLOCK}
         block = arrays["pre_latent"].base
         assert block.shape == (8, N * M * D) and block.dtype == np.float64

@@ -1,5 +1,7 @@
-"""numpy is the package's only runtime dependency."""
+"""numpy is the package's only runtime dependency, and every top-level name
+in the package has a user."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +22,43 @@ def test_imports_load_no_scipy():
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _named(tree: ast.AST, skip: tuple[int, int] | None = None) -> set[str]:
+    """Names, attributes, imported names and string constants in `tree`,
+    leaving out the nodes within the lines `skip` spans."""
+    found = set()
+    for node in ast.walk(tree):
+        if skip and skip[0] <= getattr(node, "lineno", 0) <= skip[1]:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)  # perfbench/spans.py names the functions it traces
+    return found
+
+
+def test_every_top_level_def_and_class_is_named_outside_itself():
+    """A def or class in src/ferhead is named in src/ferhead (not counting
+    __init__.py's re-exports) or in perfbench, outside its own definition."""
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "ferhead").glob("*.py"))
+    searched = [p for p in package if p.name != "__init__.py"]
+    searched += sorted((root / "perfbench").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in package + searched}
+    names = {q: _named(trees[q]) for q in searched}
+    unused = []
+    for p in package:
+        for node in trees[p].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            span = (node.lineno, node.end_lineno)
+            if not any(
+                node.name in (_named(trees[q], span) if q == p else names[q]) for q in searched
+            ):
+                unused.append(f"{p.name}:{node.lineno} {node.name}")
+    assert unused == []
