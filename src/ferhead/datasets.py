@@ -342,10 +342,23 @@ def load_bin(path: str) -> FeatureDataset:
     """Read the binary table; features stay float32, as stored.
 
     The header and the file size are checked before any row is read, and
-    the rows are read straight into the returned array.
+    the rows are read straight into the returned array. A NaN or inf
+    feature raises DataFormatError naming its row (1-based) and column.
     """
     with open(path, "rb") as fh:
         n, p, k = _bin_header(fh, path)
         features = np.fromfile(fh, dtype="<f4", count=n * p).reshape(n, p)
         labels = np.fromfile(fh, dtype="<u4", count=n).astype(np.int64)
+    flat = features.reshape(-1)
+    # a finite sum of squares proves every entry finite; only a sum that
+    # overflowed or met a NaN or inf needs the entry-wise scan. einsum sums
+    # without BLAS: 7000 rows took 0.74 ms (np.dot 0.59 ms), and np.dot's
+    # threaded BLAS call left the resident size ≈1 MB higher
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.einsum("i,i->", flat, flat))
+    if not finite and not np.all(np.isfinite(flat)):
+        row, col = divmod(int(np.argmin(np.isfinite(flat))), p)
+        raise DataFormatError(
+            f"{path}: row {row + 1}: f_{col + 1}={features[row, col]} is not finite"
+        )
     return FeatureDataset(features, labels, k)

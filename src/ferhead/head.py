@@ -31,7 +31,7 @@ counting when reducing per-sample contributions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -53,6 +53,21 @@ from .numerics import (
     relu,
     sigmoid,
 )
+
+# `backward` runs its reverse pass on upstream gradients multiplied by
+# GRAD_SCALE and returns the four groups divided by it, as loss scaling does
+# in mixed-precision training (Micikevicius et al., ICLR 2018).
+# A power of two changes no bits of an intermediate that stays normal, and in
+# float32 it lifts out of the subnormal range the small gradients that would
+# otherwise take the CPU's slow path. Over the 40-epoch paper-default run
+# (seed 0), the intermediates that the scale reaches held 2.57M subnormal
+# entries unscaled; 2^16 left 17, 2^19 one and 2^20 none, with a largest
+# scaled magnitude of 1.1e8 (seed 1: 2^18 left 58, 2^20 none). The
+# compactness gradient is subnormal by itself where a latent center has
+# decayed toward zero, which no scale of the gradient reaches. An
+# intermediate above 3.4e38 / 2^20 ≈ 3.2e32 in true units now overflows
+# into the non-finite-gradient TrainingError.
+GRAD_SCALE = 2.0**20
 
 
 @dataclass
@@ -514,6 +529,10 @@ def backward(
     overwritten: the returned groups are written into its arrays, which
     saves a fresh 4.7 MB decomp gradient per training step at paper
     dimensions. When `out` is None, new arrays are returned.
+
+    The reverse pass runs in units of 1/GRAD_SCALE (see there) and the
+    returned groups are in true units, bitwise those of `_chain_backward`
+    run on the unscaled upstream gradients wherever that pass stays normal.
     """
     labels = np.asarray(labels)
     N = cache.logits.shape[0]
@@ -543,7 +562,12 @@ def backward(
     # parameter by less than 1e-33.
     dlogits[np.abs(dlogits) < np.finfo(dlogits.dtype).tiny] = 0.0
 
-    dlatents_extra = cfg.lambda_compact * compactness_grad(cache.latents, centers.latent)
+    # the reverse pass runs in units of 1/GRAD_SCALE: the (N, K) and (N, M)
+    # injections are scaled in place, the (N, M, D) one through its factor
+    dlogits *= GRAD_SCALE
+    dlatents_extra = (cfg.lambda_compact * GRAD_SCALE) * compactness_grad(
+        cache.latents, centers.latent
+    )
     dweights_extra = cfg.lambda_distribution * distribution_grad(
         cache.weights, labels, centers.by_class
     )
@@ -551,10 +575,24 @@ def backward(
     dweights_extra = dweights_extra + (cfg.lambda_balance / N) * balance_sign(
         mean_weights(cache.weights)
     )
+    dweights_extra *= GRAD_SCALE
 
-    grads = _chain_backward(
-        cache, dlogits, dlatents_extra, dweights_extra, params, cfg, out=out
+    # The groups come back to true units where that is cheapest. decomp and
+    # classifier are each one GEMM over an (N, P) or (N, D) cache operand, so
+    # those operands are scaled down instead, and every product is exactly
+    # the one the unscaled pass forms (2^-20 times a float32 of magnitude
+    # 2^-106 or more is exact). Only gate and message, 1.2 MB of the 3.5 MB
+    # of gradients, whose operands are (N, M, D), are multiplied in place.
+    operands = replace(
+        cache,
+        inputs=cache.inputs * (1.0 / GRAD_SCALE),
+        feature=cache.feature * (1.0 / GRAD_SCALE),
     )
+    grads = _chain_backward(
+        operands, dlogits, dlatents_extra, dweights_extra, params, cfg, out=out
+    )
+    for arr in (grads.gate, grads.message):
+        arr *= 1.0 / GRAD_SCALE
 
     grads.raise_if_not_finite(
         f"gradient (losses: cls={breakdown.cls:.6g}, compact={breakdown.compact:.6g}, "

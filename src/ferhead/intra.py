@@ -47,7 +47,9 @@ class ClassCenters:
         if weight_batch.ndim != 2 or weight_batch.shape[0] < 1:
             raise ContractViolation("class center update needs a non-empty (N, M) batch")
         _check_labels(labels, self.centers.shape[0], weight_batch.shape[0])
-        for k in np.unique(labels):
+        # the classes present in ascending order, as np.unique gives them;
+        # np.unique would import numpy.ma (through np.ma.is_masked) on its first call
+        for k in np.flatnonzero(np.bincount(labels, minlength=self.centers.shape[0])):
             class_mean = weight_batch[labels == k].mean(axis=0)
             self.centers[k] += rate * (class_mean - self.centers[k])
 

@@ -44,12 +44,18 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def _bulk_uint64(self, n: int) -> np.ndarray:
-        idx = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + idx * np.uint64(_GAMMA)
+        # the scalar rounds, run in place on z with one scratch array;
+        # uint64 array arithmetic wraps modulo 2**64 as the masks do
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
         self._state = (self._state + n * _GAMMA) & _MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        shifted = np.empty_like(z)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+            z *= np.uint64(mix)
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+        return z
 
     def random(self, n: int) -> np.ndarray:
         """n float64 values uniform on [0, 1), 53-bit resolution."""

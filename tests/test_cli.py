@@ -973,3 +973,27 @@ class TestDatasetChecks:
         assert main(argv) == 2
         assert f"error: {bad}:4: f_5={cell} is not finite in float32" in capsys.readouterr().err
         assert not any(path.exists() for path in written)
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_binary_feature_not_finite_exits_2_naming_the_row(
+        self, toy_env, capsys, command, value
+    ):
+        """A NaN or inf in a binary table is a format error at load, as in a CSV table."""
+        tmp_path, config = toy_env
+        data = datasets.load_csv(str(tmp_path / "train.csv"), 3)
+        data.features[4, 6] = float(value)
+        bad = tmp_path / "bad.bin"
+        datasets.save_bin(str(bad), data)
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "eval.csv"
+        if command == "eval":
+            save_toy_model(ckpt, config)
+            argv = ["eval", "--checkpoint-path", str(ckpt), "--data", str(bad), "--out", str(out)]
+            written = [out]
+        else:
+            argv = ["train", "--config", str(config), "--train-path", str(bad),
+                    "--checkpoint", str(ckpt)]
+            written = [ckpt]
+        assert main(argv) == 2
+        assert f"error: {bad}: row 5: f_7={value} is not finite" in capsys.readouterr().err
+        assert not any(path.exists() for path in written)

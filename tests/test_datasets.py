@@ -256,6 +256,26 @@ class TestBinaryLoad:
             load_bin(str(path))
         assert str(err.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_row_and_column(self, tmp_path, value):
+        data = generate(small_spec())  # 15 rows of 12 features
+        data.features[5, 2] = value
+        path = tmp_path / "data.bin"
+        save_bin(str(path), data)
+        with pytest.raises(DataFormatError) as err:
+            load_bin(str(path))
+        assert str(err.value) == f"{path}: row 6: f_3={np.float32(value)} is not finite"
+
+    def test_finite_features_whose_squares_overflow_load(self, tmp_path):
+        """The sum of squares overflows, so the entry-wise scan decides."""
+        data = generate(small_spec())
+        data.features[:, 0] = np.finfo(np.float32).max
+        path = tmp_path / "data.bin"
+        save_bin(str(path), data)
+        with np.errstate(all="raise"):
+            loaded = load_bin(str(path))
+        np.testing.assert_array_equal(loaded.features, data.features)
+
 
 class TestTableHeader:
     def test_both_formats_give_p_and_the_stored_k(self, tmp_path):

@@ -12,11 +12,14 @@ from naive_reference import naive_head_forward, naive_losses
 from stage_forward import stage_forward
 
 from ferhead.datasets import generate, load_bin, make_synth_spec, save_bin
+from ferhead.decomposition import LatentCenters, compactness_grad
 from ferhead.errors import ContractViolation, TrainingError
 from ferhead.head import (
+    GRAD_SCALE,
     Centers,
     HeadConfig,
     ParamGroups,
+    _chain_backward,
     backward,
     batch_cross_entropy,
     compute_losses,
@@ -27,6 +30,7 @@ from ferhead.head import (
     softmax,
 )
 from ferhead.inter import EPS_NORM
+from ferhead.intra import ClassCenters, balance_sign, distribution_grad, mean_weights
 from ferhead.numerics import SplitMix64
 
 
@@ -464,6 +468,73 @@ class TestBackward:
         with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingError):
                 backward(cache_logits_nan, labels, params, Centers.zeros(cfg), cfg)
+
+
+class TestGradientUnit:
+    """backward runs its reverse pass in units of 1/GRAD_SCALE, and its groups
+    are bitwise those of the pass run on the unscaled upstream gradients."""
+
+    @staticmethod
+    def unscaled_backward(cache, labels, params, centers, cfg, cls_weight=1.0):
+        N = len(labels)
+        probs = softmax(cache.logits)
+        onehot = np.zeros_like(probs)
+        onehot[np.arange(N), labels] = 1.0
+        dlogits = (cls_weight / N) * (probs - onehot)
+        dlogits[np.abs(dlogits) < np.finfo(dlogits.dtype).tiny] = 0.0
+        dlatents = cfg.lambda_compact * compactness_grad(cache.latents, centers.latent)
+        dweights = cfg.lambda_distribution * distribution_grad(
+            cache.weights, labels, centers.by_class
+        ) + (cfg.lambda_balance / N) * balance_sign(mean_weights(cache.weights))
+        return _chain_backward(cache, dlogits, dlatents, dweights, params, cfg)
+
+    @staticmethod
+    def centers_off_zero(cfg, seed, dtype=np.float64):
+        rng = SplitMix64(seed)
+        return Centers(
+            LatentCenters(rng.uniform(0.0, 1.0, (cfg.n_latents, cfg.latent_dim)).astype(dtype)),
+            ClassCenters(
+                rng.uniform(0.0, cfg.latent_dim / 2.0, (cfg.n_classes, cfg.n_latents)).astype(dtype)
+            ),
+        )
+
+    def assert_bitwise_unscaled(self, cache, labels, params, centers, cfg, cls_weight=1.0):
+        got, _ = backward(cache, labels, params, centers, cfg, cls_weight=cls_weight)
+        want = self.unscaled_backward(cache, labels, params, centers, cfg, cls_weight)
+        for name, arr in got.items():
+            assert arr.dtype == params.dtype, name
+            assert np.array_equal(arr, getattr(want, name)), name
+
+    def test_scale_is_a_power_of_two(self):
+        mantissa, _ = math.frexp(GRAD_SCALE)
+        assert mantissa == 0.5 and GRAD_SCALE > 1.0
+
+    def test_float64_small_instance(self):
+        cfg, params, X, labels = random_instance(31, batch=6)
+        cache = forward(X, params, cfg)
+        self.assert_bitwise_unscaled(cache, labels, params, self.centers_off_zero(cfg, 32), cfg)
+
+    def test_paper_dims_float32_batch_at_init(self):
+        cfg = HeadConfig()
+        params = init_model_params(cfg, SplitMix64(0)).astype(np.float32)
+        data = generate(make_synth_spec(samples_per_class=10, seed=3, structure_seed=3))
+        X, labels = data.features[:64], data.labels[:64]
+        cache = forward(X, params, cfg)
+        for centers in (
+            Centers(
+                LatentCenters(np.zeros((cfg.n_latents, cfg.latent_dim), np.float32)),
+                ClassCenters(np.zeros((cfg.n_classes, cfg.n_latents), np.float32)),
+            ),
+            self.centers_off_zero(cfg, 4, np.float32),
+        ):
+            self.assert_bitwise_unscaled(cache, labels, params, centers, cfg)
+
+    def test_isolated_regularizer_terms_without_classification(self):
+        """cls_weight=0.0 is how the verification harness isolates a loss term."""
+        cfg, params, X, labels = random_instance(33, batch=5)
+        cache = forward(X, params, cfg)
+        centers = self.centers_off_zero(cfg, 34)
+        self.assert_bitwise_unscaled(cache, labels, params, centers, cfg, cls_weight=0.0)
 
 
 class TestRaiseIfNotFinite:

@@ -24,6 +24,27 @@ def test_imports_load_no_scipy():
     assert done.returncode == 0, done.stderr
 
 
+def test_train_command_leaves_numpy_ma_unimported(tmp_path):
+    """Importing numpy.ma costs a train command 10-17 ms; nothing in a run needs it."""
+    table = str(tmp_path / "t.bin")
+    code = (
+        "import sys; from ferhead import cli; "
+        f"cli.main(['synth', '--classes', '3', '--actions', '4', '--dim', '8', "
+        f"'--per-class', '4', '--out-bin', {table!r}]); "
+        "assert cli.main(['train', '--input-dim', '8', '--latent-dim', '4', "
+        "'--n-latents', '3', '--n-classes', '3', '--epochs', '1', '--decay-epochs', '', "
+        f"'--batch-size', '6', '--train-path', {table!r}]) == 0; "
+        "assert 'numpy.ma' not in sys.modules"
+    )
+    src = str(Path(ferhead.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def _named(tree: ast.AST, skip: tuple[int, int] | None = None) -> set[str]:
     """Names, attributes, imported names and string constants in `tree`,
     leaving out the nodes within the lines `skip` spans."""
