@@ -2,13 +2,13 @@
 
 Run configuration for train and sweep is a flat key=value file (diff-able
 experiment ledger) with CLI flags taking precedence; unknown keys are
-rejected. Its keys are HeadConfig's fields, then the schedule's and the
-run's own. The FERHEAD_CONFIG environment variable supplies a default config
-path and nothing else. eval and inspect take their model config from the
-checkpoint header alone. Every set a command reads must fit the model's
-class count and input dimension (`check_table`, from the table's header;
-train and sweep check their test set's before training). Every command is
-deterministic given --seed: training runs one batched forward and backward
+rejected; --config is the only way a file enters a run. Its keys are
+HeadConfig's fields, then the schedule's and the run's own. eval and inspect
+take their model config from the checkpoint header alone. Every set a
+command reads must fit the model's class count and input dimension
+(`check_table`, from the table's header); train and sweep check their test
+set's, and the directories they write into, before training. Every command
+is deterministic given --seed: training runs one batched forward and backward
 per step, and repeated runs on the same machine with the same BLAS thread
 count give identical bytes. --threads (the `threads` key) is accepted so
 that older configuration files still load, and has no effect.
@@ -39,8 +39,6 @@ from .training import (
     save_checkpoint,
     train_epoch,
 )
-
-CONFIG_ENV_VAR = "FERHEAD_CONFIG"
 
 
 @dataclass
@@ -125,8 +123,7 @@ def load_run_config(path: str) -> RunConfig:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    cfg = load_run_config(config_path) if config_path else RunConfig()
+    cfg = load_run_config(args.config) if args.config else RunConfig()
     for f in fields(RunConfig):
         override = getattr(args, f.name, None)
         if override is not None:
@@ -151,6 +148,14 @@ def check_table(path: str, head_cfg: HeadConfig) -> int | None:
             f"the model's input_dim {head_cfg.input_dim}"
         )
     return k
+
+
+def check_output_dirs(*paths: str) -> None:
+    """Refuse, before any training, an output path whose directory is missing."""
+    for path in paths:
+        directory = os.path.dirname(path) or "."
+        if path and not os.path.isdir(directory):
+            raise ContractViolation(f"{path}: directory {directory} does not exist")
 
 
 def load_dataset(path: str, head_cfg: HeadConfig) -> datasets.FeatureDataset:
@@ -235,6 +240,7 @@ def print_eval_report(report, class_names) -> None:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    check_output_dirs(cfg.checkpoint, cfg.log_path, cfg.eval_csv)
     state, head_cfg, history = run_training(
         cfg,
         progress=lambda row: print(
@@ -286,14 +292,13 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         tolerance=args.tolerance,
         inject_sign_bug=args.inject_sign_bug,
     )
+    failing = [group for group in sorted(worst) if not worst[group] < args.tolerance]
     for group in sorted(worst):
-        status = "ok" if worst[group] < args.tolerance else "FAIL"
         print(
             f"{group:>10}: max relative error {worst[group]:.3e} "
-            f"[{worst_mode[group]}] {status}"
+            f"[{worst_mode[group]}] {'FAIL' if group in failing else 'ok'}"
         )
     if not passed:
-        failing = sorted(g for g, e in worst.items() if e >= args.tolerance)
         print(f"gradient check FAILED for: {', '.join(failing)}", file=sys.stderr)
         return 1
     print(f"gradient check passed ({args.instances} instances, tol {args.tolerance:g})")
@@ -393,6 +398,7 @@ SWEEPABLE = (
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = _resolve_config(args)
+    check_output_dirs(args.summary)
     values = [v for v in map(str.strip, args.values.split(",")) if v]
     if not values:
         raise ContractViolation("sweep needs a non-empty --values list")

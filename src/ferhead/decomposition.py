@@ -37,15 +37,20 @@ class LatentCenters:
         Mutates the centers; callers must serialize this with the optimizer
         step (one update per step, after the gradient step).
         """
-        latent_batch = np.asarray(latent_batch)
-        if latent_batch.ndim != 3 or latent_batch.shape[0] < 1:
-            raise ContractViolation("center update needs a non-empty (N, M, D) batch")
-        if latent_batch.shape[1:] != self.centers.shape:
-            raise ContractViolation(
-                f"center update shape mismatch: batch {latent_batch.shape}, "
-                f"centers {self.centers.shape}"
-            )
+        latent_batch = _checked_batch(latent_batch, self, "center update")
         self.centers -= rate * (self.centers - latent_batch.mean(axis=0))
+
+
+def _checked_batch(latent_batch, centers: LatentCenters, what: str) -> np.ndarray:
+    latent_batch = np.asarray(latent_batch)
+    if latent_batch.ndim != 3 or latent_batch.shape[0] < 1:
+        raise ContractViolation(f"{what} needs a non-empty (N, M, D) batch")
+    if latent_batch.shape[1:] != centers.centers.shape:
+        raise ContractViolation(
+            f"{what} shape mismatch: batch {latent_batch.shape}, "
+            f"centers {centers.centers.shape}"
+        )
+    return latent_batch
 
 
 def compactness_loss(latent_batch: np.ndarray, centers: LatentCenters) -> float:
@@ -53,14 +58,7 @@ def compactness_loss(latent_batch: np.ndarray, centers: LatentCenters) -> float:
 
     (1/N) sum_i sum_j ||l_ij - c_j||^2. Centers receive no gradient.
     """
-    latent_batch = np.asarray(latent_batch)
-    if latent_batch.ndim != 3 or latent_batch.shape[0] < 1:
-        raise ContractViolation("compactness_loss needs a non-empty (N, M, D) batch")
-    if latent_batch.shape[1:] != centers.centers.shape:
-        raise ContractViolation(
-            f"compactness_loss shape mismatch: batch {latent_batch.shape}, "
-            f"centers {centers.centers.shape}"
-        )
+    latent_batch = _checked_batch(latent_batch, centers, "compactness_loss")
     diff = latent_batch - centers.centers[None, :, :]
     return float(np.sum(diff * diff) / latent_batch.shape[0])
 

@@ -42,6 +42,7 @@ from .intra import (
     ClassCenters,
     balance_loss,
     balance_sign,
+    check_labels,
     distribution_grad,
     distribution_loss,
     mean_weights,
@@ -65,8 +66,8 @@ from .numerics import (
 # scaled magnitude of 1.1e8 (seed 1: 2^18 left 58, 2^20 none). The
 # compactness gradient is subnormal by itself where a latent center has
 # decayed toward zero, which no scale of the gradient reaches. An
-# intermediate above 3.4e38 / 2^20 ≈ 3.2e32 in true units now overflows
-# into the non-finite-gradient TrainingError.
+# intermediate above 3.4e38 / 2^20 ≈ 3.2e32 in true units now overflows,
+# and `adam_step` raises the non-finite-gradient TrainingError for it.
 GRAD_SCALE = 2.0**20
 
 
@@ -409,11 +410,7 @@ def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean stable cross-entropy over the batch."""
     z = np.asarray(logits)
     labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= z.shape[1]):
-        raise ContractViolation(
-            f"labels must lie in [0, {z.shape[1]}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
+    check_labels(labels, z.shape[1], z.shape[0])
     shifted = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(z.shape[0]), labels]
@@ -533,6 +530,7 @@ def backward(
     The reverse pass runs in units of 1/GRAD_SCALE (see there) and the
     returned groups are in true units, bitwise those of `_chain_backward`
     run on the unscaled upstream gradients wherever that pass stays normal.
+    A non-finite loss raises TrainingError; `adam_step` checks the gradient.
     """
     labels = np.asarray(labels)
     N = cache.logits.shape[0]
@@ -593,9 +591,4 @@ def backward(
     )
     for arr in (grads.gate, grads.message):
         arr *= 1.0 / GRAD_SCALE
-
-    grads.raise_if_not_finite(
-        f"gradient (losses: cls={breakdown.cls:.6g}, compact={breakdown.compact:.6g}, "
-        f"balance={breakdown.balance:.6g}, distribution={breakdown.distribution:.6g})"
-    )
     return grads, breakdown

@@ -46,7 +46,7 @@ class ClassCenters:
         labels = np.asarray(labels)
         if weight_batch.ndim != 2 or weight_batch.shape[0] < 1:
             raise ContractViolation("class center update needs a non-empty (N, M) batch")
-        _check_labels(labels, self.centers.shape[0], weight_batch.shape[0])
+        check_labels(labels, self.centers.shape[0], weight_batch.shape[0])
         # the classes present in ascending order, as np.unique gives them;
         # np.unique would import numpy.ma (through np.ma.is_masked) on its first call
         for k in np.flatnonzero(np.bincount(labels, minlength=self.centers.shape[0])):
@@ -54,7 +54,7 @@ class ClassCenters:
             self.centers[k] += rate * (class_mean - self.centers[k])
 
 
-def _check_labels(labels: np.ndarray, n_classes: int, n_samples: int) -> None:
+def check_labels(labels: np.ndarray, n_classes: int, n_samples: int) -> None:
     if labels.shape != (n_samples,):
         raise ContractViolation(
             f"labels shape {labels.shape} does not match batch size {n_samples}"
@@ -74,7 +74,7 @@ def distribution_loss(
     labels = np.asarray(labels)
     if weight_batch.ndim != 2 or weight_batch.shape[0] < 1:
         raise ContractViolation("distribution_loss needs a non-empty (N, M) batch")
-    _check_labels(labels, centers.centers.shape[0], weight_batch.shape[0])
+    check_labels(labels, centers.centers.shape[0], weight_batch.shape[0])
     diff = weight_batch - centers.centers[labels]
     return float(np.sum(diff * diff) / weight_batch.shape[0])
 
@@ -123,7 +123,7 @@ def per_class_mean_weights(
     """Mean intra-weight vector per class, shape (K, M); absent classes get zeros."""
     weight_batch = np.asarray(weight_batch)
     labels = np.asarray(labels)
-    _check_labels(labels, n_classes, weight_batch.shape[0])
+    check_labels(labels, n_classes, weight_batch.shape[0])
     out = np.zeros((n_classes, weight_batch.shape[1]))
     for k in range(n_classes):
         mask = labels == k

@@ -304,11 +304,11 @@ def train_epoch(
             grads, losses = backward(
                 cache, labels, state.params, state.centers, cfg, out=grads
             )
+            adam_step(state.params, grads, state.adam, lr)
         except TrainingError as err:
             raise TrainingError(
                 f"epoch {epoch}, batch starting at {start}: {err}"
             ) from err
-        adam_step(state.params, grads, state.adam, lr)
         state.centers.latent.update(cache.latents, cfg.center_rate)
         state.centers.by_class.update(cache.weights, labels, cfg.center_rate)
         weight = len(batch_idx)

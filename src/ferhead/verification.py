@@ -204,7 +204,8 @@ def run_suite(
         results = check_instance(inst, inject_sign_bug=inject_sign_bug)
         for mode, errors in results.items():
             for group, err in errors.items():
-                if err > worst.get(group, -1.0):
+                previous = worst.get(group, -1.0)  # a NaN error is kept as the worst
+                if err > previous or (math.isnan(err) and not math.isnan(previous)):
                     worst[group] = err
                     worst_mode[group] = f"{mode} (seed {seed})"
     passed = all(err < tolerance for err in worst.values())

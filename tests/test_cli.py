@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ferhead import cli, datasets, verification
+from ferhead import cli, datasets, head, verification
 from ferhead.errors import DataFormatError
 from ferhead.cli import (
     RunConfig,
@@ -159,9 +159,8 @@ class TestConfigFile:
         ],
     )
     def test_malformed_list_value_is_usage_error(
-        self, tmp_path, monkeypatch, capsys, argv, config_text, key, bad
+        self, tmp_path, capsys, argv, config_text, key, bad
     ):
-        monkeypatch.delenv("FERHEAD_CONFIG", raising=False)
         if config_text is not None:
             config = tmp_path / "bad.config"
             config.write_text(config_text)
@@ -289,9 +288,8 @@ class TestTrainCommand:
         code = main(["train", "--train-path", str(tmp_path / "absent.csv")])
         assert code != 0
 
-    def test_short_run_names_the_decay_epochs_it_rejects(self, toy_env, monkeypatch, capsys):
+    def test_short_run_names_the_decay_epochs_it_rejects(self, toy_env, capsys):
         """The paper's boundaries 10..32 need --decay-epochs on a 2-epoch run."""
-        monkeypatch.delenv("FERHEAD_CONFIG", raising=False)
         tmp_path, config = toy_env
         train_path = load_run_config(str(config)).train_path
         code = main(["train", "--train-path", train_path, "--epochs", "2"])
@@ -389,12 +387,45 @@ class TestTrainCommand:
         assert main(["train", "--config", str(run / "m.ckpt.config")]) == 0
         assert (run / "m.ckpt").read_bytes() == first
 
-    def test_env_var_supplies_default_config(self, toy_env, monkeypatch):
+    def test_config_environment_variable_is_ignored(self, toy_env, monkeypatch):
+        """--config is the only way a config file enters a run."""
         tmp_path, config = toy_env
-        ckpt = tmp_path / "env.ckpt"
-        monkeypatch.setenv("FERHEAD_CONFIG", str(config))
-        assert main(["train", "--checkpoint", str(ckpt), "--epochs", "1", "--decay-epochs", ""]) == 0
-        assert ckpt.exists()
+        other = tmp_path / "other.config"
+        other.write_text("base_lr=0.05\nseed=5\nmix_ratio=0.9\nbatch_size=7\n")
+        train_path = load_run_config(str(config)).train_path
+        flags = ["--train-path", train_path, "--input-dim", "24", "--latent-dim", "6",
+                 "--n-latents", "3", "--n-classes", "3", "--epochs", "2",
+                 "--decay-epochs", "", "--batch-size", "10"]
+        outputs = []
+        for tag, env in (("plain", None), ("env", str(other))):
+            if env is not None:
+                monkeypatch.setenv("FERHEAD_CONFIG", env)
+            ckpt, log = tmp_path / f"{tag}.ckpt", tmp_path / f"{tag}.csv"
+            assert main(["train", *flags, "--checkpoint", str(ckpt), "--log-path", str(log)]) == 0
+            outputs.append((ckpt.read_bytes(), log.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--log-path", "--eval-csv"])
+    def test_missing_output_directory_exits_2_before_the_first_epoch(
+        self, toy_env, capsys, monkeypatch, flag
+    ):
+        tmp_path, config = toy_env
+        epochs = []
+        real_epoch = cli.train_epoch
+        monkeypatch.setattr(cli, "train_epoch", lambda *a: epochs.append(a) or real_epoch(*a))
+        outputs = {"--checkpoint": tmp_path / "m.ckpt", "--log-path": tmp_path / "log.csv",
+                   "--eval-csv": tmp_path / "eval.csv"}
+        missing = tmp_path / "nodir" / "out"
+        outputs[flag] = missing
+        argv = ["train", "--config", str(config), "--epochs", "1", "--decay-epochs", ""]
+        for name, path in outputs.items():
+            argv += [name, str(path)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and epochs == []
+        assert f"{missing}: directory {missing.parent} does not exist" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.config", "test.csv", "train.csv"]
 
 
 class TestEvalCommand:
@@ -602,6 +633,21 @@ class TestGradcheckCommand:
         assert code != 0
         assert "gate" in captured.err
 
+    def test_nan_gradient_group_fails_naming_it(self, capsys, monkeypatch):
+        """A NaN analytic gradient fails the check; it does not stop it with an error."""
+        real = head._chain_backward
+
+        def nan_gate(*args, **kwargs):
+            grads = real(*args, **kwargs)
+            grads.gate[0, 0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(head, "_chain_backward", nan_gate)
+        assert main(["gradcheck", "--instances", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert re.search(r"gate: max relative error nan .* FAIL", out)
+        assert "gradient check FAILED for: gate\n" in err
+
     def test_lambdas_zeroed_still_checks_classification(self):
         # classification mode is always part of the suite
         assert main(["gradcheck", "--instances", "1", "--seed", "42"]) == 0
@@ -639,6 +685,27 @@ class TestSynthCommand:
         assert main(args + ["--out-csv", str(a)]) == 0
         assert main(args + ["--out-csv", str(b)]) == 0
         assert a.read_text() == b.read_text()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--actions", "0", "n_actions must lie in [1, feature_dim=16], got 0"),
+            ("--actions", "-1", "n_actions must lie in [1, feature_dim=16], got -1"),
+            ("--noise", "nan", "noise_sigma must be finite and >= 0, got nan"),
+            ("--noise", "inf", "noise_sigma must be finite and >= 0, got inf"),
+            ("--noise", "1e200", "error: noise_sigma=1e+200: row 1: f_"),
+        ],
+    )
+    def test_set_it_cannot_make_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        csv_p, bin_p = tmp_path / "d.csv", tmp_path / "d.bin"
+        argv = ["synth", "--classes", "3", "--actions", "4", "--dim", "16", "--per-class", "5",
+                flag, value, "--out-csv", str(csv_p), "--out-bin", str(bin_p)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bin_and_csv_agree(self, tmp_path):
         csv_p, bin_p = tmp_path / "d.csv", tmp_path / "d.bin"
@@ -849,6 +916,26 @@ class TestSweepCommand:
         assert "mix_ratio=" not in captured.out  # no run trained
         assert "mix_ratio must lie in [0, 1], got 2.0" in captured.err
         assert not summary.exists()
+
+    def test_missing_summary_directory_exits_2_before_the_first_run(
+        self, toy_env, capsys, monkeypatch
+    ):
+        tmp_path, config = toy_env
+        epochs = []
+        real_epoch = cli.train_epoch
+        monkeypatch.setattr(cli, "train_epoch", lambda *a: epochs.append(a) or real_epoch(*a))
+        summary = tmp_path / "nodir" / "sweep.csv"
+        capsys.readouterr()
+        code = main(
+            [
+                "sweep", "--config", str(config), "--epochs", "1", "--decay-epochs", "",
+                "--param", "mix_ratio", "--values", "0.5", "--summary", str(summary),
+            ]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and epochs == []
+        assert f"{summary}: directory {summary.parent} does not exist" in err
 
     def test_lambda_sweep(self, toy_env):
         tmp_path, config = toy_env

@@ -101,6 +101,27 @@ class TestGenerate:
         with pytest.raises(ContractViolation, match="unit"):
             generate(spec)
 
+    @pytest.mark.parametrize("name", ["noise_sigma", "jitter"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_spread_not_finite_and_nonnegative_rejected(self, name, value):
+        spec = small_spec()
+        setattr(spec, name, value)
+        with pytest.raises(ContractViolation, match=f"{name} must be finite and >= 0"):
+            generate(spec)
+
+    def test_rows_not_finite_in_float32_rejected(self):
+        spec = small_spec()
+        spec.noise_sigma = 1e200
+        message = r"noise_sigma=1e\+200: row \d+: f_\d+=inf is not finite"
+        with pytest.raises(ContractViolation, match=message):
+            generate(spec)
+
+    @pytest.mark.parametrize("n_actions", [0, -1, 21])
+    def test_action_count_outside_one_to_feature_dim_rejected(self, n_actions):
+        message = rf"n_actions must lie in \[1, feature_dim=20\], got {n_actions}"
+        with pytest.raises(ContractViolation, match=message):
+            default_action_dirs(n_actions, 20, SplitMix64(2))
+
     def test_action_dirs_orthonormal(self):
         dirs = default_action_dirs(5, 20, SplitMix64(2))
         gram = dirs @ dirs.T

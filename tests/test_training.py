@@ -406,6 +406,32 @@ class TestTrainEpoch:
             with pytest.raises(TrainingError, match="epoch 0, batch starting at 0"):
                 train_epoch(fresh_state(cfg), data, cfg, sched, 0)
 
+    def test_update_that_overflows_names_epoch_and_batch(self):
+        """adam_step runs inside the epoch's error context, as forward and backward do."""
+        cfg = tiny_cfg()
+        data = tiny_dataset(per_class=4, cfg=cfg)
+        sched = Schedule(base_lr=1e300, decay_epochs=(), total_epochs=1, batch_size=12)
+        message = r"epoch 0, batch starting at 0: non-finite values in \w+ after adam_step"
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError, match=message):
+            train_epoch(fresh_state(cfg), data, cfg, sched, 0)
+
+    def test_one_batch_checks_the_gradient_once_and_the_update_once(self, monkeypatch):
+        """adam_step is the only finiteness gate of a step's gradient."""
+        cfg = tiny_cfg()
+        data = tiny_dataset(per_class=4, cfg=cfg)  # 12 samples, one batch
+        sched = Schedule(base_lr=1e-3, decay_epochs=(), total_epochs=1, batch_size=12)
+        state = fresh_state(cfg)
+        contexts = []
+        real = head.ParamGroups.raise_if_not_finite
+
+        def counting(self, context):
+            contexts.append(context)
+            real(self, context)
+
+        monkeypatch.setattr(head.ParamGroups, "raise_if_not_finite", counting)
+        train_epoch(state, data, cfg, sched, 0)
+        assert contexts == ["passed to adam_step", "after adam_step"]
+
     def test_identical_seeds_identical_summaries(self):
         cfg = tiny_cfg()
         sched = Schedule(base_lr=1e-3, decay_epochs=(), total_epochs=3, batch_size=8)

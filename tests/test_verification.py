@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ferhead import datasets
+from ferhead import datasets, head
 from ferhead.decomposition import LatentCenters
 from ferhead.head import (
     Centers,
@@ -79,6 +79,25 @@ class TestGradientAgreement:
         assert passed
         assert set(worst) == {"decomp", "gate", "message", "classifier"}
         assert all(m.split()[0] in LOSS_MODES for m in worst_mode.values())
+
+
+class TestNonFiniteGradient:
+    def test_nan_group_gradient_is_its_worst_error_and_fails(self, monkeypatch):
+        """A NaN error is kept as the group's worst, so the suite cannot pass over it."""
+        real = head._chain_backward
+
+        def nan_gate(*args, **kwargs):
+            grads = real(*args, **kwargs)
+            grads.gate[0, 0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(head, "_chain_backward", nan_gate)
+        worst, worst_mode, passed = run_suite(range(2))
+        assert not passed
+        assert set(worst) == {"decomp", "gate", "message", "classifier"}
+        assert np.isnan(worst["gate"])
+        assert worst_mode["gate"] == "classification (seed 0)"
+        assert all(worst[g] < 1e-4 for g in ("decomp", "message", "classifier"))
 
 
 class TestErrorMetric:
