@@ -3,8 +3,11 @@
 Each gated feature is encoded into a relation message by its own bias-free
 linear map plus ReLU. Messages form the nodes of a complete undirected graph
 whose edge weights are tanh of the pairwise Euclidean distance (distances are
-positive, so tanh maps them into [0, 1)); the diagonal is pinned to zero so
-no message enhances itself. Aggregating neighbor messages under these weights
+positive, so tanh maps them into [0, 1) in exact arithmetic; numpy's float32
+tanh returns exactly 1.0 from a distance of 10, which at paper defaults
+every off-diagonal pair exceeds, because importance weights near D/2 scale
+the latents before the message map); the diagonal is pinned to zero so no
+message enhances itself. Aggregating neighbor messages under these weights
 gives the graph-side feature, which is blended with the direct gated feature
 and summed across latents into the final expression feature. The encoding,
 aggregation, blend and sum run in `head.forward`; this module computes the

@@ -43,15 +43,12 @@ class ClassCenters:
         regularized toward stale statistics.
         """
         weight_batch = np.asarray(weight_batch)
-        labels = np.asarray(labels)
         if weight_batch.ndim != 2 or weight_batch.shape[0] < 1:
             raise ContractViolation("class center update needs a non-empty (N, M) batch")
-        check_labels(labels, self.centers.shape[0], weight_batch.shape[0])
-        # the classes present in ascending order, as np.unique gives them;
-        # np.unique would import numpy.ma (through np.ma.is_masked) on its first call
-        for k in np.flatnonzero(np.bincount(labels, minlength=self.centers.shape[0])):
-            class_mean = weight_batch[labels == k].mean(axis=0)
-            self.centers[k] += rate * (class_mean - self.centers[k])
+        K = self.centers.shape[0]
+        means = per_class_mean_weights(weight_batch, labels, K)
+        present = np.bincount(labels, minlength=K) > 0
+        self.centers[present] += rate * (means[present] - self.centers[present])
 
 
 def check_labels(labels: np.ndarray, n_classes: int, n_samples: int) -> None:
@@ -120,13 +117,14 @@ def balance_sign(mean_w: np.ndarray) -> np.ndarray:
 def per_class_mean_weights(
     weight_batch: np.ndarray, labels: np.ndarray, n_classes: int
 ) -> np.ndarray:
-    """Mean intra-weight vector per class, shape (K, M); absent classes get zeros."""
+    """Mean intra-weight vector per class, shape (K, M), in the batch's dtype;
+    absent classes get zeros."""
     weight_batch = np.asarray(weight_batch)
     labels = np.asarray(labels)
     check_labels(labels, n_classes, weight_batch.shape[0])
-    out = np.zeros((n_classes, weight_batch.shape[1]))
-    for k in range(n_classes):
-        mask = labels == k
-        if mask.any():
-            out[k] = weight_batch[mask].mean(axis=0)
+    out = np.zeros((n_classes, weight_batch.shape[1]), dtype=weight_batch.dtype)
+    # the classes present, found without np.unique, which would import
+    # numpy.ma (through np.ma.is_masked) on its first call
+    for k in np.flatnonzero(np.bincount(labels, minlength=n_classes)):
+        out[k] = weight_batch[labels == k].mean(axis=0)
     return out

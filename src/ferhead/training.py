@@ -115,6 +115,7 @@ class AdamState:
         return cls(first=params.zeros_like(), second=params.zeros_like())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def adam_step(
     params: ParamGroups, grads: ParamGroups, state: AdamState, lr: float
 ) -> None:
@@ -142,7 +143,9 @@ def adam_step(
 
     The gradient is checked before anything changes, and theta after the
     whole update, one group at a time: at two BLAS threads one dot product
-    per group ran faster than one per block inside the loop.
+    per group ran faster than one per block inside the loop. The step runs
+    without numpy's overflow and invalid warnings: an alpha or a step past
+    the dtype's range leaves inf or NaN in theta, which that check raises.
 
     Groups are raveled in memory order, which a ParamGroups makes one dense
     layout per group: the ravels are views, so the blocks update theta, m

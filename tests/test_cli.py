@@ -413,19 +413,45 @@ class TestTrainCommand:
         epochs = []
         real_epoch = cli.train_epoch
         monkeypatch.setattr(cli, "train_epoch", lambda *a: epochs.append(a) or real_epoch(*a))
-        outputs = {"--checkpoint": tmp_path / "m.ckpt", "--log-path": tmp_path / "log.csv",
-                   "--eval-csv": tmp_path / "eval.csv"}
+        (tmp_path / "adir").mkdir()
         missing = tmp_path / "nodir" / "out"
-        outputs[flag] = missing
-        argv = ["train", "--config", str(config), "--epochs", "1", "--decay-epochs", ""]
-        for name, path in outputs.items():
-            argv += [name, str(path)]
+        bad_outputs = {
+            missing: f"{missing}: directory {missing.parent} does not exist",
+            tmp_path / "adir": f"{tmp_path / 'adir'}: is a directory",
+        }
+        for bad, message in bad_outputs.items():
+            outputs = {"--checkpoint": tmp_path / "m.ckpt", "--log-path": tmp_path / "log.csv",
+                       "--eval-csv": tmp_path / "eval.csv"}
+            outputs[flag] = bad
+            argv = ["train", "--config", str(config), "--epochs", "1", "--decay-epochs", ""]
+            for name, path in outputs.items():
+                argv += [name, str(path)]
+            capsys.readouterr()
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and epochs == []
+            assert message in err
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "adir", "run.config", "test.csv", "train.csv"
+            ]
+            assert list((tmp_path / "adir").iterdir()) == []
+
+    def test_eval_csv_without_test_set_exits_2_before_the_first_epoch(
+        self, toy_env, capsys, monkeypatch
+    ):
+        """The evaluation report is made on the test set, so asking for it without one
+        is a usage error, not a run that writes nothing."""
+        tmp_path, config = toy_env
+        epochs = []
+        monkeypatch.setattr(cli, "train_epoch", lambda *a: epochs.append(a))
+        report = tmp_path / "eval.csv"
+        argv = ["train", "--config", str(config), "--test-path", "", "--eval-csv", str(report)]
         capsys.readouterr()
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and epochs == []
-        assert f"{missing}: directory {missing.parent} does not exist" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.config", "test.csv", "train.csv"]
+        assert "--eval-csv needs --test-path" in err
+        assert not report.exists()
 
 
 class TestEvalCommand:
@@ -518,6 +544,31 @@ class TestEvalCommand:
         assert main(argv) == 2
         assert f"error: {ckpt}: non-finite values in gate" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    @pytest.mark.parametrize("bad", ["nodir/out.csv", "adir"])
+    def test_unwritable_report_exits_2_before_the_forward_pass(
+        self, toy_env, capsys, monkeypatch, command, bad
+    ):
+        """Every report path is checked before any report is written."""
+        tmp_path, config = toy_env
+        ckpt = save_toy_model(tmp_path / "model.ckpt", config)
+        (tmp_path / "adir").mkdir()
+        forwards = []
+        monkeypatch.setattr(cli, "forward_in_blocks", lambda *a: forwards.append(a))
+        monkeypatch.setattr(cli, "evaluate", lambda *a: forwards.append(a))
+        ok, bad = tmp_path / "ok.csv", tmp_path / bad
+        flags = ["--out", str(bad)] if command == "eval" else [
+            "--weights-csv", str(ok), "--pca-csv", str(ok), "--relations-csv", str(bad)
+        ]
+        train_path = load_run_config(str(config)).train_path
+        capsys.readouterr()
+        assert main([command, "--checkpoint-path", str(ckpt), "--data", train_path, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and forwards == []
+        assert f"error: {bad}: " in err
+        assert not ok.exists() and not (tmp_path / "nodir").exists()
+        assert list((tmp_path / "adir").iterdir()) == []
 
     def test_dimension_mismatch_is_explicit_error(self, toy_env, capsys):
         tmp_path, config = toy_env
@@ -779,8 +830,12 @@ class TestInspectCommand:
         assert len(p_lines) == 1 + 60
 
         r_lines = rel.read_text().splitlines()
-        assert r_lines[0] == "sample,row,col,weight"
-        assert len(r_lines) == 1 + 60 * 3 * 3
+        assert r_lines[0] == "row,col,mean,min,max,at_one"
+        assert len(r_lines) == 1 + 3 * 3  # one row per (row, col) pair
+        pairs = [tuple(map(int, line.split(",")[:2])) for line in r_lines[1:]]
+        assert pairs == [(j, m) for j in range(3) for m in range(3)]
+        for j in range(3):  # the diagonal is pinned to 0
+            assert r_lines[1 + 4 * j].split(",")[2:] == ["0.0", "0.0", "0.0", "0.0"]
 
     def test_blocks_match_one_full_forward(self, toy_env):
         """Over more rows than one block, the exports equal one full forward's."""
@@ -823,8 +878,15 @@ class TestInspectCommand:
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
         rel = np.loadtxt(rel_csv, delimiter=",", skiprows=1)
-        assert rel.shape == (len(data) * 9, 4)
-        np.testing.assert_allclose(rel[:, 3], cache.omega.ravel(), rtol=1e-12, atol=0.0)
+        omega = cache.omega
+        expected = np.stack(
+            [omega.mean(axis=0, dtype=np.float64), omega.min(axis=0), omega.max(axis=0),
+             (omega == 1.0).mean(axis=0)],
+            axis=-1,
+        ).reshape(9, 4)
+        assert rel.shape == (9, 6)
+        np.testing.assert_array_equal(rel[:, :2], [(j, m) for j in range(3) for m in range(3)])
+        np.testing.assert_array_equal(rel[:, 2:], expected)
 
     def test_empty_dataset_exits_2_and_writes_nothing(self, tmp_path, capsys):
         from ferhead.datasets import FeatureDataset, save_bin
@@ -1083,4 +1145,28 @@ class TestDatasetChecks:
             written = [ckpt]
         assert main(argv) == 2
         assert f"error: {bad}: row 5: f_7={value} is not finite" in capsys.readouterr().err
+        assert not any(path.exists() for path in written)
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_binary_label_out_of_range_exits_2_naming_the_row(self, toy_env, capsys, command):
+        """A binary table's label outside [0, K) names the file and row, as in a CSV table."""
+        tmp_path, config = toy_env
+        data = datasets.load_csv(str(tmp_path / "train.csv"), 3)
+        bad = tmp_path / "bad.bin"
+        datasets.save_bin(str(bad), data)
+        blob = bytearray(bad.read_bytes())
+        labels_at = len(blob) - 4 * len(data)  # the u32 labels end the file
+        blob[labels_at + 4 * 6 : labels_at + 4 * 7] = struct.pack("<I", 9)
+        bad.write_bytes(bytes(blob))
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "eval.csv"
+        if command == "eval":
+            save_toy_model(ckpt, config)
+            argv = ["eval", "--checkpoint-path", str(ckpt), "--data", str(bad), "--out", str(out)]
+            written = [out]
+        else:
+            argv = ["train", "--config", str(config), "--train-path", str(bad),
+                    "--checkpoint", str(ckpt)]
+            written = [ckpt]
+        assert main(argv) == 2
+        assert f"error: {bad}: row 7: label 9 out of range [0, 3)" in capsys.readouterr().err
         assert not any(path.exists() for path in written)

@@ -1,5 +1,5 @@
-"""numpy is the package's only runtime dependency, and every top-level name
-in the package has a user."""
+"""numpy is the package's only runtime dependency, every top-level name in
+the package has a user, and the CLI has one writer for report CSVs."""
 
 import ast
 import subprocess
@@ -83,3 +83,26 @@ def test_every_top_level_def_and_class_is_named_outside_itself():
             ):
                 unused.append(f"{p.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def test_cli_opens_files_only_in_write_csv_and_the_config_dump():
+    """Every report CSV goes through cli.write_csv: a call to `open` in cli.py
+    appears once in it and once in RunConfig.dump, and nowhere else, so a
+    second hand-written CSV writer cannot come back unnoticed."""
+    path = Path(__file__).resolve().parents[1] / "src" / "ferhead" / "cli.py"
+    scopes = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "open":
+                    scopes.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    assert sorted(scopes) == ["RunConfig.dump", "write_csv"]

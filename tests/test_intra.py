@@ -243,3 +243,14 @@ class TestPerClassMeans:
         np.testing.assert_array_equal(means[0], [1.0, 1.0])
         np.testing.assert_array_equal(means[1], [0.0, 0.0])
         np.testing.assert_array_equal(means[2], [4.0, 4.0])
+
+    def test_keeps_the_batch_dtype(self):
+        """A float32 batch gives float32 means, each the float32 mean of its rows."""
+        rng = np.random.default_rng(3)
+        batch = rng.uniform(0.0, 64.0, (50, 4)).astype(np.float32)
+        labels = rng.integers(0, 3, 50)
+        means = per_class_mean_weights(batch, labels, 4)
+        assert means.dtype == np.float32
+        for k in range(3):
+            np.testing.assert_array_equal(means[k], batch[labels == k].mean(axis=0))
+        np.testing.assert_array_equal(means[3], 0.0)
