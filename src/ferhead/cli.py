@@ -3,12 +3,13 @@
 Run configuration for train and sweep is a flat key=value file (diff-able
 experiment ledger) with CLI flags taking precedence; unknown keys are
 rejected; --config is the only way a file enters a run. Its keys are
-HeadConfig's fields, then the schedule's and the run's own. eval and inspect
-take their model config from the checkpoint header alone. Every set a
-command reads must fit the model's class count and input dimension
-(`check_table`, from the table's header); train and sweep check their test
-set's before training, and train, sweep, eval and inspect check the paths
-they write before any work (`check_output_dirs`). Every command is
+HeadConfig's fields, then the schedule's and the run's own; sweep has no flag
+for the run's outputs (checkpoint, log_path, eval_csv) and ignores them in a
+--config file. eval and inspect take their model config from the checkpoint
+header alone. Every set a command reads must fit the model's class count and
+input dimension (`check_table`, from the table's header); train and sweep
+check their test set's before training, and every command that writes a file
+checks its paths before any work (`check_output_dirs`). Every command is
 deterministic given --seed: training runs one batched forward and backward
 per step, and repeated runs on the same machine with the same BLAS thread
 count give identical bytes. --threads (the `threads` key) is accepted so
@@ -314,6 +315,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if not args.out_csv and not args.out_bin:
         raise ContractViolation("give at least one of --out-csv / --out-bin")
+    check_output_dirs(args.out_csv, args.out_bin)
     spec = datasets.make_synth_spec(
         n_classes=args.classes,
         n_actions=args.actions,
@@ -442,9 +444,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 FLAG_HELP = {"threads": "accepted for compatibility with older configurations; no effect"}
 
 
-def _add_config_overrides(parser: argparse.ArgumentParser) -> None:
+def _add_config_overrides(parser: argparse.ArgumentParser, skip: tuple[str, ...] = ()) -> None:
     parser.add_argument("--config", help="key=value run configuration file")
     for f in fields(RunConfig):
+        if f.name in skip:
+            continue
         flag = "--" + f.name.replace("_", "-")
         # every RunConfig default is an int, a float or a str
         parser.add_argument(
@@ -505,7 +509,8 @@ def _inspect_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _sweep_arguments(p: argparse.ArgumentParser) -> None:
-    _add_config_overrides(p)
+    # sweep writes only its --summary, so the run's output keys get no flag
+    _add_config_overrides(p, skip=("checkpoint", "log_path", "eval_csv"))
     p.add_argument("--param", required=True, choices=SWEEPABLE)
     p.add_argument("--values", required=True, help="comma-separated value list")
     p.add_argument("--summary", required=True, help="summary CSV path")

@@ -223,20 +223,18 @@ class Centers:
 
 @dataclass
 class ForwardCache:
-    """Every intermediate of the batched forward pass, kept for backward."""
+    """The intermediates of the batched forward pass that backward reads
+    (each ReLU runs in place, and `mixed` holds the aggregation first)."""
 
     inputs: np.ndarray        # (N, P)
-    pre_latent: np.ndarray    # (N, M, D) before relu
-    latents: np.ndarray       # (N, M, D)
+    latents: np.ndarray       # (N, M, D) after relu
     gates: np.ndarray         # (N, M, D) sigmoid outputs
     weights: np.ndarray       # (N, M) importance weights
     scaled: np.ndarray        # (N, M, D) gated features
-    pre_message: np.ndarray   # (N, M, D) before relu
-    messages: np.ndarray      # (N, M, D)
+    messages: np.ndarray      # (N, M, D) after relu
     distances: np.ndarray     # (N, M, M) stabilized pairwise norms
     omega: np.ndarray         # (N, M, M) relation weights, zero diagonal
-    aggregated: np.ndarray    # (N, M, D)
-    mixed: np.ndarray         # (N, M, D)
+    mixed: np.ndarray         # (N, M, D) blend of scaled and aggregated
     feature: np.ndarray       # (N, D) expression features
     logits: np.ndarray        # (N, K)
 
@@ -268,29 +266,29 @@ def joint_loss(
 def empty_cache(N: int, cfg: HeadConfig, dtype) -> ForwardCache:
     """Uninitialized `dtype` buffers for a forward pass over N rows.
 
-    gates, weights, pre_message and messages are views of latent-major
-    memory ((M, N, ...) arrays with the first two axes swapped), so each
-    per-latent matmul writes, and the pair loop reads, contiguous (N, D)
-    slabs. The other arrays are row-major; pre_latent is, so that the
-    decomposition writes it as one (N, M*D) GEMM result. The loss terms and
-    center updates sum these arrays in memory order, so the layouts are
-    part of the bits that training produces.
+    gates, weights and messages are views of latent-major memory ((M, N,
+    ...) arrays with the first two axes swapped), so each per-latent matmul
+    writes, and the pair loop reads, contiguous (N, D) slabs. The other
+    arrays are row-major; latents are, so that the decomposition writes
+    them as one (N, M*D) GEMM result. The loss terms and center updates sum
+    these arrays in memory order, so the layouts are part of the bits that
+    training produces.
 
-    The eight (N, M, D) arrays are the rows of one (8, N*M*D) allocation,
+    The five (N, M, D) arrays are the rows of one (5, N*M*D) allocation,
     each reshaped to the layout above. numpy asks the kernel for
     transparent huge pages (madvise(MADV_HUGEPAGE)) only on blocks of
     4 MiB or more. At paper dimensions in float32, one (N, M, D) array is
     1.18 MB for a 256-row evaluation block and 0.29 MB for a 64-row
     training batch, so as separate arrays they fault in 4 KiB pages. The
-    one block of a 256-row evaluation (9.4 MB) gets 2 MiB pages; that of a
-    64-row batch (2.4 MB) is below 4 MiB and faults in 4 KiB pages, but it
+    one block of a 256-row evaluation (5.9 MB) gets 2 MiB pages; that of a
+    64-row batch (1.5 MB) is below 4 MiB and faults in 4 KiB pages, but it
     is allocated once per epoch. In float64 a 700-row `ferhead eval` made
     ≈7.9k minor page faults with separate arrays and ≈3.4-4.1k with the
-    block. On a kernel without transparent huge pages the block faults in
-    like the separate arrays did.
+    block of eight arrays it then had. On a kernel without transparent huge
+    pages the block faults in like separate arrays.
     """
     M, P, D, K = cfg.n_latents, cfg.input_dim, cfg.latent_dim, cfg.n_classes
-    block = iter(np.empty((8, N * M * D), dtype=dtype))
+    block = iter(np.empty((5, N * M * D), dtype=dtype))
 
     def rows(*shape: int) -> np.ndarray:
         return np.empty((N, *shape), dtype=dtype)
@@ -306,16 +304,13 @@ def empty_cache(N: int, cfg: HeadConfig, dtype) -> ForwardCache:
 
     return ForwardCache(
         inputs=rows(P),
-        pre_latent=rows_in_block(),
         latents=rows_in_block(),
         gates=by_latent_in_block(),
         weights=by_latent(),
         scaled=rows_in_block(),
-        pre_message=by_latent_in_block(),
         messages=by_latent_in_block(),
         distances=rows(M, M),
         omega=rows(M, M),
-        aggregated=rows_in_block(),
         mixed=rows_in_block(),
         feature=rows(D),
         logits=rows(K),
@@ -328,7 +323,7 @@ def forward(
     cfg: HeadConfig,
     out: ForwardCache | None = None,
 ) -> ForwardCache:
-    """Vectorized batch forward pass in the parameters' dtype; returns all intermediates.
+    """Vectorized batch forward pass in the parameters' dtype; returns what backward reads.
 
     Every intermediate is written into the arrays of `out`, which are
     overwritten, so a caller that passes its previous cache back in must
@@ -368,30 +363,28 @@ def forward(
     def by_latent(a: np.ndarray) -> np.ndarray:
         return a.swapaxes(0, 1)  # (N, M, D) -> (M, N, D)
 
-    np.matmul(X, params.decomp_matrix(), out=c.pre_latent.reshape(N, -1))
-    relu(c.pre_latent, out=c.latents)
+    np.matmul(X, params.decomp_matrix(), out=c.latents.reshape(N, -1))
+    relu(c.latents, out=c.latents)
 
     np.matmul(by_latent(c.latents), params.gate, out=by_latent(c.gates))
     sigmoid(c.gates, out=c.gates)
     np.sum(c.gates, axis=2, out=c.weights)
     np.multiply(c.weights[:, :, None], c.latents, out=c.scaled)
 
-    np.matmul(by_latent(c.scaled), params.message, out=by_latent(c.pre_message))
-    relu(c.pre_message, out=c.messages)
+    np.matmul(by_latent(c.scaled), params.message, out=by_latent(c.messages))
+    relu(c.messages, out=c.messages)
 
     inter.pairwise_relation(c.messages, out=(c.distances, c.omega))
 
-    np.matmul(c.omega, c.messages, out=c.aggregated)
-    # mixed = r*scaled + (1-r)*aggregated, over contiguous N*D-element chunks
-    # of the row-major arrays, so that the (N, D) feature buffer, written
-    # only afterwards, holds the r*scaled term; the ops are element-wise, so
-    # the chunking changes no bits
+    # mixed = r*scaled + (1-r)*(omega @ messages), blended in place over
+    # contiguous N*D-element chunks, so that the (N, D) feature buffer,
+    # written only afterwards, holds the r*scaled term; the ops are
+    # element-wise, so the chunking changes no bits
+    np.matmul(c.omega, c.messages, out=c.mixed)
     chunk = c.feature.reshape(-1)
-    for mixed, scaled, aggregated in zip(
-        *(a.reshape(-1, chunk.size) for a in (c.mixed, c.scaled, c.aggregated))
-    ):
+    for mixed, scaled in zip(*(a.reshape(-1, chunk.size) for a in (c.mixed, c.scaled))):
         np.multiply(scaled, r, out=chunk)
-        np.multiply(aggregated, 1.0 - r, out=mixed)
+        mixed *= 1.0 - r
         mixed += chunk
     np.sum(c.mixed, axis=1, out=c.feature)
     np.matmul(c.feature, params.classifier, out=c.logits)
@@ -475,7 +468,7 @@ def _chain_backward(
     )
 
     # messages: G = relu(We.T F), per latent
-    dpre_message = dmessages * (cache.pre_message > 0.0)
+    dpre_message = dmessages * (cache.messages > 0.0)
     np.matmul(
         cache.scaled.transpose(1, 2, 0), dpre_message.transpose(1, 0, 2),
         out=out.message,
@@ -501,7 +494,7 @@ def _chain_backward(
 
     # decomposition: L = relu(Wd.T x), one (P, M*D) GEMM into decomp's memory
     N, M, D = dlatents.shape
-    dpre_latent = dlatents * (cache.pre_latent > 0.0)
+    dpre_latent = dlatents * (cache.latents > 0.0)
     np.matmul(cache.inputs.T, dpre_latent.reshape(N, M * D), out=out.decomp_matrix())
     return out
 

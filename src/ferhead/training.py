@@ -56,8 +56,8 @@ COMPUTE_DTYPE = np.float32
 
 # Rows per forward call in evaluate and inspect. Every block after the first,
 # the ragged last one included, is written into the first block's cache; at
-# paper dimensions 256 rows take about 10 MB of float32 buffers (19 MB in
-# float64), of which the (N, M, D) block is 9.4 MB. Freshly allocated
+# paper dimensions 256 rows take about 6.7 MB of float32 buffers (13.5 MB in
+# float64), of which the (N, M, D) block is 5.9 MB. Freshly allocated
 # blocks of this size are handed back to the OS when freed and fault their
 # pages in again on the next block; with reuse, 256 rows ran as fast as 512
 # and 128 on 7000 rows, at a lower peak than 512.
@@ -280,7 +280,9 @@ def train_epoch(
 
     Each batch takes one batched `forward` and one `backward` call. Given
     the same state and data, the result is bitwise reproducible on the same
-    machine with the same BLAS thread count.
+    machine with the same BLAS thread count. An overflow or invalid value in
+    a step raises TrainingError naming the epoch and batch, not a warning
+    (`forward`'s input narrowing and `adam_step` keep their own errstate).
 
     The summary's loss components are means over the epoch's batches
     (weighted by batch size); its accuracy is a full evaluation pass on
@@ -303,12 +305,13 @@ def train_epoch(
         X = data.features[batch_idx]
         labels = data.labels[batch_idx]
         try:
-            cache = forward(X, state.params, cfg, out=cache)
-            grads, losses = backward(
-                cache, labels, state.params, state.centers, cfg, out=grads
-            )
-            adam_step(state.params, grads, state.adam, lr)
-        except TrainingError as err:
+            with np.errstate(over="raise", invalid="raise"):
+                cache = forward(X, state.params, cfg, out=cache)
+                grads, losses = backward(
+                    cache, labels, state.params, state.centers, cfg, out=grads
+                )
+                adam_step(state.params, grads, state.adam, lr)
+        except (TrainingError, FloatingPointError) as err:
             raise TrainingError(
                 f"epoch {epoch}, batch starting at {start}: {err}"
             ) from err

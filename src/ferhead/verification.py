@@ -103,9 +103,10 @@ def build_instance(
 
 def _well_separated(inst: CheckInstance, margin: float) -> bool:
     cache = forward(inst.inputs, inst.params, inst.cfg)
-    if np.abs(cache.pre_latent).min() < margin:
+    if np.abs(inst.inputs @ inst.params.decomp_matrix()).min() < margin:
         return False
-    if np.abs(cache.pre_message).min() < margin:
+    pre_message = np.matmul(cache.scaled.swapaxes(0, 1), inst.params.message)
+    if np.abs(pre_message).min() < margin:
         return False
     m = inst.cfg.n_latents
     off_diag = ~np.eye(m, dtype=bool)

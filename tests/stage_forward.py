@@ -1,8 +1,10 @@
 """head.forward on crafted weight groups, for the per-stage unit tests.
 
 Each stage test checks one field of the forward cache (latents, gates,
-weights, scaled, messages, aggregated, mixed, feature, logits) against a loop
-helper or a hand-computed value. It fixes the weight groups its case needs;
+weights, scaled, messages, mixed, feature, logits) against a loop helper or
+a hand-computed value. The cache keeps no pre-activation (the latent map is
+checked after its relu) and no aggregation of its own: at mix_ratio 0,
+`mixed` is the aggregation. A test fixes the weight groups its case needs;
 the others are drawn from a seeded standard normal.
 """
 

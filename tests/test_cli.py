@@ -304,15 +304,32 @@ class TestTrainCommand:
 
         bad = tmp_path / "overflow.csv"
         save_csv(str(bad), FeatureDataset(np.full((12, 6), 1e30), np.arange(12) % 3, 3))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(
-                ["train", "--train-path", str(bad), "--input-dim", "6",
-                 "--latent-dim", "4", "--n-latents", "2", "--n-classes", "3",
-                 "--epochs", "1", "--batch-size", "12", "--decay-epochs", ""]
-            )
+        code = main(
+            ["train", "--train-path", str(bad), "--input-dim", "6",
+             "--latent-dim", "4", "--n-latents", "2", "--n-classes", "3",
+             "--epochs", "1", "--batch-size", "12", "--decay-epochs", ""]
+        )
         assert code != 0
         err = capsys.readouterr().err
         assert "epoch 0" in err and "batch" in err
+
+    def test_update_that_overflows_the_next_forward_exits_2_with_one_error_line(
+        self, tmp_path, capsys
+    ):
+        """At --base-lr 1e30 the first step leaves finite weights near 1e30, and
+        the next batch's forward overflows: an error, not a numpy warning."""
+        data = tmp_path / "d.bin"
+        assert main(["synth", "--classes", "3", "--actions", "4", "--dim", "6",
+                     "--per-class", "8", "--out-bin", str(data)]) == 0
+        capsys.readouterr()
+        code = main(["train", "--train-path", str(data), "--input-dim", "6",
+                     "--latent-dim", "4", "--n-latents", "2", "--n-classes", "3",
+                     "--epochs", "1", "--batch-size", "12", "--decay-epochs", "",
+                     "--base-lr", "1e30"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: epoch 0, batch starting at 12: overflow encountered in ")
+        assert err.count("\n") == 1
 
     @staticmethod
     def train_outputs(tmp_path, config, tag, *flags):
@@ -758,6 +775,15 @@ class TestSynthCommand:
         assert out == "" and message in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_output_path_that_is_a_directory_exits_2_before_writing(self, tmp_path, capsys):
+        csv_p, bin_dir = tmp_path / "ok.csv", tmp_path / "d.bin"
+        bin_dir.mkdir()
+        argv = ["synth", "--classes", "3", "--actions", "4", "--dim", "16", "--per-class", "5",
+                "--out-csv", str(csv_p), "--out-bin", str(bin_dir)]
+        assert main(argv) == 2
+        assert f"{bin_dir}: is a directory" in capsys.readouterr().err
+        assert not csv_p.exists() and list(bin_dir.iterdir()) == []
+
     def test_bin_and_csv_agree(self, tmp_path):
         csv_p, bin_p = tmp_path / "d.csv", tmp_path / "d.bin"
         assert (
@@ -999,6 +1025,39 @@ class TestSweepCommand:
         assert out == "" and epochs == []
         assert f"{summary}: directory {summary.parent} does not exist" in err
 
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--log-path", "--eval-csv"])
+    def test_output_flag_it_would_ignore_exits_2_before_the_first_run(
+        self, toy_env, capsys, monkeypatch, flag
+    ):
+        """sweep writes only its summary, so it has no flag for a run's outputs."""
+        tmp_path, config = toy_env
+        epochs = []
+        real_epoch = cli.train_epoch
+        monkeypatch.setattr(cli, "train_epoch", lambda *a: epochs.append(a) or real_epoch(*a))
+        summary, output = tmp_path / "sweep.csv", tmp_path / "output"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "--config", str(config), "--epochs", "1", "--decay-epochs", "",
+                  "--param", "mix_ratio", "--values", "0.5", "--summary", str(summary),
+                  flag, str(output)])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert epochs == [] and not summary.exists() and not output.exists()
+
+    def test_config_output_keys_are_read_and_unused(self, toy_env):
+        """A `.config` sidecar names all three outputs; sweep loads it and writes none."""
+        tmp_path, config = toy_env
+        outputs = [tmp_path / name for name in ("m.ckpt", "log.csv", "eval.csv")]
+        config.write_text(
+            config.read_text()
+            + "".join(f"{key}={str(path)!r}\n"
+                      for key, path in zip(("checkpoint", "log_path", "eval_csv"), outputs))
+        )
+        summary = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(config), "--epochs", "1", "--decay-epochs", "",
+                     "--param", "mix_ratio", "--values", "0.5", "--summary", str(summary)]) == 0
+        assert summary.exists() and not any(path.exists() for path in outputs)
+
     def test_lambda_sweep(self, toy_env):
         tmp_path, config = toy_env
         summary = tmp_path / "lam.csv"
@@ -1055,9 +1114,11 @@ class TestDatasetChecks:
         monkeypatch.setattr(cli, "train_epoch", lambda *a: epochs.append(a) or real_epoch(*a))
         ckpt, log, summary = (tmp_path / name for name in ("m.ckpt", "log.csv", "sweep.csv"))
         argv = [command, "--config", str(config), "--epochs", "1", "--decay-epochs", "",
-                "--test-path", str(wrong), "--checkpoint", str(ckpt), "--log-path", str(log)]
+                "--test-path", str(wrong)]
         if command == "sweep":
             argv += ["--param", "mix_ratio", "--values", "0.5", "--summary", str(summary)]
+        else:
+            argv += ["--checkpoint", str(ckpt), "--log-path", str(log)]
         capsys.readouterr()
         assert main(argv) == 2
         out, err = capsys.readouterr()

@@ -32,6 +32,7 @@ from ferhead.head import (
 from ferhead.inter import EPS_NORM
 from ferhead.intra import ClassCenters, balance_sign, distribution_grad, mean_weights
 from ferhead.numerics import SplitMix64
+from ferhead.training import COMPUTE_DTYPE, EVAL_BLOCK_ROWS
 
 
 def small_cfg(**overrides):
@@ -187,20 +188,17 @@ class TestForwardBufferReuse:
 
 
 class TestCacheBlock:
-    BLOCK = ("pre_latent", "latents", "gates", "scaled", "pre_message", "messages",
-             "aggregated", "mixed")
-    LATENT_MAJOR = ("gates", "pre_message", "messages")
+    BLOCK = ("latents", "gates", "scaled", "messages", "mixed")
+    LATENT_MAJOR = ("gates", "messages")
 
     @pytest.mark.parametrize("N", [64, 256])
-    def test_eight_latent_arrays_are_rows_of_one_block(self, N):
-        """One allocation of >= 4 MiB, which numpy madvises for huge pages."""
+    def test_five_latent_arrays_are_rows_of_one_block(self, N):
         cfg = HeadConfig()
         M, D = cfg.n_latents, cfg.latent_dim
         cache = empty_cache(N, cfg, np.float64)
         arrays = {name: getattr(cache, name) for name in self.BLOCK}
-        block = arrays["pre_latent"].base
-        assert block.shape == (8, N * M * D) and block.dtype == np.float64
-        assert block.nbytes >= 4 << 20
+        block = arrays["latents"].base
+        assert block.shape == (5, N * M * D) and block.dtype == np.float64
         for name, arr in arrays.items():
             assert arr.base is block, name
             assert arr.shape == (N, M, D), name
@@ -210,6 +208,12 @@ class TestCacheBlock:
                 assert arr.strides == (M * D * 8, D * 8, 8), name
         for a, b in combinations(arrays, 2):
             assert not np.shares_memory(arrays[a], arrays[b]), (a, b)
+
+    def test_evaluation_block_gets_huge_pages(self):
+        """The block evaluate and inspect allocate is >= 4 MiB, which numpy
+        madvises for transparent huge pages (5.9 MB at paper dimensions)."""
+        cache = empty_cache(EVAL_BLOCK_ROWS, HeadConfig(), COMPUTE_DTYPE)
+        assert cache.latents.base.nbytes >= 4 << 20
 
 
 class TestRelationDistances:

@@ -1,5 +1,6 @@
 """numpy is the package's only runtime dependency, every top-level name in
-the package has a user, and the CLI has one writer for report CSVs."""
+the package has a user, the CLI has one writer for report CSVs, and the
+forward cache keeps only what backward reads."""
 
 import ast
 import subprocess
@@ -106,3 +107,24 @@ def test_cli_opens_files_only_in_write_csv_and_the_config_dump():
 
     visit(ast.parse(path.read_text(encoding="utf-8")), "")
     assert sorted(scopes) == ["RunConfig.dump", "write_csv"]
+
+
+def test_backward_reads_every_forward_cache_field():
+    """Each ForwardCache field is read as `cache.<field>` in head.backward or
+    head._chain_backward, so no (N, M, D) buffer is kept that the reverse
+    pass does not need."""
+    path = Path(__file__).resolve().parents[1] / "src" / "ferhead" / "head.py"
+    body = {node.name: node for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    cache_fields = {
+        node.target.id for node in body["ForwardCache"].body if isinstance(node, ast.AnnAssign)
+    }
+    read = {
+        node.attr
+        for name in ("backward", "_chain_backward")
+        for node in ast.walk(body[name])
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "cache"
+    }
+    assert cache_fields and sorted(cache_fields - read) == []

@@ -96,7 +96,7 @@ class TestRelationWeights:
 
 
 class TestAggregate:
-    """Relation-weighted neighbor messages: cache.aggregated."""
+    """Relation-weighted neighbor messages: cache.mixed at mix_ratio 0."""
 
     def test_zero_weights(self):
         """Latents sharing one weight slice send coincident messages, weighed 0."""
@@ -105,25 +105,25 @@ class TestAggregate:
             name: np.stack([rng.normal(size=(4, 4))] * 3)
             for name in ("decomp", "gate", "message")
         }
-        cache = stage_forward(rng.normal(size=(5, 4)), 3, 4, **groups)
+        cache = stage_forward(rng.normal(size=(5, 4)), 3, 4, mix_ratio=0.0, **groups)
         assert np.all(cache.omega == 0.0) and np.any(cache.messages > 0)
-        assert np.array_equal(cache.aggregated, np.zeros((5, 3, 4)))
+        assert np.array_equal(cache.mixed, np.zeros((5, 3, 4)))
 
     def test_hand_computed(self):
         # with two latents, each aggregates only the other's message
-        cache = stage_forward(np.random.default_rng(2).normal(size=(4, 3)), 2, 3)
+        cache = stage_forward(np.random.default_rng(2).normal(size=(4, 3)), 2, 3, mix_ratio=0.0)
         omega = cache.omega[:, 0, 1, None]
         assert np.all(omega > 0)
-        np.testing.assert_array_equal(cache.aggregated[:, 0], omega * cache.messages[:, 1])
-        np.testing.assert_array_equal(cache.aggregated[:, 1], omega * cache.messages[:, 0])
+        np.testing.assert_array_equal(cache.mixed[:, 0], omega * cache.messages[:, 1])
+        np.testing.assert_array_equal(cache.mixed[:, 1], omega * cache.messages[:, 0])
 
     def test_linear_in_messages_with_fixed_weights(self):
         """aggregated[j] = sum_m omega[j, m] * messages[m], by loops."""
-        cache = stage_forward(np.random.default_rng(3).normal(size=(3, 6)), 4, 5)
+        cache = stage_forward(np.random.default_rng(3).normal(size=(3, 6)), 4, 5, mix_ratio=0.0)
         for i in range(3):
             for j in range(4):
                 want = sum(cache.omega[i, j, m] * cache.messages[i, m] for m in range(4))
-                np.testing.assert_allclose(cache.aggregated[i, j], want, atol=1e-12)
+                np.testing.assert_allclose(cache.mixed[i, j], want, atol=1e-12)
 
 
 class TestMix:
@@ -137,11 +137,12 @@ class TestMix:
 
     def test_all_aggregated(self):
         cache = stage_forward(self.X, 3, 4, mix_ratio=0.0)
-        np.testing.assert_array_equal(cache.mixed, cache.aggregated)
+        np.testing.assert_array_equal(cache.mixed, cache.omega @ cache.messages)
 
     def test_hand_computed_half(self):
         cache = stage_forward(self.X, 3, 4, mix_ratio=0.5)
-        np.testing.assert_array_equal(cache.mixed, 0.5 * cache.scaled + 0.5 * cache.aggregated)
+        aggregated = cache.omega @ cache.messages
+        np.testing.assert_array_equal(cache.mixed, 0.5 * cache.scaled + 0.5 * aggregated)
 
     def test_ratio_out_of_range(self):
         for ratio in (1.5, -0.1):

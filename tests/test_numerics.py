@@ -20,36 +20,42 @@ from ferhead.numerics import (
 )
 
 
-def pre_latent(W, X):
-    """The head's first linear map, W.T @ x per row: (N, P) -> (N, D)."""
-    return stage_forward(X, 1, W.shape[1], decomp=W[None]).pre_latent[:, 0]
+def latent_map(W, X):
+    """The head's first linear map and its relu, relu(W.T @ x) per row:
+    (N, P) -> (N, D), checked against np.maximum(X @ W, 0)."""
+    latents = stage_forward(X, 1, W.shape[1], decomp=W[None]).latents[:, 0]
+    np.testing.assert_allclose(latents, np.maximum(np.asarray(X) @ W, 0.0), atol=1e-12)
+    return latents
 
 
 class TestLinearForward:
     """The bias-free linear maps of the head, seen at the decomposition."""
 
     def test_identity(self):
-        assert np.array_equal(pre_latent(np.eye(2), [[3.0, -1.0]]), [[3.0, -1.0]])
+        assert np.array_equal(latent_map(np.eye(2), [[3.0, -1.0]]), [[3.0, 0.0]])
 
     def test_zeros(self):
-        assert np.array_equal(pre_latent(np.zeros((2, 2)), [[5.0, 7.0]]), [[0.0, 0.0]])
+        assert np.array_equal(latent_map(np.zeros((2, 2)), [[5.0, 7.0]]), [[0.0, 0.0]])
 
     def test_hand_computed(self):
         W = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(pre_latent(W, [[1.0, 1.0]]), [[4.0, 6.0]])
+        np.testing.assert_allclose(latent_map(W, [[1.0, 1.0]]), [[4.0, 6.0]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
             stage_forward(np.ones((1, 2)), 1, 3, input_dim=3)
 
     def test_linearity(self):
+        """Linear where every output is positive: nonnegative weights, inputs
+        and coefficients keep the relu off its kink."""
         rng = np.random.default_rng(11)
         for _ in range(20):
-            W = rng.normal(size=(6, 4))
-            x, y = rng.normal(size=(2, 1, 6))
-            a, b = rng.normal(size=2)
-            lhs = pre_latent(W, a * x + b * y)
-            rhs = a * pre_latent(W, x) + b * pre_latent(W, y)
+            W = np.abs(rng.normal(size=(6, 4)))
+            x, y = np.abs(rng.normal(size=(2, 1, 6))) + 0.1
+            a, b = np.abs(rng.normal(size=2)) + 0.1
+            lhs = latent_map(W, a * x + b * y)
+            assert np.all(lhs > 0)
+            rhs = a * latent_map(W, x) + b * latent_map(W, y)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -220,7 +226,7 @@ class TestReluDerivativeConvention:
         centers = Centers.zeros(cfg)
         centers.latent.centers[...] = 1.0
         cache = forward(rng.normal(size=(4, 3)), params, cfg)
-        assert np.array_equal(cache.pre_latent, np.zeros((4, 2, 2)))
+        assert np.array_equal(cache.latents, np.zeros((4, 2, 2)))
         grads, _ = backward(cache, np.array([0, 1, 0, 1]), params, centers, cfg)
         assert np.array_equal(grads.decomp, np.zeros((2, 3, 2)))
 

@@ -400,9 +400,8 @@ class TestTrainEpoch:
         data = tiny_dataset(per_class=4, cfg=cfg)
         data.features[...] = 1e30  # overflows the squared-distance terms
         sched = Schedule(base_lr=1e-3, decay_epochs=(), total_epochs=1, batch_size=12)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingError, match="epoch 0, batch starting at 0"):
-                train_epoch(fresh_state(cfg), data, cfg, sched, 0)
+        with pytest.raises(TrainingError, match="epoch 0, batch starting at 0"):
+            train_epoch(fresh_state(cfg), data, cfg, sched, 0)
 
     def test_update_that_overflows_names_epoch_and_batch(self):
         """adam_step runs inside the epoch's error context, as forward and backward do."""
