@@ -24,7 +24,6 @@ from .head import (
 from .numerics import SplitMix64, finite_diff_grad, init_params
 from .training import (
     AdamState,
-    EpochSummary,
     EvalReport,
     Schedule,
     TrainerState,

@@ -22,7 +22,7 @@ import argparse
 import ast
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -205,16 +205,12 @@ def run_training(cfg: RunConfig, progress=None):
     )
     history = []
     for epoch in range(sched.total_epochs):
-        summary = train_epoch(state, data, head_cfg, sched, epoch)
+        losses, accuracy = train_epoch(state, data, head_cfg, sched, epoch)
         row = {
             "epoch": epoch,
             "lr": sched.lr_at(epoch),
-            "loss_total": summary.losses.total,
-            "loss_cls": summary.losses.cls,
-            "loss_compact": summary.losses.compact,
-            "loss_balance": summary.losses.balance,
-            "loss_distribution": summary.losses.distribution,
-            "train_accuracy": summary.accuracy,
+            **{f"loss_{k}": v for k, v in asdict(losses).items()},
+            "train_accuracy": accuracy,
         }
         history.append(row)
         if progress:
@@ -246,7 +242,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     if cfg.eval_csv and not cfg.test_path:
         raise ContractViolation("--eval-csv needs --test-path: the report is made on the test set")
-    check_output_dirs(cfg.checkpoint, cfg.log_path, cfg.eval_csv)
+    derived = (cfg.checkpoint + ".config", cfg.checkpoint + ".tmp") if cfg.checkpoint else ()
+    check_output_dirs(cfg.checkpoint, *derived, cfg.log_path, cfg.eval_csv)
     state, head_cfg, history = run_training(
         cfg,
         progress=lambda row: print(

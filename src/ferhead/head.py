@@ -241,13 +241,13 @@ class ForwardCache:
 
 @dataclass
 class LossBreakdown:
-    """The four component losses and their weighted total."""
+    """The weighted total and the four losses; the training log's loss_* columns."""
 
+    total: float
     cls: float
     compact: float
     balance: float
     distribution: float
-    total: float
 
 
 def joint_loss(
@@ -260,7 +260,9 @@ def joint_loss(
         + cfg.lambda_balance * balance
         + cfg.lambda_distribution * distribution
     )
-    return LossBreakdown(cls, compact, balance, distribution, total)
+    return LossBreakdown(
+        total=total, cls=cls, compact=compact, balance=balance, distribution=distribution
+    )
 
 
 def empty_cache(N: int, cfg: HeadConfig, dtype) -> ForwardCache:
@@ -531,14 +533,10 @@ def backward(
         raise ContractViolation(f"labels shape {labels.shape} does not match batch {N}")
 
     breakdown = compute_losses(cache, labels, centers, cfg)
-    for term, value in (
-        ("classification", breakdown.cls),
-        ("compactness", breakdown.compact),
-        ("balance", breakdown.balance),
-        ("distribution", breakdown.distribution),
-    ):
+    for term in fields(LossBreakdown)[1:]:
+        value = getattr(breakdown, term.name)
         if not np.isfinite(value):
-            raise TrainingError(f"non-finite {term} loss: {value}")
+            raise TrainingError(f"non-finite {term.name} loss: {value}")
 
     probs = softmax(cache.logits)
     onehot = np.zeros_like(probs)

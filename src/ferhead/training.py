@@ -88,6 +88,10 @@ class Schedule:
             raise ContractViolation(f"invalid schedule: {self}")
         if list(self.decay_epochs) != sorted(set(self.decay_epochs)):
             raise ContractViolation("decay epochs must be strictly increasing")
+        if self.decay_epochs and self.decay_epochs[0] < 1:
+            raise ContractViolation(
+                f"decay epoch {self.decay_epochs[0]} must be >= 1, or base_lr is never used"
+            )
         if self.decay_epochs and self.decay_epochs[-1] >= self.total_epochs:
             raise ContractViolation(
                 f"decay epochs {self.decay_epochs} must be < total_epochs {self.total_epochs}"
@@ -210,14 +214,6 @@ class TrainerState:
 
 
 @dataclass
-class EpochSummary:
-    """Mean losses over the epoch's batches plus end-of-epoch train accuracy."""
-
-    losses: LossBreakdown
-    accuracy: float
-
-
-@dataclass
 class EvalReport:
     accuracy: float
     confusion: np.ndarray  # (K, K) counts, rows = true class
@@ -275,8 +271,8 @@ def train_epoch(
     cfg: HeadConfig,
     schedule: Schedule,
     epoch: int,
-) -> EpochSummary:
-    """One pass over the shuffled dataset; returns the epoch summary.
+) -> tuple[LossBreakdown, float]:
+    """One pass over the shuffled dataset; returns (mean losses, accuracy).
 
     Each batch takes one batched `forward` and one `backward` call. Given
     the same state and data, the result is bitwise reproducible on the same
@@ -284,10 +280,9 @@ def train_epoch(
     a step raises TrainingError naming the epoch and batch, not a warning
     (`forward`'s input narrowing and `adam_step` keep their own errstate).
 
-    The summary's loss components are means over the epoch's batches
-    (weighted by batch size); its accuracy is a full evaluation pass on
-    `data` with the end-of-epoch parameters, so it matches a subsequent
-    `evaluate` call exactly.
+    The losses are means over the epoch's batches (weighted by batch size);
+    the accuracy is a full evaluation pass on `data` with the end-of-epoch
+    parameters, so it matches a subsequent `evaluate` call exactly.
     """
     n = len(data)
     if n < 1:
@@ -298,7 +293,7 @@ def train_epoch(
         )
     lr = schedule.lr_at(epoch)
     order = state.rng.permutation(n)
-    sums = np.zeros(5)
+    sums = 0.0
     cache = grads = None
     for start in range(0, n, schedule.batch_size):
         batch_idx = np.sort(order[start : start + schedule.batch_size])
@@ -317,14 +312,8 @@ def train_epoch(
             ) from err
         state.centers.latent.update(cache.latents, cfg.center_rate)
         state.centers.by_class.update(cache.weights, labels, cfg.center_rate)
-        weight = len(batch_idx)
-        sums += weight * np.array(
-            [losses.cls, losses.compact, losses.balance, losses.distribution, losses.total]
-        )
-    mean = sums / n
-    losses = LossBreakdown(*mean)
-    report = evaluate(state.params, cfg, data)
-    return EpochSummary(losses=losses, accuracy=report.accuracy)
+        sums += len(batch_idx) * np.array(astuple(losses))
+    return LossBreakdown(*(sums / n)), evaluate(state.params, cfg, data).accuracy
 
 
 CHECKPOINT_MAGIC = b"FDRM"

@@ -247,7 +247,13 @@ class TestTrainCommand:
         assert code == 0
         assert ckpt.exists() and log.exists()
         header = log.read_text().splitlines()[0]
-        assert header.startswith("epoch,lr,loss_total")
+        assert header == (
+            "epoch,lr,loss_total,loss_cls,loss_compact,loss_balance,loss_distribution,"
+            "train_accuracy"
+        )
+        # the loss columns are LossBreakdown's fields, in field order
+        loss_columns = [f"loss_{f.name}" for f in fields(head.LossBreakdown)]
+        assert header.split(",") == ["epoch", "lr", *loss_columns, "train_accuracy"]
         assert len(log.read_text().splitlines()) == 5  # header + 4 epochs
         # a test set was configured, so the final report is also written
         assert eval_csv.read_text().startswith("class,samples,correct,accuracy")
@@ -422,20 +428,30 @@ class TestTrainCommand:
             outputs.append((ckpt.read_bytes(), log.read_bytes()))
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("flag", ["--checkpoint", "--log-path", "--eval-csv"])
+    @pytest.mark.parametrize(
+        "flag", ["--checkpoint", "--log-path", "--eval-csv", ".config", ".tmp"]
+    )
     def test_missing_output_directory_exits_2_before_the_first_epoch(
         self, toy_env, capsys, monkeypatch, flag
     ):
+        """A ".config" or ".tmp" flag is a path that --checkpoint derives: the
+        sidecar, and the file save_checkpoint writes before its rename."""
         tmp_path, config = toy_env
         epochs = []
         real_epoch = cli.train_epoch
         monkeypatch.setattr(cli, "train_epoch", lambda *a: epochs.append(a) or real_epoch(*a))
-        (tmp_path / "adir").mkdir()
+        dirs = [tmp_path / "adir"]
         missing = tmp_path / "nodir" / "out"
         bad_outputs = {
             missing: f"{missing}: directory {missing.parent} does not exist",
-            tmp_path / "adir": f"{tmp_path / 'adir'}: is a directory",
+            dirs[0]: f"{dirs[0]}: is a directory",
         }
+        if not flag.startswith("--"):
+            dirs.append(tmp_path / f"m.ckpt{flag}")
+            bad_outputs = {tmp_path / "m.ckpt": f"{dirs[1]}: is a directory"}
+            flag = "--checkpoint"
+        for d in dirs:
+            d.mkdir()
         for bad, message in bad_outputs.items():
             outputs = {"--checkpoint": tmp_path / "m.ckpt", "--log-path": tmp_path / "log.csv",
                        "--eval-csv": tmp_path / "eval.csv"}
@@ -448,10 +464,10 @@ class TestTrainCommand:
             out, err = capsys.readouterr()
             assert out == "" and epochs == []
             assert message in err
-            assert sorted(p.name for p in tmp_path.iterdir()) == [
-                "adir", "run.config", "test.csv", "train.csv"
-            ]
-            assert list((tmp_path / "adir").iterdir()) == []
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+                ["run.config", "test.csv", "train.csv", *(d.name for d in dirs)]
+            )
+            assert all(list(d.iterdir()) == [] for d in dirs)
 
     def test_eval_csv_without_test_set_exits_2_before_the_first_epoch(
         self, toy_env, capsys, monkeypatch

@@ -384,6 +384,15 @@ class TestBackward:
         for name, a in g1.items():
             np.testing.assert_allclose(getattr(g2, name), 2.0 * a, rtol=1e-12)
 
+    @pytest.mark.parametrize("bank, term", [("latent", "compact"), ("by_class", "distribution")])
+    def test_nonfinite_loss_is_named_by_its_loss_breakdown_field(self, bank, term):
+        cfg, params, X, labels = random_instance(6)
+        centers = Centers.zeros(cfg)
+        getattr(centers, bank).centers[...] = np.inf
+        cache = forward(X, params, cfg)
+        with pytest.raises(TrainingError, match=f"^non-finite {term} loss: inf$"):
+            backward(cache, labels, params, centers, cfg)
+
     def test_classifier_grad_small_at_separable_optimum(self):
         """Saturated correct logits with zero lambdas leave ~zero classifier grad."""
         cfg = small_cfg(

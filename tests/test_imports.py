@@ -1,6 +1,7 @@
 """numpy is the package's only runtime dependency, every top-level name in
-the package has a user, the CLI has one writer for report CSVs, and the
-forward cache keeps only what backward reads."""
+the package has a user, the CLI has one writer for report CSVs, the forward
+cache keeps only what backward reads, and the loss record's fields are read
+by name only where an oracle isolates one term."""
 
 import ast
 import subprocess
@@ -128,3 +129,26 @@ def test_backward_reads_every_forward_cache_field():
         and node.value.id == "cache"
     }
     assert cache_fields and sorted(cache_fields - read) == []
+
+
+def test_only_verification_reads_a_loss_breakdown_field_by_name():
+    """LossBreakdown's fields are the training log's loss_* columns, and
+    training, the log and backward's finiteness check walk them with
+    dataclasses.fields/astuple/asdict, so a new loss is one new field. Only
+    verification.py, which isolates the four component terms, reads one as
+    `<expr>.<field>`."""
+    package = Path(__file__).resolve().parents[1] / "src" / "ferhead"
+    head_tree = ast.parse((package / "head.py").read_text(encoding="utf-8"))
+    (record,) = (node for node in head_tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "LossBreakdown")
+    loss_fields = {node.target.id for node in record.body if isinstance(node, ast.AnnAssign)}
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "verification.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr in loss_fields):
+                readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert loss_fields == {"total", "cls", "compact", "balance", "distribution"}
+    assert readers == []
