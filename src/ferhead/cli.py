@@ -152,14 +152,32 @@ def check_table(path: str, head_cfg: HeadConfig) -> int | None:
     return k
 
 
-def check_output_dirs(*paths: str | None) -> None:
-    """Before any work, refuse an output path that is a directory or has no directory."""
-    for path in filter(None, paths):
+def check_output_dirs(*outputs: str | None, inputs: tuple[str | None, ...] = ()) -> None:
+    """Before any work, refuse an output path that is a directory or has no
+    directory, then one that resolves to the same file as an input or an
+    earlier output, so no output replaces a file the command reads or writes."""
+    outputs = [path for path in outputs if path]
+    for path in outputs:
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
             raise ContractViolation(f"{path}: directory {directory} does not exist")
         if os.path.isdir(path):
             raise ContractViolation(f"{path}: is a directory")
+    claimed = {os.path.realpath(path): path for path in inputs if path}
+    for path in outputs:
+        real = os.path.realpath(path)
+        if real in claimed:
+            raise ContractViolation(f"{path}: same file as {claimed[real]}")
+        claimed[real] = path
+
+
+def on_data(where: str, run, *args):
+    """run(*args), reporting an overflow in its forward passes with `where`,
+    the files they read."""
+    try:
+        return run(*args)
+    except TrainingError as err:
+        raise TrainingError(f"{where}: {err}") from None
 
 
 def load_dataset(path: str, head_cfg: HeadConfig) -> datasets.FeatureDataset:
@@ -243,7 +261,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     if cfg.eval_csv and not cfg.test_path:
         raise ContractViolation("--eval-csv needs --test-path: the report is made on the test set")
     derived = (cfg.checkpoint + ".config", cfg.checkpoint + ".tmp") if cfg.checkpoint else ()
-    check_output_dirs(cfg.checkpoint, *derived, cfg.log_path, cfg.eval_csv)
+    inputs = [cfg.train_path, cfg.test_path, args.config]
+    if derived and args.config and os.path.realpath(args.config) == os.path.realpath(derived[0]):
+        # `train --config m.ckpt.config` rebuilds m.ckpt: the sidecar may replace the
+        # config, read in full by now, and still claims that file from every other output
+        inputs.pop()
+    check_output_dirs(cfg.checkpoint, *derived, cfg.log_path, cfg.eval_csv, inputs=inputs)
     state, head_cfg, history = run_training(
         cfg,
         progress=lambda row: print(
@@ -262,7 +285,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         replace(cfg, **absolute).dump(cfg.checkpoint + ".config")
     if cfg.test_path:
         data = load_dataset(cfg.test_path, head_cfg)
-        report = evaluate(state.params, head_cfg, data)
+        report = on_data(cfg.test_path, evaluate, state.params, head_cfg, data)
         print_eval_report(report, data.class_names)
         if cfg.eval_csv:
             write_eval_csv(cfg.eval_csv, report, data.class_names)
@@ -281,9 +304,9 @@ def _load_model(args: argparse.Namespace):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    check_output_dirs(args.out)
+    check_output_dirs(args.out, inputs=(args.checkpoint_path, args.data))
     head_cfg, params, data = _load_model(args)
-    report = evaluate(params, head_cfg, data)
+    report = on_data(f"{args.checkpoint_path} on {args.data}", evaluate, params, head_cfg, data)
     print_eval_report(report, data.class_names)
     if args.out:
         write_eval_csv(args.out, report, data.class_names)
@@ -346,12 +369,17 @@ def pca_project(features: np.ndarray) -> np.ndarray:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    check_output_dirs(args.weights_csv, args.pca_csv, args.relations_csv)
+    check_output_dirs(
+        args.weights_csv, args.pca_csv, args.relations_csv,
+        inputs=(args.checkpoint_path, args.data),
+    )
     head_cfg, params, data = _load_model(args)
     M, K = head_cfg.n_latents, head_cfg.n_classes
     if len(data) < 1:
         raise ContractViolation("inspect needs a non-empty dataset")
-    weights, feature, omega = forward_in_blocks(
+    weights, feature, omega = on_data(
+        f"{args.checkpoint_path} on {args.data}",
+        forward_in_blocks,
         data.features,
         params,
         head_cfg,
@@ -401,7 +429,7 @@ SWEEPABLE = (
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = _resolve_config(args)
-    check_output_dirs(args.summary)
+    check_output_dirs(args.summary, inputs=(base.train_path, base.test_path, args.config))
     values = [v for v in map(str.strip, args.values.split(",")) if v]
     if not values:
         raise ContractViolation("sweep needs a non-empty --values list")
@@ -420,7 +448,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         test_accuracy = ""
         if cfg.test_path:
             data = load_dataset(cfg.test_path, head_cfg)
-            test_accuracy = evaluate(state.params, head_cfg, data).accuracy
+            test_accuracy = on_data(cfg.test_path, evaluate, state.params, head_cfg, data).accuracy
         row = {
             "param": args.param,
             "value": raw,

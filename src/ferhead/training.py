@@ -14,7 +14,8 @@ narrows its parameters, Adam moments and centers once when it is built, and
 a dataset holds float32 features, so `forward` copies each batch unconverted;
 `init_model_params` stays float64 for the oracles. A checkpoint (version 4)
 stores the model alone: its config and the four float32 parameter groups in
-their memory order, so loading one needs neither a conversion nor a relayout.
+their memory order, so loading one maps the file and needs no conversion,
+relayout or copy.
 The centers and Adam moments are used only in training and are not saved.
 Version 4 is the only version `load_params` reads; a model saved in an older
 one is rebuilt by training again from the `.config` file saved next to it.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import mmap
 import os
 import struct
 from dataclasses import astuple, dataclass
@@ -229,15 +231,21 @@ def forward_in_blocks(X: np.ndarray, params: ParamGroups, cfg: HeadConfig, *pick
     every block, the ragged last one too, is written into it, so each
     pick's array is copied before the next block runs (a pick may return a
     view such as `cache.weights`). The peak memory is O(EVAL_BLOCK_ROWS)
-    plus whatever the picks keep.
+    plus whatever the picks keep. A block whose forward pass overflows or
+    makes an invalid value raises TrainingError naming its rows (1-based),
+    as a training step does, so no prediction is made from inf or NaN.
     """
     kept = [[] for _ in picks]
     cache = None
-    for start in range(0, len(X), EVAL_BLOCK_ROWS):
-        block = X[start : start + EVAL_BLOCK_ROWS]
-        cache = forward(block, params, cfg, out=cache)
-        for parts, pick in zip(kept, picks):
-            parts.append(pick(cache).copy())
+    with np.errstate(over="raise", invalid="raise"):
+        for start in range(0, len(X), EVAL_BLOCK_ROWS):
+            block = X[start : start + EVAL_BLOCK_ROWS]
+            try:
+                cache = forward(block, params, cfg, out=cache)
+            except FloatingPointError as err:
+                raise TrainingError(f"rows {start + 1} to {start + len(block)}: {err}") from None
+            for parts, pick in zip(kept, picks):
+                parts.append(pick(cache).copy())
     return [np.concatenate(parts) for parts in kept]
 
 
@@ -332,7 +340,7 @@ def save_checkpoint(path: str, params: ParamGroups, cfg: HeadConfig) -> None:
     parameters. Each group is stored in the order of its memory in
     ParamGroups' layout, decomp in (P, M, D) order and every other group in
     the C order of its shape, so trained params are written without a copy,
-    and `load_params` reads them without a conversion or a relayout.
+    and `load_params` maps them without a conversion, a relayout or a copy.
 
     Every group must be float32, as training keeps them; any other dtype
     raises ContractViolation naming the group, so nothing is rounded
@@ -372,8 +380,8 @@ def _read_header(fh, path: str) -> HeadConfig:
     A file of any version but CHECKPOINT_VERSION is refused with the
     command that rebuilds its model from the `.config` that `train` wrote
     next to it. The whole file's size is checked against the one the header
-    implies before any array is read, so a truncated or overlong file is
-    rejected.
+    implies before the file is mapped, so a truncated or overlong file is
+    rejected and no group can lie past its end.
     """
     head = fh.read(_HEADER.size)
     if len(head) < _HEADER.size:
@@ -400,24 +408,28 @@ def _read_header(fh, path: str) -> HeadConfig:
     return cfg
 
 
-def _read_array(fh, shape: tuple[int, ...]) -> np.ndarray:
-    # the file is little-endian; astype makes the values native
-    arr = np.fromfile(fh, "<f4", math.prod(shape)).reshape(shape)
-    return arr.astype(np.float32, copy=False)
-
-
 def load_params(path: str) -> tuple[HeadConfig, ParamGroups]:
-    """Read a version-4 checkpoint's config and its four float32 parameter groups.
+    """Map a version-4 checkpoint and return its config and four float32 groups.
 
-    The header and the whole file's size are checked first, then the groups
-    are read straight into ParamGroups' layout. A non-finite weight raises
-    DataFormatError naming the file and its group.
+    The header and the whole file's size are checked first; then the file is
+    mapped read-only and each group is a view of its bytes, in ParamGroups'
+    layout, so loading copies nothing (on a big-endian host `astype` makes
+    the values native, which copies). The groups are read-only and keep the
+    mapping alive; `save_checkpoint` replaces a file by renaming a new one
+    over it, so groups loaded from the old file keep their values. A
+    non-finite weight raises DataFormatError naming the file and its group.
     """
     with open(path, "rb") as fh:
         cfg = _read_header(fh, path)
-        (M, P, D), *shapes = _group_shapes(cfg)
-        decomp = _read_array(fh, (P, M, D)).transpose(1, 0, 2)  # (P, M, D) memory
-        params = ParamGroups(decomp, *(_read_array(fh, shape) for shape in shapes))
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    (M, P, D), *shapes = _group_shapes(cfg)
+    groups, offset = [], _HEADER.size
+    for shape in [(P, M, D), *shapes]:
+        arr = np.frombuffer(mapped, "<f4", math.prod(shape), offset).reshape(shape)
+        groups.append(arr.astype(np.float32, copy=False))
+        offset += arr.nbytes
+    decomp, *rest = groups
+    params = ParamGroups(decomp.transpose(1, 0, 2), *rest)  # decomp in (P, M, D) memory
     try:
         params.raise_if_not_finite("as stored")
     except TrainingError as err:

@@ -486,6 +486,57 @@ class TestTrainCommand:
         assert "--eval-csv needs --test-path" in err
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--checkpoint", "same.out", "--log-path", "./same.out"],
+             "./same.out: same file as same.out"),
+            (["--checkpoint", "m.ckpt", "--log-path", "m.ckpt.tmp"],
+             "m.ckpt.tmp: same file as m.ckpt.tmp"),
+            (["--checkpoint", "m.ckpt", "--eval-csv", "m.ckpt.config"],
+             "m.ckpt.config: same file as m.ckpt.config"),
+            (["--log-path", "r.csv", "--eval-csv", "r.csv"], "r.csv: same file as r.csv"),
+            (["--train-path", "t.csv", "--log-path", "t.csv"], "t.csv: same file as t.csv"),
+            (["--log-path", "link.csv"], "link.csv: same file as {train}"),
+            (["--eval-csv", "test.csv"], "test.csv: same file as {test}"),
+            (["--checkpoint", "run.config"], "run.config: same file as {config}"),
+            (["--checkpoint", "m.ckpt", "--log-path", "run.config"],
+             "run.config: same file as {config}"),
+        ],
+    )
+    def test_output_naming_another_path_exits_2_before_the_first_epoch(
+        self, toy_env, capsys, monkeypatch, flags, message
+    ):
+        """No output may replace an input or another output, however the path is spelled."""
+        tmp_path, config = toy_env
+        monkeypatch.chdir(tmp_path)
+        epochs = []
+        monkeypatch.setattr(cli, "train_epoch", lambda *a: epochs.append(a))
+        (tmp_path / "t.csv").write_bytes((tmp_path / "train.csv").read_bytes())
+        (tmp_path / "link.csv").symlink_to(tmp_path / "train.csv")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(["train", "--config", "run.config", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and epochs == []
+        cfg = load_run_config(str(config))
+        assert message.format(train=cfg.train_path, test=cfg.test_path, config="run.config") in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_sidecar_may_replace_the_config_it_rebuilds_from(self, toy_env, monkeypatch):
+        """`train --config m.ckpt.config` is the rebuild command an old checkpoint names:
+        the config is read in full before the sidecar replaces it with the same run."""
+        tmp_path, config = toy_env
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        first, sidecar = ckpt.read_bytes(), (tmp_path / "m.ckpt.config").read_bytes()
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", "./m.ckpt.config"]) == 0
+        assert ckpt.read_bytes() == first
+        assert (tmp_path / "m.ckpt.config").read_bytes() == sidecar
+        # and it still claims that file from every other output
+        assert main(["train", "--config", "m.ckpt.config", "--log-path", "m.ckpt.config"]) == 2
+
 
 class TestEvalCommand:
     def test_eval_matches_final_train_log_accuracy(self, toy_env):
@@ -602,6 +653,35 @@ class TestEvalCommand:
         assert f"error: {bad}: " in err
         assert not ok.exists() and not (tmp_path / "nodir").exists()
         assert list((tmp_path / "adir").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [("eval", "model.ckpt"), ("eval", "train.csv"), ("inspect", "model.ckpt"),
+         ("inspect", "train.csv"), ("inspect", "weights.csv")],
+    )
+    def test_output_naming_an_input_or_output_exits_2_before_the_forward_pass(
+        self, toy_env, capsys, monkeypatch, command, target
+    ):
+        """A report path may name neither the mapped checkpoint, nor the data, nor
+        another report, so a report never truncates the model it is made from."""
+        tmp_path, config = toy_env
+        ckpt = save_toy_model(tmp_path / "model.ckpt", config)
+        data, weights = tmp_path / "train.csv", tmp_path / "weights.csv"
+        forwards = []
+        monkeypatch.setattr(cli, "forward_in_blocks", lambda *a: forwards.append(a))
+        monkeypatch.setattr(cli, "evaluate", lambda *a: forwards.append(a))
+        (tmp_path / "sub").mkdir()
+        bad = f"{tmp_path}/sub/../{target}"
+        flags = ["--out", bad] if command == "eval" else [
+            "--weights-csv", str(weights), "--pca-csv", bad
+        ]
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert main([command, "--checkpoint-path", str(ckpt), "--data", str(data), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and forwards == []
+        assert f"error: {bad}: same file as {tmp_path / target}" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
     def test_dimension_mismatch_is_explicit_error(self, toy_env, capsys):
         tmp_path, config = toy_env
@@ -799,6 +879,14 @@ class TestSynthCommand:
         assert main(argv) == 2
         assert f"{bin_dir}: is a directory" in capsys.readouterr().err
         assert not csv_p.exists() and list(bin_dir.iterdir()) == []
+
+    def test_output_naming_another_output_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "d.out"
+        argv = ["synth", "--classes", "3", "--actions", "4", "--dim", "16", "--per-class", "5",
+                "--out-csv", str(out), "--out-bin", f"{tmp_path}/./d.out"]
+        assert main(argv) == 2
+        assert f"{tmp_path}/./d.out: same file as {out}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bin_and_csv_agree(self, tmp_path):
         csv_p, bin_p = tmp_path / "d.csv", tmp_path / "d.bin"
@@ -1041,6 +1129,23 @@ class TestSweepCommand:
         assert out == "" and epochs == []
         assert f"{summary}: directory {summary.parent} does not exist" in err
 
+    @pytest.mark.parametrize("target", ["train.csv", "test.csv", "run.config"])
+    def test_summary_naming_an_input_exits_2_before_the_first_run(
+        self, toy_env, capsys, monkeypatch, target
+    ):
+        tmp_path, config = toy_env
+        epochs = []
+        monkeypatch.setattr(cli, "train_epoch", lambda *a: epochs.append(a))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        code = main(["sweep", "--config", str(config), "--param", "mix_ratio",
+                     "--values", "0.5", "--summary", f"{tmp_path}/./{target}"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and epochs == []
+        assert f"{tmp_path}/./{target}: same file as {tmp_path / target}" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize("flag", ["--checkpoint", "--log-path", "--eval-csv"])
     def test_output_flag_it_would_ignore_exits_2_before_the_first_run(
         self, toy_env, capsys, monkeypatch, flag
@@ -1247,3 +1352,29 @@ class TestDatasetChecks:
         assert main(argv) == 2
         assert f"error: {bad}: row 7: label 9 out of range [0, 3)" in capsys.readouterr().err
         assert not any(path.exists() for path in written)
+
+    @pytest.mark.parametrize("command", ["eval", "inspect", "train"])
+    def test_feature_that_overflows_the_forward_pass_exits_2_naming_file_and_rows(
+        self, toy_env, capsys, command
+    ):
+        """A finite feature too large for the model is an error, not a warning and a
+        report made from inf and NaN; train finds it in its test set."""
+        tmp_path, config = toy_env
+        data = datasets.load_csv(str(tmp_path / "test.csv"), 3)
+        data.features[:, :] = 3e38
+        bad = tmp_path / "huge.bin"
+        datasets.save_bin(str(bad), data)
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "report.csv"
+        if command == "train":
+            argv = ["train", "--config", str(config), "--epochs", "1", "--decay-epochs", "",
+                    "--test-path", str(bad), "--eval-csv", str(out)]
+            where = str(bad)
+        else:
+            save_toy_model(ckpt, config)
+            flag = "--out" if command == "eval" else "--weights-csv"
+            argv = [command, "--checkpoint-path", str(ckpt), "--data", str(bad), flag, str(out)]
+            where = f"{ckpt} on {bad}"
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {where}: rows 1 to {len(data)}: overflow encountered in " in err
+        assert not out.exists()
