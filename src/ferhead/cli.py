@@ -7,12 +7,12 @@ HeadConfig's fields, then the schedule's and the run's own; sweep has no flag
 for the run's outputs (checkpoint, log_path, eval_csv) and ignores them in a
 --config file. eval and inspect take their model config from the checkpoint
 header alone. Every set a command reads must fit the model's class count and
-input dimension (`check_table`, from the table's header); train and sweep
-check their test set's before training, and every command that writes a file
-checks its paths before any work (`check_output_dirs`). Every command is
-deterministic given --seed: training runs one batched forward and backward
-per step, and repeated runs on the same machine with the same BLAS thread
-count give identical bytes. --threads (the `threads` key) is accepted so
+input dimension (`load_dataset`, from the table's header); train and sweep
+read their sets in full before the first epoch (`read_sets`), and every
+command that writes a file checks its paths before any work
+(`check_output_dirs`). Every command is deterministic given --seed: training
+runs one batched forward and backward per step, and repeated runs on the
+same machine with the same BLAS thread count give identical bytes. --threads (the `threads` key) is accepted so
 that older configuration files still load, and has no effect.
 """
 
@@ -133,12 +133,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def check_table(path: str, head_cfg: HeadConfig) -> int | None:
-    """Check a table's header against the model (K where stored, and P).
-
-    Reads no row. Returns the class count a binary table stores, or None for
-    a CSV.
-    """
+def load_dataset(path: str, head_cfg: HeadConfig) -> datasets.FeatureDataset:
+    """Load a CSV or binary table, first checking its header against the
+    model (K where a binary table stores it, and P)."""
     p, k = datasets.table_header(path)
     if k is not None and k != head_cfg.n_classes:
         raise DataFormatError(
@@ -149,7 +146,7 @@ def check_table(path: str, head_cfg: HeadConfig) -> int | None:
             f"{path}: feature dimension {p} does not match "
             f"the model's input_dim {head_cfg.input_dim}"
         )
-    return k
+    return datasets.load_csv(path, head_cfg.n_classes) if k is None else datasets.load_bin(path)
 
 
 def check_output_dirs(*outputs: str | None, inputs: tuple[str | None, ...] = ()) -> None:
@@ -180,13 +177,6 @@ def on_data(where: str, run, *args):
         raise TrainingError(f"{where}: {err}") from None
 
 
-def load_dataset(path: str, head_cfg: HeadConfig) -> datasets.FeatureDataset:
-    """Load a CSV or binary table whose header `check_table` has checked."""
-    if check_table(path, head_cfg) is None:
-        return datasets.load_csv(path, head_cfg.n_classes)
-    return datasets.load_bin(path)
-
-
 def write_csv(path: str, header, rows) -> None:
     """Write a header row and then `rows` as CSV lines.
 
@@ -204,15 +194,30 @@ def write_csv(path: str, header, rows) -> None:
         fh.writelines(map(line, rows))
 
 
-def run_training(cfg: RunConfig, progress=None):
-    """Shared train loop: returns (state, head_cfg, history rows)."""
+def read_sets(cfg: RunConfig):
+    """(training set, test set or None without test_path), each read in full
+    and checked against the model, and batch_size against the training rows,
+    so that a set the run cannot use stops it before the first epoch."""
     head_cfg = cfg.head_config()
-    sched = cfg.schedule()
+    cfg.schedule()
     if not cfg.train_path:
         raise ContractViolation("no training set given (train_path)")
     data = load_dataset(cfg.train_path, head_cfg)
-    if cfg.test_path:  # checked now, loaded after training so the run does not hold it
-        check_table(cfg.test_path, head_cfg)
+    if cfg.batch_size > len(data):
+        raise ContractViolation(
+            f"{cfg.train_path}: batch_size {cfg.batch_size} exceeds "
+            f"the training set's {len(data)} rows"
+        )
+    return data, (load_dataset(cfg.test_path, head_cfg) if cfg.test_path else None)
+
+
+def run_training(cfg: RunConfig, progress=None, data=None):
+    """Shared train loop on the training set `data` (read by `read_sets` when
+    not given): returns (state, head_cfg, history rows)."""
+    head_cfg = cfg.head_config()
+    sched = cfg.schedule()
+    if data is None:
+        data, _ = read_sets(cfg)
     rng = SplitMix64(cfg.seed)
     params = init_model_params(head_cfg, rng)
     state = TrainerState(
@@ -267,6 +272,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         # config, read in full by now, and still claims that file from every other output
         inputs.pop()
     check_output_dirs(cfg.checkpoint, *derived, cfg.log_path, cfg.eval_csv, inputs=inputs)
+    data, test = read_sets(cfg)
     state, head_cfg, history = run_training(
         cfg,
         progress=lambda row: print(
@@ -274,7 +280,12 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"total {row['loss_total']:.4f} cls {row['loss_cls']:.4f} "
             f"acc {row['train_accuracy']:.4f}"
         ),
+        data=data,
     )
+    # the files are written after the test evaluation, so a run failing in it leaves none
+    if test is not None:
+        report = on_data(cfg.test_path, evaluate, state.params, head_cfg, test)
+        print_eval_report(report, test.class_names)
     if cfg.log_path:
         write_csv(cfg.log_path, history[0].keys(), (row.values() for row in history))
     if cfg.checkpoint:
@@ -283,12 +294,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         paths = ("train_path", "test_path", "checkpoint", "log_path", "eval_csv")
         absolute = {k: os.path.abspath(getattr(cfg, k)) for k in paths if getattr(cfg, k)}
         replace(cfg, **absolute).dump(cfg.checkpoint + ".config")
-    if cfg.test_path:
-        data = load_dataset(cfg.test_path, head_cfg)
-        report = on_data(cfg.test_path, evaluate, state.params, head_cfg, data)
-        print_eval_report(report, data.class_names)
-        if cfg.eval_csv:
-            write_eval_csv(cfg.eval_csv, report, data.class_names)
+    if cfg.eval_csv:
+        write_eval_csv(cfg.eval_csv, report, test.class_names)
     return 0
 
 
@@ -440,15 +447,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     configs = [replace(base, **{args.param: value}) for value in parsed]
     for cfg in configs:  # a bad value is a usage error before any run trains
         cfg.head_config()
-        cfg.schedule()
+    # the runs share the schedule and the sets' checks, so one read serves them all
+    data, test = read_sets(configs[0])
     rows = []
     for raw, cfg in zip(values, configs):
-        state, head_cfg, history = run_training(cfg)
+        state, head_cfg, history = run_training(cfg, data=data)
         last = history[-1]
-        test_accuracy = ""
-        if cfg.test_path:
-            data = load_dataset(cfg.test_path, head_cfg)
-            test_accuracy = on_data(cfg.test_path, evaluate, state.params, head_cfg, data).accuracy
+        test_accuracy = "" if test is None else on_data(
+            cfg.test_path, evaluate, state.params, head_cfg, test
+        ).accuracy
         row = {
             "param": args.param,
             "value": raw,

@@ -11,7 +11,8 @@ Pipeline per sample (all linear maps bias-free):
   omega = tanh(pairdist(G)),  zero diagonal
   Fh[j] = sum_m omega[j,m] G[m]
   Y[j]  = mix*F[j] + (1-mix)*Fh[j]
-  y     = sum_j Y[j]          expression feature
+  y     = sum_j Y[j]          expression feature, computed as
+        = mix*sum_j F[j] + (1-mix)*sum_m c[m] G[m],  c[m] = sum_j omega[j,m]
   logits = Wcls.T y
 
 Joint loss: cls + lc*compact + lb*balance + ld*distribution, with cls the
@@ -223,8 +224,8 @@ class Centers:
 
 @dataclass
 class ForwardCache:
-    """The intermediates of the batched forward pass that backward reads
-    (each ReLU runs in place, and `mixed` holds the aggregation first)."""
+    """The intermediates of the batched forward pass that backward reads (each
+    ReLU runs in place; no per-latent aggregation or blend is formed)."""
 
     inputs: np.ndarray        # (N, P)
     latents: np.ndarray       # (N, M, D) after relu
@@ -234,7 +235,6 @@ class ForwardCache:
     messages: np.ndarray      # (N, M, D) after relu
     distances: np.ndarray     # (N, M, M) stabilized pairwise norms
     omega: np.ndarray         # (N, M, M) relation weights, zero diagonal
-    mixed: np.ndarray         # (N, M, D) blend of scaled and aggregated
     feature: np.ndarray       # (N, D) expression features
     logits: np.ndarray        # (N, K)
 
@@ -276,21 +276,21 @@ def empty_cache(N: int, cfg: HeadConfig, dtype) -> ForwardCache:
     these arrays in memory order, so the layouts are part of the bits that
     training produces.
 
-    The five (N, M, D) arrays are the rows of one (5, N*M*D) allocation,
+    The four (N, M, D) arrays are the rows of one (4, N*M*D) allocation,
     each reshaped to the layout above. numpy asks the kernel for
     transparent huge pages (madvise(MADV_HUGEPAGE)) only on blocks of
     4 MiB or more. At paper dimensions in float32, one (N, M, D) array is
     1.18 MB for a 256-row evaluation block and 0.29 MB for a 64-row
     training batch, so as separate arrays they fault in 4 KiB pages. The
-    one block of a 256-row evaluation (5.9 MB) gets 2 MiB pages; that of a
-    64-row batch (1.5 MB) is below 4 MiB and faults in 4 KiB pages, but it
+    one block of a 256-row evaluation (4.7 MB) gets 2 MiB pages; that of a
+    64-row batch (1.18 MB) is below 4 MiB and faults in 4 KiB pages, but it
     is allocated once per epoch. In float64 a 700-row `ferhead eval` made
     ≈7.9k minor page faults with separate arrays and ≈3.4-4.1k with the
     block of eight arrays it then had. On a kernel without transparent huge
     pages the block faults in like separate arrays.
     """
     M, P, D, K = cfg.n_latents, cfg.input_dim, cfg.latent_dim, cfg.n_classes
-    block = iter(np.empty((5, N * M * D), dtype=dtype))
+    block = iter(np.empty((4, N * M * D), dtype=dtype))
 
     def rows(*shape: int) -> np.ndarray:
         return np.empty((N, *shape), dtype=dtype)
@@ -313,7 +313,6 @@ def empty_cache(N: int, cfg: HeadConfig, dtype) -> ForwardCache:
         messages=by_latent_in_block(),
         distances=rows(M, M),
         omega=rows(M, M),
-        mixed=rows_in_block(),
         feature=rows(D),
         logits=rows(K),
     )
@@ -378,17 +377,12 @@ def forward(
 
     inter.pairwise_relation(c.messages, out=(c.distances, c.omega))
 
-    # mixed = r*scaled + (1-r)*(omega @ messages), blended in place over
-    # contiguous N*D-element chunks, so that the (N, D) feature buffer,
-    # written only afterwards, holds the r*scaled term; the ops are
-    # element-wise, so the chunking changes no bits
-    np.matmul(c.omega, c.messages, out=c.mixed)
-    chunk = c.feature.reshape(-1)
-    for mixed, scaled in zip(*(a.reshape(-1, chunk.size) for a in (c.mixed, c.scaled))):
-        np.multiply(scaled, r, out=chunk)
-        mixed *= 1.0 - r
-        mixed += chunk
-    np.sum(c.mixed, axis=1, out=c.feature)
+    # y = sum_j (r*F[j] + (1-r)*sum_m omega[j,m] G[m])
+    #   = r*sum_j F[j] + sum_m (1-r)*c[m]*G[m],  with c[m] = sum_j omega[j,m]
+    np.sum(c.scaled, axis=1, out=c.feature)
+    c.feature *= r
+    message_weights = (1.0 - r) * c.omega.sum(axis=1)
+    c.feature += np.einsum("nm,nmd->nd", message_weights, c.messages)
     np.matmul(c.feature, params.classifier, out=c.logits)
     return c
 
@@ -448,18 +442,16 @@ def _chain_backward(
     np.matmul(cache.feature.T, dlogits, out=out.classifier)
     dfeature = dlogits @ params.classifier.T
 
-    # reconstruct: y = sum_j mixed[j]  ->  every j gets dfeature
-    # mix: mixed = r*F + (1-r)*Fhat
-    dmixed = np.broadcast_to(dfeature[:, None, :], cache.mixed.shape)
-    dscaled = mix_ratio * dmixed
-    daggregated = (1.0 - mix_ratio) * dmixed
-
-    # aggregate: Fhat[j] = sum_m omega[j, m] G[m]
-    domega = np.matmul(daggregated, cache.messages.transpose(0, 2, 1))
-    dmessages = np.matmul(cache.omega.transpose(0, 2, 1), daggregated)
+    # reconstruct: y = r*sum_j F[j] + (1-r)*sum_m c[m]*G[m], c[m] = sum_j omega[j, m];
+    # every F[j] gets r*dfeature, every G[m] (1-r)*c[m]*dfeature, and every
+    # omega[j, m] (1-r)*(G[m] . dfeature), the same for each j
+    dscaled = mix_ratio * np.broadcast_to(dfeature[:, None, :], cache.scaled.shape)
+    message_weights = (1.0 - mix_ratio) * cache.omega.sum(axis=1)
+    dmessages = message_weights[:, :, None] * dfeature[:, None, :]
+    domega = (1.0 - mix_ratio) * np.einsum("nmd,nd->nm", cache.messages, dfeature)
 
     # relation weights: omega = tanh(R) off-diagonal, constant 0 on it
-    dR = domega * (1.0 - cache.omega * cache.omega)
+    dR = domega[:, None, :] * (1.0 - cache.omega * cache.omega)
     idx = np.arange(dR.shape[1])
     dR[:, idx, idx] = 0.0
     dS = dR / (2.0 * cache.distances)  # R = sqrt(S + eps) > 0 everywhere

@@ -9,9 +9,9 @@ every off-diagonal pair exceeds, because importance weights near D/2 scale
 the latents before the message map); the diagonal is pinned to zero so no
 message enhances itself. Aggregating neighbor messages under these weights
 gives the graph-side feature, which is blended with the direct gated feature
-and summed across latents into the final expression feature. The encoding,
-aggregation, blend and sum run in `head.forward`; this module computes the
-weights.
+and summed across latents into the final expression feature. The encoding
+and that sum run in `head.forward`, which forms it from the weights' column
+sums without any per-latent aggregation; this module computes the weights.
 
 The distance is computed as sqrt(sum((a-b)^2) + EPS): the true norm has no
 gradient at coincident messages, and the epsilon keeps the weights

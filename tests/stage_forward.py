@@ -1,11 +1,13 @@
 """head.forward on crafted weight groups, for the per-stage unit tests.
 
 Each stage test checks one field of the forward cache (latents, gates,
-weights, scaled, messages, mixed, feature, logits) against a loop helper or
-a hand-computed value. The cache keeps no pre-activation (the latent map is
-checked after its relu) and no aggregation of its own: at mix_ratio 0,
-`mixed` is the aggregation. A test fixes the weight groups its case needs;
-the others are drawn from a seeded standard normal.
+weights, scaled, messages, distances, omega, feature, logits) against a loop
+helper or a hand-computed value. The cache keeps no pre-activation (the
+latent map is checked after its relu) and no per-latent aggregation or
+blend: those stages are checked through `feature`, their sum over latents,
+which at mix_ratio 0 is the summed aggregation and at mix_ratio 1 the summed
+gated features. A test fixes the weight groups its case needs; the others
+are drawn from a seeded standard normal.
 """
 
 import numpy as np

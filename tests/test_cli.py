@@ -1223,7 +1223,7 @@ class TestDatasetChecks:
     def test_wrong_test_set_exits_2_before_the_first_epoch(
         self, toy_env, capsys, monkeypatch, command, table
     ):
-        """The test set's header is checked before training; the rows are read after it."""
+        """The test set is read in full and checked before the first epoch."""
         tmp_path, config = toy_env
         classes, dim = ("4", "24") if table == "bin_classes" else ("3", "16")
         suffix = "csv" if table == "csv_dim" else "bin"
@@ -1250,6 +1250,63 @@ class TestDatasetChecks:
             assert f"{wrong}: file declares 4 classes, run expects 3" in err
         else:
             assert f"{wrong}: feature dimension 16 does not match the model's input_dim 24" in err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_bad_test_row_exits_2_before_the_first_epoch(
+        self, toy_env, capsys, monkeypatch, command
+    ):
+        """A test-set row that does not parse stops the run before any epoch,
+        and a sweep reads its test set once, not once per value."""
+        tmp_path, config = toy_env
+        bad = tmp_path / "bad.csv"
+        lines = (tmp_path / "test.csv").read_text().splitlines()
+        lines[5] = "abc" + lines[5][lines[5].index(","):]
+        bad.write_text("\n".join(lines) + "\n")
+        epochs, reads = [], []
+        real_epoch, real_load = cli.train_epoch, cli.load_dataset
+        monkeypatch.setattr(cli, "train_epoch", lambda *a: epochs.append(a) or real_epoch(*a))
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: reads.append(a[0]) or real_load(*a))
+        ckpt, log, summary = (tmp_path / name for name in ("m.ckpt", "log.csv", "sweep.csv"))
+        argv = [command, "--config", str(config), "--epochs", "1", "--decay-epochs", ""]
+        if command == "sweep":
+            argv += ["--param", "mix_ratio", "--values", "0.2,0.8", "--summary", str(summary)]
+            assert main([*argv, "--test-path", str(tmp_path / "test.csv")]) == 0
+            assert reads == [str(tmp_path / "train.csv"), str(tmp_path / "test.csv")]
+            assert len(epochs) == 2
+            epochs.clear()
+            summary.unlink()
+        else:
+            argv += ["--checkpoint", str(ckpt), "--log-path", str(log),
+                     "--eval-csv", str(tmp_path / "report.csv")]
+        capsys.readouterr()
+        assert main([*argv, "--test-path", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and epochs == []
+        assert f"{bad}:6:" in err
+        written = (ckpt, log, tmp_path / "m.ckpt.config", tmp_path / "report.csv", summary)
+        assert not any(path.exists() for path in written)
+
+    def test_batch_size_above_the_training_rows_exits_2_naming_both(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The default batch size (64) on an 18-row table is refused before the
+        first epoch, naming the table and batch_size, and nothing is written."""
+        table = tmp_path / "small.bin"
+        assert main(["synth", "--classes", "3", "--actions", "4", "--dim", "8",
+                     "--per-class", "6", "--out-bin", str(table)]) == 0
+        epochs = []
+        monkeypatch.setattr(cli, "train_epoch", lambda *a: epochs.append(a))
+        ckpt, log = tmp_path / "m.ckpt", tmp_path / "log.csv"
+        capsys.readouterr()
+        code = main(["train", "--input-dim", "8", "--latent-dim", "4", "--n-latents", "2",
+                     "--n-classes", "3", "--train-path", str(table), "--test-path", str(table),
+                     "--checkpoint", str(ckpt), "--log-path", str(log),
+                     "--eval-csv", str(tmp_path / "report.csv")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and epochs == []
+        assert f"{table}: batch_size 64 exceeds the training set's 18 rows" in err
+        written = (ckpt, log, tmp_path / "m.ckpt.config", tmp_path / "report.csv")
+        assert not any(path.exists() for path in written)
 
     @pytest.mark.parametrize("case", ["table-line-1", "table-line-2", "table-last-line", "config"])
     def test_text_that_is_not_utf8_exits_2_naming_the_line(self, toy_env, capsys, case):

@@ -177,8 +177,7 @@ class TestForwardBufferReuse:
             assert np.array_equal(getattr(got, f.name), getattr(fresh, f.name)), f.name
         if out_rows > len(X):  # served from views of the first rows of `used`
             for f in fields(got):
-                if f.name != "inputs":  # inputs is X itself
-                    assert np.shares_memory(getattr(got, f.name), getattr(used, f.name)), f.name
+                assert np.shares_memory(getattr(got, f.name), getattr(used, f.name)), f.name
 
     def test_calls_without_out_share_no_memory(self):
         cfg, params, X, _ = random_instance(33, batch=6)
@@ -188,17 +187,17 @@ class TestForwardBufferReuse:
 
 
 class TestCacheBlock:
-    BLOCK = ("latents", "gates", "scaled", "messages", "mixed")
+    BLOCK = ("latents", "gates", "scaled", "messages")
     LATENT_MAJOR = ("gates", "messages")
 
     @pytest.mark.parametrize("N", [64, 256])
-    def test_five_latent_arrays_are_rows_of_one_block(self, N):
+    def test_four_latent_arrays_are_rows_of_one_block(self, N):
         cfg = HeadConfig()
         M, D = cfg.n_latents, cfg.latent_dim
         cache = empty_cache(N, cfg, np.float64)
         arrays = {name: getattr(cache, name) for name in self.BLOCK}
         block = arrays["latents"].base
-        assert block.shape == (5, N * M * D) and block.dtype == np.float64
+        assert block.shape == (4, N * M * D) and block.dtype == np.float64
         for name, arr in arrays.items():
             assert arr.base is block, name
             assert arr.shape == (N, M, D), name
@@ -211,7 +210,7 @@ class TestCacheBlock:
 
     def test_evaluation_block_gets_huge_pages(self):
         """The block evaluate and inspect allocate is >= 4 MiB, which numpy
-        madvises for transparent huge pages (5.9 MB at paper dimensions)."""
+        madvises for transparent huge pages (4.7 MB at paper dimensions)."""
         cache = empty_cache(EVAL_BLOCK_ROWS, HeadConfig(), COMPUTE_DTYPE)
         assert cache.latents.base.nbytes >= 4 << 20
 

@@ -111,22 +111,30 @@ def test_cli_opens_files_only_in_write_csv_and_the_config_dump():
 
 
 def test_backward_reads_every_forward_cache_field():
-    """Each ForwardCache field is read as `cache.<field>` in head.backward or
-    head._chain_backward, so no (N, M, D) buffer is kept that the reverse
-    pass does not need."""
+    """Each ForwardCache field's values are read as `cache.<field>` in
+    head.backward or head._chain_backward, so no (N, M, D) buffer is kept
+    that the reverse pass does not need. A field read only for its
+    `.shape`, `.dtype` or `.ndim` counts as unread: its metadata is known
+    without its buffer."""
     path = Path(__file__).resolve().parents[1] / "src" / "ferhead" / "head.py"
     body = {node.name: node for node in ast.parse(path.read_text(encoding="utf-8")).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     cache_fields = {
         node.target.id for node in body["ForwardCache"].body if isinstance(node, ast.AnnAssign)
     }
+    nodes = [node for name in ("backward", "_chain_backward") for node in ast.walk(body[name])]
+    metadata_only = {
+        id(node.value)
+        for node in nodes
+        if isinstance(node, ast.Attribute) and node.attr in ("shape", "dtype", "ndim")
+    }
     read = {
         node.attr
-        for name in ("backward", "_chain_backward")
-        for node in ast.walk(body[name])
+        for node in nodes
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
         and node.value.id == "cache"
+        and id(node) not in metadata_only
     }
     assert cache_fields and sorted(cache_fields - read) == []
 

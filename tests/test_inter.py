@@ -96,7 +96,8 @@ class TestRelationWeights:
 
 
 class TestAggregate:
-    """Relation-weighted neighbor messages: cache.mixed at mix_ratio 0."""
+    """Relation-weighted neighbor messages: cache.feature at mix_ratio 0 is
+    their sum over latents, sum_j sum_m omega[j, m] * messages[m]."""
 
     def test_zero_weights(self):
         """Latents sharing one weight slice send coincident messages, weighed 0."""
@@ -107,42 +108,46 @@ class TestAggregate:
         }
         cache = stage_forward(rng.normal(size=(5, 4)), 3, 4, mix_ratio=0.0, **groups)
         assert np.all(cache.omega == 0.0) and np.any(cache.messages > 0)
-        assert np.array_equal(cache.mixed, np.zeros((5, 3, 4)))
+        assert np.array_equal(cache.feature, np.zeros((5, 4)))
 
     def test_hand_computed(self):
         # with two latents, each aggregates only the other's message
         cache = stage_forward(np.random.default_rng(2).normal(size=(4, 3)), 2, 3, mix_ratio=0.0)
         omega = cache.omega[:, 0, 1, None]
         assert np.all(omega > 0)
-        np.testing.assert_array_equal(cache.mixed[:, 0], omega * cache.messages[:, 1])
-        np.testing.assert_array_equal(cache.mixed[:, 1], omega * cache.messages[:, 0])
+        want = omega * cache.messages[:, 1] + omega * cache.messages[:, 0]
+        np.testing.assert_allclose(cache.feature, want, rtol=1e-12, atol=1e-12)
 
     def test_linear_in_messages_with_fixed_weights(self):
-        """aggregated[j] = sum_m omega[j, m] * messages[m], by loops."""
+        """feature = sum_j sum_m omega[j, m] * messages[m], by loops."""
         cache = stage_forward(np.random.default_rng(3).normal(size=(3, 6)), 4, 5, mix_ratio=0.0)
         for i in range(3):
-            for j in range(4):
-                want = sum(cache.omega[i, j, m] * cache.messages[i, m] for m in range(4))
-                np.testing.assert_allclose(cache.mixed[i, j], want, atol=1e-12)
+            want = sum(
+                cache.omega[i, j, m] * cache.messages[i, m] for j in range(4) for m in range(4)
+            )
+            np.testing.assert_allclose(cache.feature[i], want, rtol=1e-12, atol=1e-12)
 
 
 class TestMix:
-    """The blend of gated and aggregated features: cache.mixed."""
+    """The blend of gated and aggregated features, summed over latents: cache.feature."""
 
     X = np.random.default_rng(4).normal(size=(5, 4))
 
     def test_all_direct(self):
         cache = stage_forward(self.X, 3, 4, mix_ratio=1.0)
-        np.testing.assert_array_equal(cache.mixed, cache.scaled)
+        want = cache.scaled[:, 0] + cache.scaled[:, 1] + cache.scaled[:, 2]
+        np.testing.assert_allclose(cache.feature, want, rtol=1e-12, atol=1e-12)
 
     def test_all_aggregated(self):
         cache = stage_forward(self.X, 3, 4, mix_ratio=0.0)
-        np.testing.assert_array_equal(cache.mixed, cache.omega @ cache.messages)
+        want = (cache.omega @ cache.messages).sum(axis=1)
+        np.testing.assert_allclose(cache.feature, want, rtol=1e-12, atol=1e-12)
 
     def test_hand_computed_half(self):
         cache = stage_forward(self.X, 3, 4, mix_ratio=0.5)
         aggregated = cache.omega @ cache.messages
-        np.testing.assert_array_equal(cache.mixed, 0.5 * cache.scaled + 0.5 * aggregated)
+        want = (0.5 * cache.scaled + 0.5 * aggregated).sum(axis=1)
+        np.testing.assert_allclose(cache.feature, want, rtol=1e-12, atol=1e-12)
 
     def test_ratio_out_of_range(self):
         for ratio in (1.5, -0.1):
@@ -158,8 +163,11 @@ class TestReconstruct:
         assert np.array_equal(feature, np.zeros((1, 4)))
 
     def test_hand_computed(self):
+        """Two latents: y = 0.5*(F[0] + omega G[1]) + 0.5*(F[1] + omega G[0])."""
         cache = stage_forward(np.random.default_rng(5).normal(size=(4, 3)), 2, 3)
-        np.testing.assert_array_equal(cache.feature, cache.mixed[:, 0] + cache.mixed[:, 1])
+        F, G, omega = cache.scaled, cache.messages, cache.omega[:, 0, 1, None]
+        want = 0.5 * (F[:, 0] + omega * G[:, 1]) + 0.5 * (F[:, 1] + omega * G[:, 0])
+        np.testing.assert_allclose(cache.feature, want, rtol=1e-12, atol=1e-12)
 
     def test_permutation_invariant(self):
         """Relabeling the latents leaves the feature unchanged."""

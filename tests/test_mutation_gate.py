@@ -96,10 +96,12 @@ def argv_for(command: str, kind: str, inputs: dict, out) -> tuple[list[str], lis
         outputs = [out / "m.ckpt", out / "m.ckpt.config", out / "log.csv"]
         return ["train", "--config", str(inputs["config"]), *dims,
                 "--checkpoint", str(outputs[0]), "--log-path", str(outputs[2])], outputs
-    # train --test-path: only the report is written after the test set is read
-    outputs = [out / "report.csv"]
-    return ["train", "--config", str(inputs["config"]), *dims,
-            "--test-path", str(inputs[kind]), "--eval-csv", str(outputs[0])], outputs
+    # train --test-path: the test set is read before the first epoch, and every
+    # output is written after its evaluation
+    outputs = [out / "m.ckpt", out / "m.ckpt.config", out / "log.csv", out / "report.csv"]
+    return ["train", "--config", str(inputs["config"]), *dims, "--test-path", str(inputs[kind]),
+            "--checkpoint", str(outputs[0]), "--log-path", str(outputs[2]),
+            "--eval-csv", str(outputs[3])], outputs
 
 
 def well_formed(config) -> bool:

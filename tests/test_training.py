@@ -553,15 +553,15 @@ class TestEvaluate:
         from ferhead.head import forward
 
         full = forward(X, state.params, cfg)
-        weights, omega, mixed = training.forward_in_blocks(
+        weights, omega, scaled = training.forward_in_blocks(
             X,
             state.params,
             cfg,
             lambda cache: cache.weights,
             lambda cache: cache.omega,
-            lambda cache: cache.mixed,
+            lambda cache: cache.scaled,
         )
-        for got, want in [(weights, full.weights), (omega, full.omega), (mixed, full.mixed)]:
+        for got, want in [(weights, full.weights), (omega, full.omega), (scaled, full.scaled)]:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_ragged_block_reuses_the_one_cache(self, monkeypatch):
