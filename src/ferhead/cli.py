@@ -1,19 +1,23 @@
 """Command-line interface: train, eval, gradcheck, synth, inspect, sweep.
 
 Run configuration for train and sweep is a flat key=value file (diff-able
-experiment ledger) with CLI flags taking precedence; unknown keys are
-rejected; --config is the only way a file enters a run. Its keys are
-HeadConfig's fields, then the schedule's and the run's own; sweep has no flag
-for the run's outputs (checkpoint, log_path, eval_csv) and ignores them in a
---config file. eval and inspect take their model config from the checkpoint
-header alone. Every set a command reads must fit the model's class count and
-input dimension (`load_dataset`, from the table's header); train and sweep
-read their sets in full before the first epoch (`read_sets`), and every
-command that writes a file checks its paths before any work
-(`check_output_dirs`). Every command is deterministic given --seed: training
-runs one batched forward and backward per step, and repeated runs on the
-same machine with the same BLAS thread count give identical bytes. --threads (the `threads` key) is accepted so
-that older configuration files still load, and has no effect.
+experiment ledger) or a checkpoint, with CLI flags taking precedence;
+unknown keys and a key set twice are rejected; --config is the only way a
+file enters a run. Its keys are HeadConfig's fields, then the schedule's and
+the run's own; sweep has no flag for the run's outputs (checkpoint,
+log_path, eval_csv) and ignores them in a --config file. A checkpoint
+carries the run that made it: HeadConfig's fields in its header and the
+other keys but the outputs and `threads` in its run record, so
+`train --config m.ckpt --checkpoint m2.ckpt` rebuilds the model. eval and
+inspect take their model config from the checkpoint header alone. Every set
+a command reads must fit the model's class count and input dimension
+(`load_dataset`, from the table's header); train and sweep read their sets
+in full before the first epoch (`read_sets`), and every command that writes
+a file checks its paths before any work (`check_output_dirs`). Every
+command is deterministic given --seed: training runs one batched forward
+and backward per step, and repeated runs on the same machine with the same
+BLAS thread count give identical bytes. --threads (the `threads` key) is
+accepted so that older configuration files still load, and has no effect.
 """
 
 from __future__ import annotations
@@ -38,9 +42,15 @@ from .training import (
     evaluate,
     forward_in_blocks,
     load_params,
+    load_record,
     save_checkpoint,
     train_epoch,
 )
+
+
+# the keys that name a run's outputs: no checkpoint records them, and sweep,
+# which writes only its summary, has no flag for them
+RUN_OUTPUTS = ("checkpoint", "log_path", "eval_csv")
 
 
 @dataclass
@@ -83,44 +93,72 @@ class RunConfig(HeadConfig):
         sched.validate()
         return sched
 
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for f in fields(self):
-                fh.write(f"{f.name}={getattr(self, f.name)!r}\n")
+    def dump(self, skip: tuple[str, ...] = ()) -> str:
+        """key=value lines of every field not in `skip`, each string a quoted literal."""
+        return "".join(
+            f"{f.name}={getattr(self, f.name)!r}\n" for f in fields(self) if f.name not in skip
+        )
+
+    def record(self) -> str:
+        """The run record a checkpoint stores after its weights: the keys its
+        header does not hold, but the run's outputs and `threads` (which has
+        no effect, so every value saves the same bytes), with the input paths
+        made absolute, so `train --config <checkpoint>` rebuilds the run from
+        any directory."""
+        inputs = {k: os.path.abspath(getattr(self, k)) for k in ("train_path", "test_path")
+                  if getattr(self, k)}
+        skip = (*(f.name for f in fields(HeadConfig)), *RUN_OUTPUTS, "threads")
+        return replace(self, **inputs).dump(skip)
 
 
 def load_run_config(path: str) -> RunConfig:
-    """Parse key=value lines; blank lines and # comments allowed. A quoted
-    string value is read as the Python literal `dump` writes, any other as is."""
-    cfg = RunConfig()
+    """Read a key=value text file, or a checkpoint: its header's HeadConfig
+    and its run record's lines (numbered from the record's first line).
+
+    Blank lines and # comments are allowed, and a key may be set once, a
+    HeadConfig key of a checkpoint by its header alone. A quoted string
+    value is read as the Python literal `dump` writes, any other as is.
+    """
+    checkpoint = load_record(path)
+    if checkpoint is None:
+        with datasets.open_text(path) as fh:
+            lines = fh.readlines()
+        cfg, seen = RunConfig(), {}
+    else:
+        head_cfg, record = checkpoint
+        lines = record.splitlines()
+        cfg = RunConfig(**asdict(head_cfg))
+        seen = dict.fromkeys(asdict(head_cfg), "in the header")  # where each key was set
     known = {f.name for f in fields(RunConfig)}
-    with datasets.open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataFormatError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            value = value.strip()
-            if key not in known:
-                raise DataFormatError(f"{path}:{lineno}: unknown key {key!r}")
-            current = getattr(cfg, key)
-            try:
-                if isinstance(current, int):
-                    parsed = int(value)
-                elif isinstance(current, float):
-                    parsed = float(value)
-                elif len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-                    parsed = ast.literal_eval(value)
-                    if not isinstance(parsed, str):
-                        raise ValueError(f"{value} is not a string")
-                else:
-                    parsed = value
-            except (ValueError, SyntaxError) as err:
-                raise DataFormatError(f"{path}:{lineno}: {err}") from None
-            setattr(cfg, key, parsed)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataFormatError(f"{path}:{lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        value = value.strip()
+        if key not in known:
+            raise DataFormatError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise DataFormatError(f"{path}:{lineno}: key {key!r} set twice, first {seen[key]}")
+        seen[key] = f"on line {lineno}"
+        current = getattr(cfg, key)
+        try:
+            if isinstance(current, int):
+                parsed = int(value)
+            elif isinstance(current, float):
+                parsed = float(value)
+            elif len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
+                parsed = ast.literal_eval(value)
+                if not isinstance(parsed, str):
+                    raise ValueError(f"{value} is not a string")
+            else:
+                parsed = value
+        except (ValueError, SyntaxError) as err:
+            raise DataFormatError(f"{path}:{lineno}: {err}") from None
+        setattr(cfg, key, parsed)
     return cfg
 
 
@@ -265,13 +303,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     if cfg.eval_csv and not cfg.test_path:
         raise ContractViolation("--eval-csv needs --test-path: the report is made on the test set")
-    derived = (cfg.checkpoint + ".config", cfg.checkpoint + ".tmp") if cfg.checkpoint else ()
-    inputs = [cfg.train_path, cfg.test_path, args.config]
-    if derived and args.config and os.path.realpath(args.config) == os.path.realpath(derived[0]):
-        # `train --config m.ckpt.config` rebuilds m.ckpt: the sidecar may replace the
-        # config, read in full by now, and still claims that file from every other output
-        inputs.pop()
-    check_output_dirs(cfg.checkpoint, *derived, cfg.log_path, cfg.eval_csv, inputs=inputs)
+    tmp = cfg.checkpoint + ".tmp" if cfg.checkpoint else None
+    check_output_dirs(
+        cfg.checkpoint, tmp, cfg.log_path, cfg.eval_csv,
+        inputs=(cfg.train_path, cfg.test_path, args.config),
+    )
     data, test = read_sets(cfg)
     state, head_cfg, history = run_training(
         cfg,
@@ -282,18 +318,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         ),
         data=data,
     )
-    # the files are written after the test evaluation, so a run failing in it leaves none
+    # the files are written after the test evaluation, so a run failing in it leaves
+    # none, and the checkpoint first, so a failed save leaves none either
     if test is not None:
         report = on_data(cfg.test_path, evaluate, state.params, head_cfg, test)
         print_eval_report(report, test.class_names)
+    if cfg.checkpoint:
+        save_checkpoint(cfg.checkpoint, state.params, head_cfg, cfg.record())
     if cfg.log_path:
         write_csv(cfg.log_path, history[0].keys(), (row.values() for row in history))
-    if cfg.checkpoint:
-        save_checkpoint(cfg.checkpoint, state.params, head_cfg)
-        # absolute paths, so `train --config` rebuilds the model from any directory
-        paths = ("train_path", "test_path", "checkpoint", "log_path", "eval_csv")
-        absolute = {k: os.path.abspath(getattr(cfg, k)) for k in paths if getattr(cfg, k)}
-        replace(cfg, **absolute).dump(cfg.checkpoint + ".config")
     if cfg.eval_csv:
         write_eval_csv(cfg.eval_csv, report, test.class_names)
     return 0
@@ -376,14 +409,14 @@ def pca_project(features: np.ndarray) -> np.ndarray:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    if not (args.weights_csv or args.pca_csv or args.relations_csv):
+        raise ContractViolation("give at least one of --weights-csv / --pca-csv / --relations-csv")
     check_output_dirs(
         args.weights_csv, args.pca_csv, args.relations_csv,
         inputs=(args.checkpoint_path, args.data),
     )
     head_cfg, params, data = _load_model(args)
     M, K = head_cfg.n_latents, head_cfg.n_classes
-    if len(data) < 1:
-        raise ContractViolation("inspect needs a non-empty dataset")
     weights, feature, omega = on_data(
         f"{args.checkpoint_path} on {args.data}",
         forward_in_blocks,
@@ -477,7 +510,7 @@ FLAG_HELP = {"threads": "accepted for compatibility with older configurations; n
 
 
 def _add_config_overrides(parser: argparse.ArgumentParser, skip: tuple[str, ...] = ()) -> None:
-    parser.add_argument("--config", help="key=value run configuration file")
+    parser.add_argument("--config", help="key=value run configuration file, or a checkpoint")
     for f in fields(RunConfig):
         if f.name in skip:
             continue
@@ -542,7 +575,7 @@ def _inspect_arguments(p: argparse.ArgumentParser) -> None:
 
 def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     # sweep writes only its --summary, so the run's output keys get no flag
-    _add_config_overrides(p, skip=("checkpoint", "log_path", "eval_csv"))
+    _add_config_overrides(p, skip=RUN_OUTPUTS)
     p.add_argument("--param", required=True, choices=SWEEPABLE)
     p.add_argument("--values", required=True, help="comma-separated value list")
     p.add_argument("--summary", required=True, help="summary CSV path")

@@ -340,16 +340,18 @@ def load_bin(path: str) -> FeatureDataset:
     """Read the binary table; features stay float32, as stored.
 
     The header and the file size are checked before any row is read, and
-    the rows are read straight into the returned array. A NaN or inf
-    feature, or a label outside [0, K), raises DataFormatError naming the
-    first such row (1-based).
+    the rows are read straight into the returned array. A table of no rows,
+    a NaN or inf feature, or a label outside [0, K) raises DataFormatError,
+    the last two naming the first such row (1-based).
     """
     with open(path, "rb") as fh:
         n, p, k = _bin_header(fh, path)
+        if n == 0:
+            raise DataFormatError(f"{path}: no data rows")
         features = np.fromfile(fh, dtype="<f4", count=n * p).reshape(n, p)
         labels = np.fromfile(fh, dtype="<u4", count=n).astype(np.int64)
     _raise_if_not_finite(features, DataFormatError, f"{path}: ")
-    if n and labels.max() >= k:
+    if labels.max() >= k:
         row = int(np.argmax(labels >= k))
         raise DataFormatError(f"{path}: row {row + 1}: label {labels[row]} out of range [0, {k})")
     return FeatureDataset(features, labels, k)

@@ -12,12 +12,13 @@ among them) do not depend on the order the shuffle drew them in.
 Training and evaluation compute in COMPUTE_DTYPE (float32): a TrainerState
 narrows its parameters, Adam moments and centers once when it is built, and
 a dataset holds float32 features, so `forward` copies each batch unconverted;
-`init_model_params` stays float64 for the oracles. A checkpoint (version 4)
-stores the model alone: its config and the four float32 parameter groups in
-their memory order, so loading one maps the file and needs no conversion,
-relayout or copy.
+`init_model_params` stays float64 for the oracles. A checkpoint (version 5)
+stores the model and the run that made it: its config and the four float32
+parameter groups in their memory order, so loading one maps the file and
+needs no conversion, relayout or copy, then the run record, the rest of the
+run's settings as key=value text, which `load_params` never reads.
 The centers and Adam moments are used only in training and are not saved.
-Version 4 is the only version `load_params` reads; a model saved in an older
+Version 5 is the only version `load_params` reads; a model saved in an older
 one is rebuilt by training again from the `.config` file saved next to it.
 """
 
@@ -325,22 +326,26 @@ def train_epoch(
 
 
 CHECKPOINT_MAGIC = b"FDRM"
-CHECKPOINT_VERSION = 4
-# the 64-byte header: magic, version, P, D, M, K, HeadConfig's five settings
-_HEADER = struct.Struct("<4s5I5d")
+CHECKPOINT_VERSION = 5
+# the 68-byte header: magic, version, P, D, M, K, HeadConfig's five settings,
+# the run record's byte length
+_HEADER = struct.Struct("<4s5I5dI")
 
 
-def save_checkpoint(path: str, params: ParamGroups, cfg: HeadConfig) -> None:
-    """Binary little-endian checkpoint, version 4: the model and nothing else.
+def save_checkpoint(path: str, params: ParamGroups, cfg: HeadConfig, record: str = "") -> None:
+    """Binary little-endian checkpoint, version 5: the model, then its run record.
 
     Layout: magic 'FDRM', u32 version, u32 P/D/M/K, the five float64 model
     settings in HeadConfig field order (lambda_compact, lambda_balance,
-    lambda_distribution, mix_ratio, center_rate), then the four float32
-    groups (decomp, gate, message, classifier): 64 + 4 n bytes for n
-    parameters. Each group is stored in the order of its memory in
-    ParamGroups' layout, decomp in (P, M, D) order and every other group in
-    the C order of its shape, so trained params are written without a copy,
-    and `load_params` maps them without a conversion, a relayout or a copy.
+    lambda_distribution, mix_ratio, center_rate), u32 byte length of the
+    record, then the four float32 groups (decomp, gate, message,
+    classifier), then `record` in UTF-8: 68 + 4 n + r bytes for n
+    parameters and an r-byte record. Each group is stored in the order of
+    its memory in ParamGroups' layout, decomp in (P, M, D) order and every
+    other group in the C order of its shape, so trained params are written
+    without a copy, and `load_params` maps them without a conversion, a
+    relayout or a copy. The record is the text `train` makes of the run's
+    other settings; a checkpoint saved without one rebuilds with defaults.
 
     Every group must be float32, as training keeps them; any other dtype
     raises ContractViolation naming the group, so nothing is rounded
@@ -352,9 +357,10 @@ def save_checkpoint(path: str, params: ParamGroups, cfg: HeadConfig) -> None:
     checkpoint at `path` as it was.
     """
     tmp = path + ".tmp"
+    text = record.encode("utf-8")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *astuple(cfg)))
+            fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *astuple(cfg), len(text)))
             for name, arr in params.items():
                 if arr.dtype != np.float32:
                     raise ContractViolation(
@@ -362,6 +368,7 @@ def save_checkpoint(path: str, params: ParamGroups, cfg: HeadConfig) -> None:
                         "checkpoints hold float32"
                     )
                 fh.write(np.asarray(arr, dtype="<f4").ravel(order="K"))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -374,19 +381,20 @@ def _group_shapes(cfg: HeadConfig) -> list[tuple[int, ...]]:
     return [(M, P, D), (M, D, D), (M, D, D), (D, K)]
 
 
-def _read_header(fh, path: str) -> HeadConfig:
-    """Read and check an open checkpoint's header and size; return its HeadConfig.
+def _read_header(fh, path: str) -> tuple[HeadConfig, int]:
+    """Read and check an open checkpoint's header and size; return its
+    HeadConfig and the byte length of its run record.
 
     A file of any version but CHECKPOINT_VERSION is refused with the
     command that rebuilds its model from the `.config` that `train` wrote
-    next to it. The whole file's size is checked against the one the header
+    next to it before version 5. The whole file's size is checked against the one the header
     implies before the file is mapped, so a truncated or overlong file is
     rejected and no group can lie past its end.
     """
     head = fh.read(_HEADER.size)
     if len(head) < _HEADER.size:
         raise DataFormatError(f"{path}: truncated header")
-    magic, version, *settings = _HEADER.unpack(head)
+    magic, version, *settings, record_size = _HEADER.unpack(head)
     if magic != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: bad magic {magic!r}")
     if version != CHECKPOINT_VERSION:
@@ -400,16 +408,34 @@ def _read_header(fh, path: str) -> HeadConfig:
     except ContractViolation as err:
         raise DataFormatError(f"{path}: {err}") from None
 
-    expected = _HEADER.size + 4 * sum(map(math.prod, _group_shapes(cfg)))
+    expected = _HEADER.size + 4 * sum(map(math.prod, _group_shapes(cfg))) + record_size
     size = os.fstat(fh.fileno()).st_size
     if size != expected:
         short = "truncated: " if size < expected else ""
         raise DataFormatError(f"{path}: {short}expected {expected} bytes, found {size}")
-    return cfg
+    return cfg, record_size
+
+
+def load_record(path: str) -> tuple[HeadConfig, str] | None:
+    """A checkpoint's HeadConfig and run record, or None for a file that does
+    not begin with CHECKPOINT_MAGIC. The file is checked as `load_params`
+    checks it, and no weight is read; a record that is not UTF-8 raises
+    DataFormatError naming the file."""
+    with open(path, "rb") as fh:
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            return None
+        fh.seek(0)
+        cfg, record_size = _read_header(fh, path)
+        fh.seek(-record_size, os.SEEK_END)
+        record = fh.read(record_size)
+    try:
+        return cfg, record.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise DataFormatError(f"{path}: run record is not UTF-8 text: {err}") from None
 
 
 def load_params(path: str) -> tuple[HeadConfig, ParamGroups]:
-    """Map a version-4 checkpoint and return its config and four float32 groups.
+    """Map a version-5 checkpoint and return its config and four float32 groups.
 
     The header and the whole file's size are checked first; then the file is
     mapped read-only and each group is a view of its bytes, in ParamGroups'
@@ -420,7 +446,7 @@ def load_params(path: str) -> tuple[HeadConfig, ParamGroups]:
     non-finite weight raises DataFormatError naming the file and its group.
     """
     with open(path, "rb") as fh:
-        cfg = _read_header(fh, path)
+        cfg, _ = _read_header(fh, path)
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     (M, P, D), *shapes = _group_shapes(cfg)
     groups, offset = [], _HEADER.size

@@ -1,14 +1,17 @@
 """CLI command tests: config handling, artifacts, exit codes, determinism."""
 
+import errno
 import os
 import re
+import shlex
 import struct
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ferhead import cli, datasets, head, verification
+from ferhead import cli, datasets, head, training, verification
 from ferhead.errors import DataFormatError
 from ferhead.cli import (
     RunConfig,
@@ -77,7 +80,7 @@ def toy_env(tmp_path):
 
 
 def save_toy_model(path, config, nan_gate=False):
-    """An untrained version-4 checkpoint of toy_env's model, one gate weight NaN if asked."""
+    """An untrained version-5 checkpoint of toy_env's model, one gate weight NaN if asked."""
     cfg = load_run_config(str(config)).head_config()
     params = init_model_params(cfg, SplitMix64(0)).astype(COMPUTE_DTYPE)
     if nan_gate:
@@ -90,7 +93,7 @@ class TestConfigFile:
     def test_round_trip(self, tmp_path):
         cfg = RunConfig(latent_dim=32, seed=9, train_path="/data/x.csv")
         path = tmp_path / "dump.config"
-        cfg.dump(str(path))
+        path.write_text(cfg.dump())
         loaded = load_run_config(str(path))
         assert loaded == cfg
 
@@ -105,6 +108,14 @@ class TestConfigFile:
         path.write_text("# comment\n\nseed=4\n")
         assert load_run_config(str(path)).seed == 4
 
+    def test_key_set_twice_names_the_file_line_and_key(self, tmp_path):
+        path = tmp_path / "twice.config"
+        path.write_text("seed=0\nepochs=3\n\nseed=5\n")
+        with pytest.raises(DataFormatError, match=re.escape(
+            f"{path}:4: key 'seed' set twice, first on line 1"
+        )):
+            load_run_config(str(path))
+
     def test_defaults_match_head_config_and_schedule(self):
         """RunConfig restates the HeadConfig and Schedule defaults; they must agree."""
         assert RunConfig().head_config() == HeadConfig()
@@ -118,9 +129,7 @@ class TestConfigFile:
             "base_lr", "decay_epochs", "decay_factor", "epochs", "batch_size", "seed",
             "threads", "train_path", "test_path", "checkpoint", "log_path", "eval_csv",
         ]
-        path = tmp_path / "defaults.config"
-        RunConfig().dump(str(path))
-        assert path.read_text() == (
+        assert RunConfig().dump() == (
             "input_dim=512\nlatent_dim=128\nn_latents=9\nn_classes=7\n"
             "lambda_compact=0.0001\nlambda_balance=1.0\nlambda_distribution=0.0001\n"
             "mix_ratio=0.5\ncenter_rate=0.5\nbase_lr=0.0001\ndecay_epochs='10,18,25,32'\n"
@@ -134,7 +143,7 @@ class TestConfigFile:
     def test_dumped_strings_reload_as_written(self, tmp_path, text):
         cfg = RunConfig(train_path=text, checkpoint=text + ".ckpt")
         path = tmp_path / "dump.config"
-        cfg.dump(str(path))
+        path.write_text(cfg.dump())
         assert load_run_config(str(path)) == cfg
 
     def test_unquoted_value_is_taken_as_written(self, tmp_path):
@@ -199,6 +208,17 @@ class TestParser:
     )
     def test_one_command_parser_parses_as_the_full_one(self, argv):
         assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+    def test_every_command_of_the_readme_cli_block_parses(self):
+        """README's CLI code block shows only command lines the parser accepts."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("ferhead ")]
+        assert len(commands) >= 8
+        for line in commands:
+            argv = shlex.split(line, comments=True)[1:]
+            assert build_parser().parse_args(argv).command == argv[0], line
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -369,29 +389,10 @@ class TestTrainCommand:
         assert outputs[0][0] == outputs[1][0]
         assert outputs[0][1] == outputs[1][1]
 
-    def test_dumped_config_reproduces_run(self, toy_env):
-        tmp_path, config = toy_env
-        ckpt1 = tmp_path / "m1.ckpt"
-        assert (
-            main(
-                ["train", "--config", str(config), "--checkpoint", str(ckpt1),
-                 "--seed", "2"]
-            )
-            == 0
-        )
-        dumped = str(ckpt1) + ".config"
-        assert os.path.exists(dumped)
-        # rerun purely from the dumped effective config
-        ckpt2 = tmp_path / "m2.ckpt"
-        assert (
-            main(["train", "--config", dumped, "--checkpoint", str(ckpt2)]) == 0
-        )
-        blob1 = ckpt1.read_bytes()
-        blob2 = ckpt2.read_bytes()
-        assert blob1 == blob2
-
-    def test_dumped_config_rebuilds_the_model_from_another_directory(self, toy_env, monkeypatch):
-        """The sidecar holds absolute paths, so `train --config` works from anywhere."""
+    def test_checkpoint_rebuilds_the_model_from_another_directory(self, toy_env, monkeypatch):
+        """The checkpoint carries its run, and train writes no file beside it;
+        the record holds absolute input paths and no outputs, so
+        `train --config m.ckpt --checkpoint m2.ckpt` works from anywhere."""
         tmp_path, config = toy_env
         run, elsewhere = tmp_path / "run", tmp_path / "elsewhere" / "deeper"
         run.mkdir()
@@ -399,16 +400,90 @@ class TestTrainCommand:
         monkeypatch.chdir(run)
         assert main(["train", "--config", str(config), "--train-path", "../train.csv",
                      "--test-path", "../test.csv", "--checkpoint", "m.ckpt",
-                     "--log-path", "log.csv"]) == 0
-        first = (run / "m.ckpt").read_bytes()
-        sidecar = load_run_config(str(run / "m.ckpt.config"))
-        paths = [sidecar.train_path, sidecar.test_path, sidecar.checkpoint, sidecar.log_path]
-        assert all(map(os.path.isabs, paths)) and sidecar.eval_csv == ""
-        assert os.path.samefile(sidecar.train_path, tmp_path / "train.csv")
-        (run / "m.ckpt").unlink()
+                     "--log-path", "log.csv", "--eval-csv", "eval.csv", "--seed", "4"]) == 0
+        assert sorted(p.name for p in run.iterdir()) == ["eval.csv", "log.csv", "m.ckpt"]
+        recorded = load_run_config(str(run / "m.ckpt"))
+        assert os.path.isabs(recorded.train_path) and os.path.isabs(recorded.test_path)
+        assert os.path.samefile(recorded.train_path, tmp_path / "train.csv")
+        assert (recorded.checkpoint, recorded.log_path, recorded.eval_csv) == ("", "", "")
+        assert recorded.seed == 4 and recorded.head_config() == load_params("m.ckpt")[0]
         monkeypatch.chdir(elsewhere)
-        assert main(["train", "--config", str(run / "m.ckpt.config")]) == 0
-        assert (run / "m.ckpt").read_bytes() == first
+        assert main(["train", "--config", str(run / "m.ckpt"), "--checkpoint", "m2.ckpt",
+                     "--log-path", "log.csv", "--eval-csv", "eval.csv"]) == 0
+        for name in ("log.csv", "eval.csv"):
+            assert (elsewhere / name).read_bytes() == (run / name).read_bytes()
+        assert (elsewhere / "m2.ckpt").read_bytes() == (run / "m.ckpt").read_bytes()
+
+    def test_record_holds_every_key_the_header_does_not_but_the_outputs(self, toy_env):
+        """The outputs and `threads`, which has no effect, are left out."""
+        tmp_path, config = toy_env
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(config), "--checkpoint", str(ckpt),
+                     "--log-path", str(tmp_path / "log.csv")]) == 0
+        cfg = load_run_config(str(config))
+        blob = ckpt.read_bytes()
+        record = blob[len(blob) - struct.unpack_from("<I", blob, 64)[0]:].decode()
+        assert record == (
+            "base_lr=0.005\ndecay_epochs='3'\ndecay_factor=0.1\nepochs=4\nbatch_size=10\n"
+            f"seed=0\ntrain_path={cfg.train_path!r}\ntest_path={cfg.test_path!r}\n"
+        )
+
+    def test_record_key_set_twice_names_the_file_line_and_key(self, toy_env, capsys):
+        """A record may not set a key again, nor one its checkpoint's header holds."""
+        tmp_path, config = toy_env
+        head_cfg = load_run_config(str(config)).head_config()
+        params = init_model_params(head_cfg, SplitMix64(0)).astype(COMPUTE_DTYPE)
+        ckpt = tmp_path / "m.ckpt"
+        for record, message in (
+            ("seed=0\nepochs=2\nseed=5\n", "3: key 'seed' set twice, first on line 1"),
+            ("epochs=2\nn_latents=2\n", "2: key 'n_latents' set twice, first in the header"),
+        ):
+            save_checkpoint(str(ckpt), params, head_cfg, record)
+            with pytest.raises(DataFormatError, match=re.escape(f"{ckpt}:{message}")):
+                load_run_config(str(ckpt))
+            capsys.readouterr()
+            assert main(["train", "--config", str(ckpt), "--log-path",
+                         str(tmp_path / "log.csv")]) == 2
+            assert f"{ckpt}:{message}" in capsys.readouterr().err
+            assert not (tmp_path / "log.csv").exists()
+
+    def test_failed_record_write_keeps_the_previous_checkpoint(self, toy_env, monkeypatch, capsys):
+        """A disk that fills while the record is written: train exits 2, the
+        earlier checkpoint stays as it was, and neither a temp file nor a log is left."""
+        tmp_path, config = toy_env
+        ckpt, log = tmp_path / "m.ckpt", tmp_path / "log.csv"
+        argv = ["train", "--config", str(config), "--checkpoint", str(ckpt)]
+        assert main(argv) == 0
+        before = ckpt.read_bytes()
+        record = load_run_config(str(config)).record().encode()
+        real_open = open
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if isinstance(data, bytes) and data == record.replace(b"seed=0", b"seed=5"):
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        def open_for_save(path, mode="r"):
+            return FullDisk(real_open(path, mode)) if mode == "wb" else real_open(path, mode)
+
+        monkeypatch.setattr(training, "open", open_for_save, raising=False)
+        capsys.readouterr()
+        assert main([*argv, "--seed", "5", "--log-path", str(log)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert ckpt.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "m.ckpt", "run.config", "test.csv", "train.csv"
+        ]
 
     def test_config_environment_variable_is_ignored(self, toy_env, monkeypatch):
         """--config is the only way a config file enters a run."""
@@ -429,13 +504,13 @@ class TestTrainCommand:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
-        "flag", ["--checkpoint", "--log-path", "--eval-csv", ".config", ".tmp"]
+        "flag", ["--checkpoint", "--log-path", "--eval-csv", ".tmp"]
     )
     def test_missing_output_directory_exits_2_before_the_first_epoch(
         self, toy_env, capsys, monkeypatch, flag
     ):
-        """A ".config" or ".tmp" flag is a path that --checkpoint derives: the
-        sidecar, and the file save_checkpoint writes before its rename."""
+        """The ".tmp" flag is the path that --checkpoint derives: the file
+        save_checkpoint writes before its rename."""
         tmp_path, config = toy_env
         epochs = []
         real_epoch = cli.train_epoch
@@ -493,8 +568,8 @@ class TestTrainCommand:
              "./same.out: same file as same.out"),
             (["--checkpoint", "m.ckpt", "--log-path", "m.ckpt.tmp"],
              "m.ckpt.tmp: same file as m.ckpt.tmp"),
-            (["--checkpoint", "m.ckpt", "--eval-csv", "m.ckpt.config"],
-             "m.ckpt.config: same file as m.ckpt.config"),
+            (["--checkpoint", "./m.ckpt", "--eval-csv", "m.ckpt.tmp"],
+             "m.ckpt.tmp: same file as ./m.ckpt.tmp"),
             (["--log-path", "r.csv", "--eval-csv", "r.csv"], "r.csv: same file as r.csv"),
             (["--train-path", "t.csv", "--log-path", "t.csv"], "t.csv: same file as t.csv"),
             (["--log-path", "link.csv"], "link.csv: same file as {train}"),
@@ -523,19 +598,17 @@ class TestTrainCommand:
         assert message.format(train=cfg.train_path, test=cfg.test_path, config="run.config") in err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    def test_sidecar_may_replace_the_config_it_rebuilds_from(self, toy_env, monkeypatch):
-        """`train --config m.ckpt.config` is the rebuild command an old checkpoint names:
-        the config is read in full before the sidecar replaces it with the same run."""
+    def test_rebuild_over_the_checkpoint_it_reads_is_refused(self, toy_env, monkeypatch, capsys):
+        """The checkpoint a rebuild reads is an input like any other --config."""
         tmp_path, config = toy_env
-        ckpt = tmp_path / "m.ckpt"
-        assert main(["train", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
-        first, sidecar = ckpt.read_bytes(), (tmp_path / "m.ckpt.config").read_bytes()
         monkeypatch.chdir(tmp_path)
-        assert main(["train", "--config", "./m.ckpt.config"]) == 0
-        assert ckpt.read_bytes() == first
-        assert (tmp_path / "m.ckpt.config").read_bytes() == sidecar
-        # and it still claims that file from every other output
-        assert main(["train", "--config", "m.ckpt.config", "--log-path", "m.ckpt.config"]) == 2
+        assert main(["train", "--config", str(config), "--checkpoint", "m.ckpt"]) == 0
+        first = (tmp_path / "m.ckpt").read_bytes()
+        for flags in (["--checkpoint", "./m.ckpt"], ["--log-path", "m.ckpt"]):
+            capsys.readouterr()
+            assert main(["train", "--config", "m.ckpt", *flags]) == 2
+            assert f"{flags[1]}: same file as m.ckpt" in capsys.readouterr().err
+        assert (tmp_path / "m.ckpt").read_bytes() == first
 
 
 class TestEvalCommand:
@@ -606,9 +679,9 @@ class TestEvalCommand:
         bad.write_bytes(b"JUNKJUNKJUNK" + b"\x00" * 60)
         train_path = load_run_config(str(config)).train_path
         assert main(["eval", "--checkpoint-path", str(bad), "--data", train_path]) == 2
-        # every version but 4 names itself and the command that rebuilds its model
+        # every version but 5 names itself and the command that rebuilds its model
         blob = bytearray(save_toy_model(bad, config).read_bytes())
-        for version in (0, 1, 2, 3, 5):
+        for version in (0, 1, 2, 3, 4, 6):
             blob[4:8] = struct.pack("<I", version)
             bad.write_bytes(bytes(blob))
             capsys.readouterr()
@@ -906,6 +979,15 @@ class TestSynthCommand:
 
 
 class TestInspectCommand:
+    def test_requires_an_output_before_reading_any_file(self, tmp_path, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "load_params", lambda *a: loads.append(a))
+        missing = [str(tmp_path / name) for name in ("absent.ckpt", "absent.bin")]
+        assert main(["inspect", "--checkpoint-path", missing[0], "--data", missing[1]]) == 2
+        err = capsys.readouterr().err
+        assert "give at least one of --weights-csv / --pca-csv / --relations-csv" in err
+        assert loads == [] and not any(path in err for path in missing)
+
     def test_pca_runs_the_trained_mix_ratio(self, toy_env):
         """--pca-csv of a --mix-ratio 0 model projects the features of that model."""
         from ferhead.datasets import load_csv
@@ -1039,7 +1121,7 @@ class TestInspectCommand:
              "--relations-csv", str(outputs[2])]
         )
         assert code == 2
-        assert "inspect needs a non-empty dataset" in capsys.readouterr().err
+        assert f"{empty}: no data rows" in capsys.readouterr().err
         assert not any(path.exists() for path in outputs)
 
     def test_pca_variance_ordering(self):
@@ -1166,7 +1248,7 @@ class TestSweepCommand:
         assert epochs == [] and not summary.exists() and not output.exists()
 
     def test_config_output_keys_are_read_and_unused(self, toy_env):
-        """A `.config` sidecar names all three outputs; sweep loads it and writes none."""
+        """A config file that names all three outputs: sweep loads it and writes none."""
         tmp_path, config = toy_env
         outputs = [tmp_path / name for name in ("m.ckpt", "log.csv", "eval.csv")]
         config.write_text(
@@ -1178,6 +1260,21 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config), "--epochs", "1", "--decay-epochs", "",
                      "--param", "mix_ratio", "--values", "0.5", "--summary", str(summary)]) == 0
         assert summary.exists() and not any(path.exists() for path in outputs)
+
+    def test_sweep_from_a_checkpoint_runs_the_recorded_settings(self, toy_env):
+        """A checkpoint is a --config for sweep too: its header's model and its
+        record's schedule and sets, so the sweep matches one from the original file."""
+        tmp_path, config = toy_env
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(config), "--checkpoint", str(ckpt),
+                     "--epochs", "2", "--decay-epochs", "1"]) == 0
+        summaries = []
+        for source, extra in ((config, ["--epochs", "2", "--decay-epochs", "1"]), (ckpt, [])):
+            summary = tmp_path / f"{source.suffix[1:]}.csv"
+            assert main(["sweep", "--config", str(source), *extra, "--param", "mix_ratio",
+                         "--values", "0.25", "--summary", str(summary)]) == 0
+            summaries.append(summary.read_bytes())
+        assert summaries[0] == summaries[1]
 
     def test_lambda_sweep(self, toy_env):
         tmp_path, config = toy_env
@@ -1244,7 +1341,7 @@ class TestDatasetChecks:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and epochs == []
-        written = (ckpt, log, tmp_path / "m.ckpt.config", summary)
+        written = (ckpt, log, summary)
         assert not any(path.exists() for path in written)
         if table == "bin_classes":
             assert f"{wrong}: file declares 4 classes, run expects 3" in err
@@ -1283,7 +1380,7 @@ class TestDatasetChecks:
         out, err = capsys.readouterr()
         assert out == "" and epochs == []
         assert f"{bad}:6:" in err
-        written = (ckpt, log, tmp_path / "m.ckpt.config", tmp_path / "report.csv", summary)
+        written = (ckpt, log, tmp_path / "report.csv", summary)
         assert not any(path.exists() for path in written)
 
     def test_batch_size_above_the_training_rows_exits_2_naming_both(
@@ -1305,7 +1402,7 @@ class TestDatasetChecks:
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and epochs == []
         assert f"{table}: batch_size 64 exceeds the training set's 18 rows" in err
-        written = (ckpt, log, tmp_path / "m.ckpt.config", tmp_path / "report.csv")
+        written = (ckpt, log, tmp_path / "report.csv")
         assert not any(path.exists() for path in written)
 
     @pytest.mark.parametrize("case", ["table-line-1", "table-line-2", "table-last-line", "config"])
@@ -1321,7 +1418,7 @@ class TestDatasetChecks:
             line = len(config.read_bytes().splitlines()) + 1
             argv = ["train", "--config", str(bad), "--checkpoint", str(ckpt),
                     "--log-path", str(log)]
-            written = [ckpt, log, tmp_path / "m.ckpt.config"]
+            written = [ckpt, log]
         else:
             line, blob = {
                 "table-line-1": (1, b"\xff\xfe" + text),

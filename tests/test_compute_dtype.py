@@ -66,11 +66,13 @@ def rel_l2(got, want):
 
 
 class TestFloat32AgainstFloat64:
-    def test_paper_dims_logits_and_every_gradient_group(self):
+    @staticmethod
+    def compare(X, labels):
+        """Float32 against float64 at paper dimensions on the batch X; returns
+        the float32 relation weights."""
         cfg = HeadConfig()
         params = init_model_params(cfg, SplitMix64(61))
         centers = centers_off_zero(cfg, 62)
-        X, labels = paper_batch(63)
         state = state_of(params, centers)
         assert state.params.dtype == np.float32
 
@@ -87,6 +89,20 @@ class TestFloat32AgainstFloat64:
             assert g32.strides == getattr(state.params, name).strides, name
             assert rel_l2(g32, g64) < GROUP_REL_L2, name
         assert losses32.total == pytest.approx(losses64.total, rel=LOGITS_REL_L2)
+        return cache32.omega
+
+    def test_paper_dims_logits_and_every_gradient_group(self):
+        self.compare(*paper_batch(63))
+
+    def test_scaled_batch_reaches_the_relation_weights_below_one(self):
+        """At the paper batch every off-diagonal relation weight is exactly 1.0 in
+        float32, so the relation part of backward is zero there; on the batch
+        scaled by 0.01 the message distances are small enough that tanh is
+        below 1.0, and the same bounds hold with that part of the gradient live."""
+        X, labels = paper_batch(63)
+        omega = self.compare(X * 0.01, labels)
+        off_diagonal = ~np.eye(omega.shape[-1], dtype=bool)
+        assert (omega[:, off_diagonal] < 1.0).any()
 
 
 class TestDtypeContract:

@@ -227,6 +227,15 @@ class TestBinaryRoundTrip:
 
 
 class TestBinaryLoad:
+    @pytest.mark.parametrize("suffix", ["csv", "bin"])
+    def test_table_of_no_rows_is_refused_naming_the_file(self, tmp_path, suffix):
+        """Both loaders refuse an empty table with one message."""
+        path = tmp_path / f"empty.{suffix}"
+        empty = FeatureDataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 3)
+        (save_csv if suffix == "csv" else save_bin)(str(path), empty)
+        with pytest.raises(DataFormatError, match=f"^{path}: no data rows$"):
+            load_csv(str(path), 3) if suffix == "csv" else load_bin(str(path))
+
     def test_rows_are_the_stored_float32_values(self, tmp_path):
         data = generate(small_spec())
         path = tmp_path / "data.bin"

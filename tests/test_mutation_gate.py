@@ -1,18 +1,20 @@
 """Seeded mutation gate: damaged input files never crash a command.
 
-Every file a command reads (a CSV table, a binary table, a checkpoint and a
-`.config` file, all made here) is cut at each boundary of its header and at
-seeded offsets, and has bits flipped, bytes inserted and bytes that are not
-UTF-8 put in, by the seeded mutator below. `eval`, `inspect`, `train --config`
-and `train --test-path` then run on each damaged copy through `cli.main`,
-which must return 0 or 2 and never raise. On exit 2 no output file is left,
-and the error names the damaged file, unless that file is a `.config` that
-still parses: it is then another run's settings, and the error names the
-setting it rejects. The seeds and the case count are fixed, so every run
-tries the same cases.
+Every file a command reads (a CSV table, a binary table, a checkpoint with
+its run record and a config file, all made here) is cut at each boundary of
+its header and at seeded offsets, and has bits flipped, bytes inserted and
+bytes that are not UTF-8 put in, by the seeded mutator below. `eval`,
+`inspect`, `train --config` (of the config file and of the checkpoint) and
+`train --test-path` then run on each damaged copy through `cli.main`, which
+must return 0 or 2 and never raise. On exit 2 no output file is left, and
+the error names the damaged file, unless that file is a --config that still
+parses: it is then another run's settings, and the error names the setting
+it rejects. The seeds and the case count are fixed, so every run tries the
+same cases.
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,10 +35,10 @@ CONFIG = "latent_dim=4\nn_latents=2\nepochs=2\ndecay_epochs=1\nbatch_size=6\nbas
 def boundaries(kind: str, blob: bytes) -> list[int]:
     """Offsets at which each header field of the file ends."""
     if kind == "ckpt":
-        ends = [4, 8, 12, 16, 20, 24, 32, 40, 48, 56, _HEADER.size]
+        ends = [4, 8, 12, 16, 20, 24, 32, 40, 48, 56, 64, _HEADER.size]
         for shape in _group_shapes(CFG):
             ends.append(ends[-1] + 4 * int(np.prod(shape)))
-        return ends[:-1]
+        return ends  # the last group's end is where the run record starts
     if kind == "bin":
         n = (len(blob) - 20) // (4 * CFG.input_dim + 4)
         return [4, 8, 12, 16, 20, 20 + 4 * n * CFG.input_dim]
@@ -63,7 +65,8 @@ def mutate(blob: bytes, seed: int) -> bytes:
 
 @pytest.fixture(scope="module")
 def clean(tmp_path_factory):
-    """The undamaged inputs: two tables of one synthetic set, a model and a config."""
+    """The undamaged inputs: two tables of one synthetic set, a model that
+    records its run, and a config."""
     root = tmp_path_factory.mktemp("clean")
     spec = datasets.make_synth_spec(
         n_classes=3, n_actions=4, feature_dim=8, samples_per_class=6, seed=3
@@ -73,8 +76,9 @@ def clean(tmp_path_factory):
     datasets.save_csv(str(paths["csv"]), data)
     datasets.save_bin(str(paths["bin"]), data)
     params = init_model_params(CFG, SplitMix64(4)).astype(COMPUTE_DTYPE)
-    save_checkpoint(str(paths["ckpt"]), params, CFG)
     paths["config"].write_text(CONFIG)
+    run = replace(cli.load_run_config(str(paths["config"])), train_path=str(paths["bin"]))
+    save_checkpoint(str(paths["ckpt"]), params, CFG, run.record())
     paths["train"] = paths["bin"]  # never damaged
     return paths
 
@@ -93,12 +97,12 @@ def argv_for(command: str, kind: str, inputs: dict, out) -> tuple[list[str], lis
                                      for x in pair)], outputs
     dims = ["--input-dim", "8", "--n-classes", "3", "--train-path", str(inputs["train"])]
     if command == "train --config":
-        outputs = [out / "m.ckpt", out / "m.ckpt.config", out / "log.csv"]
-        return ["train", "--config", str(inputs["config"]), *dims,
+        outputs = [out / "m.ckpt", out / "m.ckpt.tmp", out / "log.csv"]
+        return ["train", "--config", str(inputs[kind]), *dims,
                 "--checkpoint", str(outputs[0]), "--log-path", str(outputs[2])], outputs
     # train --test-path: the test set is read before the first epoch, and every
     # output is written after its evaluation
-    outputs = [out / "m.ckpt", out / "m.ckpt.config", out / "log.csv", out / "report.csv"]
+    outputs = [out / "m.ckpt", out / "m.ckpt.tmp", out / "log.csv", out / "report.csv"]
     return ["train", "--config", str(inputs["config"]), *dims, "--test-path", str(inputs[kind]),
             "--checkpoint", str(outputs[0]), "--log-path", str(outputs[2]),
             "--eval-csv", str(outputs[3])], outputs
@@ -116,7 +120,8 @@ def well_formed(config) -> bool:
     "command, kind",
     [("eval", "ckpt"), ("eval", "csv"), ("eval", "bin"),
      ("inspect", "ckpt"), ("inspect", "csv"), ("inspect", "bin"),
-     ("train --config", "config"), ("train --test-path", "csv"), ("train --test-path", "bin")],
+     ("train --config", "config"), ("train --config", "ckpt"),
+     ("train --test-path", "csv"), ("train --test-path", "bin")],
 )
 def test_damaged_input_exits_0_or_2_naming_it(clean, tmp_path, capsys, command, kind):
     blob = clean[kind].read_bytes()
@@ -136,6 +141,6 @@ def test_damaged_input_exits_0_or_2_naming_it(clean, tmp_path, capsys, command, 
         assert code in (0, 2), (i, argv, err)
         if code == 2:
             assert not any(path.exists() for path in outputs), (i, err)
-            if kind == "config" and well_formed(inputs[kind]):
+            if command == "train --config" and well_formed(inputs[kind]):
                 continue  # another run's settings, which the error names
             assert str(inputs[kind]) in err, (i, bad, err)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -703,20 +704,38 @@ class TestCheckpoints:
             with pytest.raises(DataFormatError, match=f"expected {len(blob)} bytes, found {found}"):
                 load_params(str(path))
 
+    def test_record_is_returned_by_load_record_and_counted_in_the_size(self, tmp_path):
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        params = fresh_state(cfg, seed=25).params
+        save_checkpoint(str(path), params, cfg, "epochs=2\nseed=7\n")
+        assert training.load_record(str(path)) == (cfg, "epochs=2\nseed=7\n")
+        assert_same_groups(load_params(str(path))[1], params)
+        blob = path.read_bytes()
+        for bad, found in ((blob[:-1], len(blob) - 1), (blob + b"\n", len(blob) + 1)):
+            path.write_bytes(bad)
+            for load in (load_params, training.load_record):
+                with pytest.raises(DataFormatError, match=f"expected {len(blob)} bytes, found {found}"):
+                    load(str(path))
+
     def test_paper_dims_roundtrip_keeps_layout_and_bytes(self, tmp_path):
-        """decomp loads into (P, M, D) memory; the file is the header and every group's memory."""
+        """decomp loads into (P, M, D) memory; the file is the header, every
+        group's memory and the record, whose length the header's last field holds."""
         cfg = HeadConfig()
         params = fresh_state(cfg, seed=13).params
         path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), params, cfg)
+        record = "seed=13\ntrain_path='/data/é.bin'\n"
+        save_checkpoint(str(path), params, cfg, record)
         assert_same_groups(load_params(str(path))[1], params)
-        blob, offset = path.read_bytes(), 64
+        blob, offset = path.read_bytes(), 68
+        assert struct.unpack_from("<I", blob, 64) == (len(record.encode()),)
         for _, arr in params.items():
             on_disk = np.frombuffer(blob, "<f4", arr.size, offset)
             assert on_disk.tobytes() == arr.ravel(order="K").tobytes()
             offset += on_disk.nbytes
         assert sum(arr.size for _, arr in params.items()) == 885_632
-        assert len(blob) == offset == 64 + 4 * 885_632
+        assert offset == 68 + 4 * 885_632
+        assert blob[offset:].decode() == record
 
     def test_failed_save_leaves_previous_checkpoint(self, tmp_path):
         cfg = tiny_cfg()
@@ -764,7 +783,7 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), fresh_state(cfg).params, cfg)
         blob = path.read_bytes()
-        for cut in range(64):
+        for cut in range(68):
             path.write_bytes(blob[:cut])
             with pytest.raises(DataFormatError, match="truncated header"):
                 load_params(str(path))
