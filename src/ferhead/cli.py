@@ -396,7 +396,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def pca_project(features: np.ndarray) -> np.ndarray:
-    """Top-2 principal-component projection with a deterministic sign convention."""
+    """Top-2 principal-component projection with a deterministic sign convention.
+
+    A 1-D feature has one component, so its second column is all 0.0.
+    """
     centered = features - features.mean(axis=0, keepdims=True)
     cov = centered.T @ centered / max(1, centered.shape[0] - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -405,7 +408,7 @@ def pca_project(features: np.ndarray) -> np.ndarray:
         pivot = np.argmax(np.abs(components[:, c]))
         if components[pivot, c] < 0:
             components[:, c] = -components[:, c]
-    return centered @ components
+    return np.pad(centered @ components, ((0, 0), (0, 2 - components.shape[1])))
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:

@@ -32,7 +32,7 @@ counting when reducing per-sample contributions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -417,29 +417,71 @@ def compute_losses(
     return joint_loss(cls, compact, balance, distribution, cfg)
 
 
-def _chain_backward(
+def backward(
     cache: ForwardCache,
-    dlogits: np.ndarray,
-    dlatents_extra: np.ndarray,
-    dweights_extra: np.ndarray,
+    labels: np.ndarray,
     params: ParamGroups,
+    centers: Centers,
     cfg: HeadConfig,
+    cls_weight: float = 1.0,
     out: ParamGroups | None = None,
-) -> ParamGroups:
-    """Reverse accumulation through the head for given upstream gradients.
+) -> tuple[ParamGroups, LossBreakdown]:
+    """Gradient of the joint loss w.r.t. every parameter group, plus losses.
 
-    dlogits carries the classification-loss gradient (already scaled by any
-    batch factor); dlatents_extra and dweights_extra inject the regularizer
-    gradients at the latent and importance-weight nodes respectively. Each
-    parameter gradient is written into the matching array of `out`, which
-    is new when not given, and `out` is returned.
+    cls_weight scales the classification term (1.0 in training; the
+    verification harness uses it to isolate individual loss terms). The
+    whole batch goes through one reverse pass, so the per-sample
+    contributions are reduced inside the matrix kernels.
+
+    Like `forward`'s cache, `out` is a previous call's gradients to be
+    overwritten: the returned groups are written into its arrays, which
+    saves a fresh 4.7 MB decomp gradient per training step at paper
+    dimensions. When `out` is None, new arrays are returned.
+
+    The reverse pass runs in units of 1/GRAD_SCALE (see there) and the
+    returned groups are in true units, bitwise those of the same pass with
+    GRAD_SCALE 1.0 wherever that pass stays normal. Labels that do not
+    match the batch are a ContractViolation, raised by `compute_losses`. A
+    non-finite loss raises TrainingError; `adam_step` checks the gradient.
     """
+    labels = np.asarray(labels)
+    N = cache.logits.shape[0]
     mix_ratio = cfg.mix_ratio
+
+    breakdown = compute_losses(cache, labels, centers, cfg)
+    for term in fields(LossBreakdown)[1:]:
+        value = getattr(breakdown, term.name)
+        if not np.isfinite(value):
+            raise TrainingError(f"non-finite {term.name} loss: {value}")
+
     if out is None:
         out = params.zeros_like()
 
+    probs = softmax(cache.logits)
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(N), labels] = 1.0
+    dlogits = (cls_weight / N) * (probs - onehot)
+    # float32 makes the probabilities of logits more than 87 below the row's
+    # maximum subnormal, and every product they reach in the reverse pass
+    # then takes the CPU's slow path: a paper-default epoch had 7% of its
+    # dlogits entries subnormal, and its message-stage matmuls ran 3-4x
+    # slower. Such entries are flushed to zero, as flush-to-zero hardware
+    # modes do: through Adam, a gradient entry below 1.2e-38 moves its
+    # parameter by less than 1e-33.
+    dlogits[np.abs(dlogits) < np.finfo(dlogits.dtype).tiny] = 0.0
+    # the reverse pass runs in units of 1/GRAD_SCALE: the (N, K) and (N, M)
+    # injections are scaled in place, the (N, M, D) one through its factor
+    dlogits *= GRAD_SCALE
+
+    # The groups come back to true units where that is cheapest. decomp and
+    # classifier are each one GEMM over an (N, P) or (N, D) cache operand, so
+    # those operands are scaled down instead, and every product is exactly
+    # the one the unscaled pass forms (2^-20 times a float32 of magnitude
+    # 2^-106 or more is exact). Only gate and message, 1.2 MB of the 3.5 MB
+    # of gradients, whose operands are (N, M, D), are multiplied in place.
+
     # classifier: logits = y @ Wcls
-    np.matmul(cache.feature.T, dlogits, out=out.classifier)
+    np.matmul((cache.feature * (1.0 / GRAD_SCALE)).T, dlogits, out=out.classifier)
     dfeature = dlogits @ params.classifier.T
 
     # reconstruct: y = r*sum_j F[j] + (1-r)*sum_m c[m]*G[m], c[m] = sum_j omega[j, m];
@@ -471,8 +513,14 @@ def _chain_backward(
         dpre_message.transpose(1, 0, 2), params.message.transpose(0, 2, 1)
     ).transpose(1, 0, 2)
 
-    # scale: F = w[:, :, None] * L
-    dweights = np.einsum("nmd,nmd->nm", dscaled, cache.latents) + dweights_extra
+    # scale: F = w[:, :, None] * L; the distribution and balance gradients
+    # enter at w (balance is a batch statistic: each sample's weight vector
+    # carries 1/N)
+    dweights_reg = cfg.lambda_distribution * distribution_grad(
+        cache.weights, labels, centers.by_class
+    ) + (cfg.lambda_balance / N) * balance_sign(mean_weights(cache.weights))
+    dweights_reg *= GRAD_SCALE
+    dweights = np.einsum("nmd,nmd->nm", dscaled, cache.latents) + dweights_reg
     dlatents = cache.weights[:, :, None] * dscaled
 
     # importance weights: w = sum_d A; gates: A = sigmoid(Ws.T L)
@@ -484,94 +532,17 @@ def _chain_backward(
         dgates.transpose(1, 0, 2), params.gate.transpose(0, 2, 1)
     ).transpose(1, 0, 2)
 
-    dlatents += dlatents_extra
-
-    # decomposition: L = relu(Wd.T x), one (P, M*D) GEMM into decomp's memory
-    N, M, D = dlatents.shape
-    dpre_latent = dlatents * (cache.latents > 0.0)
-    np.matmul(cache.inputs.T, dpre_latent.reshape(N, M * D), out=out.decomp_matrix())
-    return out
-
-
-def backward(
-    cache: ForwardCache,
-    labels: np.ndarray,
-    params: ParamGroups,
-    centers: Centers,
-    cfg: HeadConfig,
-    cls_weight: float = 1.0,
-    out: ParamGroups | None = None,
-) -> tuple[ParamGroups, LossBreakdown]:
-    """Gradient of the joint loss w.r.t. every parameter group, plus losses.
-
-    cls_weight scales the classification term (1.0 in training; the
-    verification harness uses it to isolate individual loss terms). The
-    whole batch goes through one reverse pass, so the per-sample
-    contributions are reduced inside the matrix kernels.
-
-    Like `forward`'s cache, `out` is a previous call's gradients to be
-    overwritten: the returned groups are written into its arrays, which
-    saves a fresh 4.7 MB decomp gradient per training step at paper
-    dimensions. When `out` is None, new arrays are returned.
-
-    The reverse pass runs in units of 1/GRAD_SCALE (see there) and the
-    returned groups are in true units, bitwise those of `_chain_backward`
-    run on the unscaled upstream gradients wherever that pass stays normal.
-    A non-finite loss raises TrainingError; `adam_step` checks the gradient.
-    """
-    labels = np.asarray(labels)
-    N = cache.logits.shape[0]
-    if labels.shape != (N,):
-        raise ContractViolation(f"labels shape {labels.shape} does not match batch {N}")
-
-    breakdown = compute_losses(cache, labels, centers, cfg)
-    for term in fields(LossBreakdown)[1:]:
-        value = getattr(breakdown, term.name)
-        if not np.isfinite(value):
-            raise TrainingError(f"non-finite {term.name} loss: {value}")
-
-    probs = softmax(cache.logits)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(N), labels] = 1.0
-    dlogits = (cls_weight / N) * (probs - onehot)
-    # float32 makes the probabilities of logits more than 87 below the row's
-    # maximum subnormal, and every product they reach in the reverse pass
-    # then takes the CPU's slow path: a paper-default epoch had 7% of its
-    # dlogits entries subnormal, and its message-stage matmuls ran 3-4x
-    # slower. Such entries are flushed to zero, as flush-to-zero hardware
-    # modes do: through Adam, a gradient entry below 1.2e-38 moves its
-    # parameter by less than 1e-33.
-    dlogits[np.abs(dlogits) < np.finfo(dlogits.dtype).tiny] = 0.0
-
-    # the reverse pass runs in units of 1/GRAD_SCALE: the (N, K) and (N, M)
-    # injections are scaled in place, the (N, M, D) one through its factor
-    dlogits *= GRAD_SCALE
-    dlatents_extra = (cfg.lambda_compact * GRAD_SCALE) * compactness_grad(
+    dlatents += (cfg.lambda_compact * GRAD_SCALE) * compactness_grad(
         cache.latents, centers.latent
     )
-    dweights_extra = cfg.lambda_distribution * distribution_grad(
-        cache.weights, labels, centers.by_class
-    )
-    # balance is a batch statistic: each sample's weight vector carries 1/N
-    dweights_extra = dweights_extra + (cfg.lambda_balance / N) * balance_sign(
-        mean_weights(cache.weights)
-    )
-    dweights_extra *= GRAD_SCALE
 
-    # The groups come back to true units where that is cheapest. decomp and
-    # classifier are each one GEMM over an (N, P) or (N, D) cache operand, so
-    # those operands are scaled down instead, and every product is exactly
-    # the one the unscaled pass forms (2^-20 times a float32 of magnitude
-    # 2^-106 or more is exact). Only gate and message, 1.2 MB of the 3.5 MB
-    # of gradients, whose operands are (N, M, D), are multiplied in place.
-    operands = replace(
-        cache,
-        inputs=cache.inputs * (1.0 / GRAD_SCALE),
-        feature=cache.feature * (1.0 / GRAD_SCALE),
+    # decomposition: L = relu(Wd.T x), one (P, M*D) GEMM into decomp's memory
+    M, D = dlatents.shape[1:]
+    dpre_latent = dlatents * (cache.latents > 0.0)
+    np.matmul(
+        (cache.inputs * (1.0 / GRAD_SCALE)).T, dpre_latent.reshape(N, M * D),
+        out=out.decomp_matrix(),
     )
-    grads = _chain_backward(
-        operands, dlogits, dlatents_extra, dweights_extra, params, cfg, out=out
-    )
-    for arr in (grads.gate, grads.message):
+    for arr in (out.gate, out.message):
         arr *= 1.0 / GRAD_SCALE
-    return grads, breakdown
+    return out, breakdown

@@ -351,10 +351,12 @@ def save_checkpoint(path: str, params: ParamGroups, cfg: HeadConfig, record: str
     raises ContractViolation naming the group, so nothing is rounded
     silently.
 
-    The bytes go to `path + ".tmp"` in the same directory, which then
-    replaces `path` in one `os.replace`; a save that fails part-way, a
-    refused dtype included, removes the temp file and leaves any earlier
-    checkpoint at `path` as it was.
+    The bytes go to `path + ".tmp"` in the same directory, which is
+    flushed to the disk with `os.fsync` and then replaces `path` in one
+    `os.replace`, so a rename that survives a power loss names complete
+    bytes; a save that fails part-way, a refused dtype or a failed fsync
+    included, removes the temp file and leaves any earlier checkpoint at
+    `path` as it was.
     """
     tmp = path + ".tmp"
     text = record.encode("utf-8")
@@ -369,6 +371,8 @@ def save_checkpoint(path: str, params: ParamGroups, cfg: HeadConfig, record: str
                     )
                 fh.write(np.asarray(arr, dtype="<f4").ravel(order="K"))
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -385,9 +389,10 @@ def _read_header(fh, path: str) -> tuple[HeadConfig, int]:
     """Read and check an open checkpoint's header and size; return its
     HeadConfig and the byte length of its run record.
 
-    A file of any version but CHECKPOINT_VERSION is refused with the
-    command that rebuilds its model from the `.config` that `train` wrote
-    next to it before version 5. The whole file's size is checked against the one the header
+    A file of any version but CHECKPOINT_VERSION is refused. For versions
+    1-4 the message adds the command that rebuilds the model from the
+    `.config` that `train` wrote next to those files; no other version had
+    one. The whole file's size is checked against the one the header
     implies before the file is mapped, so a truncated or overlong file is
     rejected and no group can lie past its end.
     """
@@ -398,10 +403,10 @@ def _read_header(fh, path: str) -> tuple[HeadConfig, int]:
     if magic != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: bad magic {magic!r}")
     if version != CHECKPOINT_VERSION:
-        raise DataFormatError(
-            f"{path}: unsupported version {version}, not {CHECKPOINT_VERSION}; "
-            f"rebuild the model with `ferhead train --config {path}.config`"
-        )
+        message = f"{path}: unsupported version {version}, not {CHECKPOINT_VERSION}"
+        if 1 <= version < CHECKPOINT_VERSION:
+            message += f"; rebuild the model with `ferhead train --config {path}.config`"
+        raise DataFormatError(message)
     cfg = HeadConfig(*settings)
     try:
         cfg.validate()

@@ -679,7 +679,8 @@ class TestEvalCommand:
         bad.write_bytes(b"JUNKJUNKJUNK" + b"\x00" * 60)
         train_path = load_run_config(str(config)).train_path
         assert main(["eval", "--checkpoint-path", str(bad), "--data", train_path]) == 2
-        # every version but 5 names itself and the command that rebuilds its model
+        # every version but 5 names itself; only versions 1-4, which older
+        # `train` runs wrote beside a .config, name the command that rebuilds it
         blob = bytearray(save_toy_model(bad, config).read_bytes())
         for version in (0, 1, 2, 3, 4, 6):
             blob[4:8] = struct.pack("<I", version)
@@ -687,8 +688,11 @@ class TestEvalCommand:
             capsys.readouterr()
             assert main(["eval", "--checkpoint-path", str(bad), "--data", train_path]) == 2
             err = capsys.readouterr().err
-            assert f"{bad}: unsupported version {version}, " in err
-            assert f"`ferhead train --config {bad}.config`" in err
+            assert f"{bad}: unsupported version {version}, not 5" in err
+            if 1 <= version <= 4:
+                assert f"`ferhead train --config {bad}.config`" in err
+            else:
+                assert "rebuild" not in err and ".config" not in err
 
     @pytest.mark.parametrize("command", ["eval", "inspect"])
     def test_non_finite_weight_exits_2_naming_file_and_group(self, toy_env, capsys, command):
@@ -872,14 +876,14 @@ class TestGradcheckCommand:
 
     def test_nan_gradient_group_fails_naming_it(self, capsys, monkeypatch):
         """A NaN analytic gradient fails the check; it does not stop it with an error."""
-        real = head._chain_backward
+        real = verification.backward
 
         def nan_gate(*args, **kwargs):
-            grads = real(*args, **kwargs)
+            grads, breakdown = real(*args, **kwargs)
             grads.gate[0, 0, 0] = np.nan
-            return grads
+            return grads, breakdown
 
-        monkeypatch.setattr(head, "_chain_backward", nan_gate)
+        monkeypatch.setattr(verification, "backward", nan_gate)
         assert main(["gradcheck", "--instances", "1"]) == 1
         out, err = capsys.readouterr()
         assert re.search(r"gate: max relative error nan .* FAIL", out)
@@ -1135,6 +1139,27 @@ class TestInspectCommand:
         eigvals = np.linalg.eigvalsh(cov)
         np.testing.assert_allclose(proj[:, 0].var(ddof=1), eigvals[-1], rtol=1e-10)
         np.testing.assert_allclose(proj[:, 1].var(ddof=1), eigvals[-2], rtol=1e-10)
+
+    def test_latent_dim_1_model_exports_every_csv(self, tmp_path, capsys):
+        """A 1-D expression feature has one principal component; pc2 is 0.0."""
+        data, ckpt = tmp_path / "d.bin", tmp_path / "m.ckpt"
+        outputs = [tmp_path / f"{name}.csv" for name in ("weights", "pca", "rel")]
+        assert main(["synth", "--classes", "3", "--actions", "4", "--dim", "6",
+                     "--per-class", "8", "--out-bin", str(data)]) == 0
+        assert main(["train", "--train-path", str(data), "--input-dim", "6",
+                     "--latent-dim", "1", "--n-latents", "2", "--n-classes", "3",
+                     "--epochs", "1", "--batch-size", "12", "--decay-epochs", "",
+                     "--checkpoint", str(ckpt)]) == 0
+        code = main(["inspect", "--checkpoint-path", str(ckpt), "--data", str(data),
+                     "--weights-csv", str(outputs[0]), "--pca-csv", str(outputs[1]),
+                     "--relations-csv", str(outputs[2])])
+        assert code == 0, capsys.readouterr().err
+        p_lines = outputs[1].read_text().splitlines()
+        assert p_lines[0] == "label,pc1,pc2"
+        assert len(p_lines) == 1 + 24
+        rows = [line.split(",") for line in p_lines[1:]]
+        assert all(len(row) == 3 and float(row[2]) == 0.0 for row in rows)
+        assert all(path.exists() for path in outputs)
 
     def test_pca_degenerate_identical_features(self):
         feats = np.tile([1.0, 2.0, 3.0], (20, 1))

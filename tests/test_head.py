@@ -11,15 +11,15 @@ import pytest
 from naive_reference import naive_head_forward, naive_losses
 from stage_forward import stage_forward
 
+from ferhead import head
 from ferhead.datasets import generate, load_bin, make_synth_spec, save_bin
-from ferhead.decomposition import LatentCenters, compactness_grad
+from ferhead.decomposition import LatentCenters
 from ferhead.errors import ContractViolation, TrainingError
 from ferhead.head import (
     GRAD_SCALE,
     Centers,
     HeadConfig,
     ParamGroups,
-    _chain_backward,
     backward,
     batch_cross_entropy,
     compute_losses,
@@ -30,7 +30,7 @@ from ferhead.head import (
     softmax,
 )
 from ferhead.inter import EPS_NORM
-from ferhead.intra import ClassCenters, balance_sign, distribution_grad, mean_weights
+from ferhead.intra import ClassCenters
 from ferhead.numerics import SplitMix64
 from ferhead.training import COMPUTE_DTYPE, EVAL_BLOCK_ROWS
 
@@ -484,21 +484,8 @@ class TestBackward:
 
 class TestGradientUnit:
     """backward runs its reverse pass in units of 1/GRAD_SCALE, and its groups
-    are bitwise those of the pass run on the unscaled upstream gradients."""
-
-    @staticmethod
-    def unscaled_backward(cache, labels, params, centers, cfg, cls_weight=1.0):
-        N = len(labels)
-        probs = softmax(cache.logits)
-        onehot = np.zeros_like(probs)
-        onehot[np.arange(N), labels] = 1.0
-        dlogits = (cls_weight / N) * (probs - onehot)
-        dlogits[np.abs(dlogits) < np.finfo(dlogits.dtype).tiny] = 0.0
-        dlatents = cfg.lambda_compact * compactness_grad(cache.latents, centers.latent)
-        dweights = cfg.lambda_distribution * distribution_grad(
-            cache.weights, labels, centers.by_class
-        ) + (cfg.lambda_balance / N) * balance_sign(mean_weights(cache.weights))
-        return _chain_backward(cache, dlogits, dlatents, dweights, params, cfg)
+    are bitwise those of the unscaled pass: backward with GRAD_SCALE 1.0,
+    where every multiply by the scale is exact."""
 
     @staticmethod
     def centers_off_zero(cfg, seed, dtype=np.float64):
@@ -512,7 +499,9 @@ class TestGradientUnit:
 
     def assert_bitwise_unscaled(self, cache, labels, params, centers, cfg, cls_weight=1.0):
         got, _ = backward(cache, labels, params, centers, cfg, cls_weight=cls_weight)
-        want = self.unscaled_backward(cache, labels, params, centers, cfg, cls_weight)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(head, "GRAD_SCALE", 1.0)
+            want, _ = backward(cache, labels, params, centers, cfg, cls_weight=cls_weight)
         for name, arr in got.items():
             assert arr.dtype == params.dtype, name
             assert np.array_equal(arr, getattr(want, name)), name

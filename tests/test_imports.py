@@ -113,7 +113,7 @@ def test_cli_opens_files_only_in_write_csv():
 
 def test_backward_reads_every_forward_cache_field():
     """Each ForwardCache field's values are read as `cache.<field>` in
-    head.backward or head._chain_backward, so no (N, M, D) buffer is kept
+    head.backward, so no (N, M, D) buffer is kept
     that the reverse pass does not need. A field read only for its
     `.shape`, `.dtype` or `.ndim` counts as unread: its metadata is known
     without its buffer."""
@@ -123,7 +123,7 @@ def test_backward_reads_every_forward_cache_field():
     cache_fields = {
         node.target.id for node in body["ForwardCache"].body if isinstance(node, ast.AnnAssign)
     }
-    nodes = [node for name in ("backward", "_chain_backward") for node in ast.walk(body[name])]
+    nodes = list(ast.walk(body["backward"]))
     metadata_only = {
         id(node.value)
         for node in nodes

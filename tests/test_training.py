@@ -1,7 +1,9 @@
 """Adam, schedule, epoch loop, evaluation, and checkpoint tests."""
 
+import errno
 import hashlib
 import math
+import os
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -758,6 +760,41 @@ class TestCheckpoints:
             save_checkpoint(str(path), DiskFull(), cfg)
         assert path.read_bytes() == before
         assert not tmp.exists()
+
+    def test_temp_file_is_fsynced_before_the_rename(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg()
+        path = str(tmp_path / "model.ckpt")
+        tmp = path + ".tmp"
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.path.samestat(os.fstat(fd), os.stat(tmp))))
+            real_fsync(fd)
+
+        def replace_(src, dst):
+            calls.append(("replace", src, dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace_)
+        save_checkpoint(path, fresh_state(cfg, seed=13).params, cfg)
+        assert calls == [("fsync", True), ("replace", tmp, path)]
+
+    def test_failed_fsync_leaves_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), fresh_state(cfg, seed=14).params, cfg)
+        before = path.read_bytes()
+
+        def fsync(fd):
+            raise OSError(errno.EIO, "fsync failed")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(OSError, match="fsync failed"):
+            save_checkpoint(str(path), fresh_state(cfg, seed=15).params, cfg)
+        assert path.read_bytes() == before
+        assert not (tmp_path / "model.ckpt.tmp").exists()
 
     def test_float64_array_is_refused_and_previous_checkpoint_kept(self, tmp_path):
         """A group reassigned float64 after the state was built is not rounded silently."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ferhead import datasets, head
+from ferhead import datasets, verification
 from ferhead.decomposition import LatentCenters
 from ferhead.head import (
     Centers,
@@ -84,14 +84,14 @@ class TestGradientAgreement:
 class TestNonFiniteGradient:
     def test_nan_group_gradient_is_its_worst_error_and_fails(self, monkeypatch):
         """A NaN error is kept as the group's worst, so the suite cannot pass over it."""
-        real = head._chain_backward
+        real = verification.backward
 
         def nan_gate(*args, **kwargs):
-            grads = real(*args, **kwargs)
+            grads, breakdown = real(*args, **kwargs)
             grads.gate[0, 0, 0] = np.nan
-            return grads
+            return grads, breakdown
 
-        monkeypatch.setattr(head, "_chain_backward", nan_gate)
+        monkeypatch.setattr(verification, "backward", nan_gate)
         worst, worst_mode, passed = run_suite(range(2))
         assert not passed
         assert set(worst) == {"decomp", "gate", "message", "classifier"}
