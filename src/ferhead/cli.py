@@ -249,13 +249,11 @@ def read_sets(cfg: RunConfig):
     return data, (load_dataset(cfg.test_path, head_cfg) if cfg.test_path else None)
 
 
-def run_training(cfg: RunConfig, progress=None, data=None):
-    """Shared train loop on the training set `data` (read by `read_sets` when
-    not given): returns (state, head_cfg, history rows)."""
+def run_training(cfg: RunConfig, data, progress=None):
+    """Shared train loop on the training set `data` (from `read_sets`):
+    returns (state, head_cfg, history rows)."""
     head_cfg = cfg.head_config()
     sched = cfg.schedule()
-    if data is None:
-        data, _ = read_sets(cfg)
     rng = SplitMix64(cfg.seed)
     params = init_model_params(head_cfg, rng)
     state = TrainerState(
@@ -311,12 +309,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     data, test = read_sets(cfg)
     state, head_cfg, history = run_training(
         cfg,
+        data,
         progress=lambda row: print(
             f"epoch {row['epoch']:3d} lr {row['lr']:.2e} "
             f"total {row['loss_total']:.4f} cls {row['loss_cls']:.4f} "
             f"acc {row['train_accuracy']:.4f}"
         ),
-        data=data,
     )
     # the files are written after the test evaluation, so a run failing in it leaves
     # none, and the checkpoint first, so a failed save leaves none either
@@ -355,9 +353,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     worst, worst_mode, passed = verification.run_suite(
-        range(args.seed, args.seed + args.instances),
-        tolerance=args.tolerance,
-        inject_sign_bug=args.inject_sign_bug,
+        range(args.seed, args.seed + args.instances), tolerance=args.tolerance
     )
     failing = [group for group in sorted(worst) if not worst[group] < args.tolerance]
     for group in sorted(worst):
@@ -487,7 +483,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     data, test = read_sets(configs[0])
     rows = []
     for raw, cfg in zip(values, configs):
-        state, head_cfg, history = run_training(cfg, data=data)
+        state, head_cfg, history = run_training(cfg, data)
         last = history[-1]
         test_accuracy = "" if test is None else on_data(
             cfg.test_path, evaluate, state.params, head_cfg, test
@@ -540,12 +536,6 @@ def _gradcheck_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--inject-sign-bug",
-        choices=("decomp", "gate", "message", "classifier"),
-        default=None,
-        help=argparse.SUPPRESS,
-    )
     p.set_defaults(func=cmd_gradcheck)
 
 

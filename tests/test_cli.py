@@ -192,8 +192,7 @@ class TestParser:
             ["eval", "--checkpoint-path", "m.ckpt", "--data", "t.bin"],
             ["eval", "--checkpoint-path", "m.ckpt", "--data", "t.bin", "--out", "r.csv"],
             ["gradcheck"],
-            ["gradcheck", "--instances", "3", "--tolerance", "1e-3", "--seed", "4",
-             "--inject-sign-bug", "gate"],
+            ["gradcheck", "--instances", "3", "--tolerance", "1e-3", "--seed", "4"],
             ["synth"],
             ["synth", "--classes", "3", "--dim", "16", "--per-class", "5", "--noise", "0",
              "--structure-seed", "2", "--out-csv", "a.csv", "--out-bin", "a.bin"],
@@ -229,9 +228,10 @@ class TestParser:
             (["eval", "-h"], 0),
             (["eval"], 2),
             (["eval", "--checkpoint-path", "m.ckpt", "--data", "t.bin", "--bogus"], 2),
+            (["gradcheck", "--inject-sign-bug", "gate"], 2),
         ],
         ids=["help", "no-command", "unknown-command", "command-help", "missing-flags",
-             "unknown-flag"],
+             "unknown-flag", "no-fault-switch"],
     )
     def test_usage_help_and_errors_read_as_the_full_parser_s(self, argv, code, capsys):
         with pytest.raises(SystemExit) as via_main:
@@ -868,8 +868,16 @@ class TestGradcheckCommand:
     def test_default_run_passes(self):
         assert main(["gradcheck", "--instances", "2"]) == 0
 
-    def test_injected_bug_fails_naming_gate_group(self, capsys):
-        code = main(["gradcheck", "--instances", "1", "--inject-sign-bug", "gate"])
+    def test_injected_bug_fails_naming_gate_group(self, capsys, monkeypatch):
+        real = verification.backward
+
+        def flipped_gate(*args, **kwargs):
+            grads, breakdown = real(*args, **kwargs)
+            grads.gate *= -1
+            return grads, breakdown
+
+        monkeypatch.setattr(verification, "backward", flipped_gate)
+        code = main(["gradcheck", "--instances", "1"])
         captured = capsys.readouterr()
         assert code != 0
         assert "gate" in captured.err

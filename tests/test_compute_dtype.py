@@ -124,7 +124,7 @@ class TestDtypeContract:
             cli.RunConfig(input_dim=8, latent_dim=4, n_latents=3, n_classes=3),
             epochs=1, decay_epochs="", batch_size=6, train_path=str(tmp_path / "train.bin"),
         )
-        state, _, _ = cli.run_training(run)
+        state, _, _ = cli.run_training(run, cli.read_sets(run)[0])
         for groups in (state.params, state.adam.first, state.adam.second):
             assert set(self.dtypes(groups).values()) == {np.dtype(np.float32)}
         assert state.centers.latent.centers.dtype == np.float32

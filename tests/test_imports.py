@@ -140,12 +140,11 @@ def test_backward_reads_every_forward_cache_field():
     assert cache_fields and sorted(cache_fields - read) == []
 
 
-def test_only_verification_reads_a_loss_breakdown_field_by_name():
+def test_no_module_reads_a_loss_breakdown_field_by_name():
     """LossBreakdown's fields are the training log's loss_* columns, and
-    training, the log and backward's finiteness check walk them with
-    dataclasses.fields/astuple/asdict, so a new loss is one new field. Only
-    verification.py, which isolates the four component terms, reads one as
-    `<expr>.<field>`."""
+    training, the log, backward's finiteness check and the gradient oracle's
+    component losses walk them with dataclasses.fields/astuple/asdict, so a
+    new loss is one new field. No module reads one as `<expr>.<field>`."""
     package = Path(__file__).resolve().parents[1] / "src" / "ferhead"
     head_tree = ast.parse((package / "head.py").read_text(encoding="utf-8"))
     (record,) = (node for node in head_tree.body
@@ -153,8 +152,6 @@ def test_only_verification_reads_a_loss_breakdown_field_by_name():
     loss_fields = {node.target.id for node in record.body if isinstance(node, ast.AnnAssign)}
     readers = []
     for path in sorted(package.glob("*.py")):
-        if path.name == "verification.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                     and node.attr in loss_fields):

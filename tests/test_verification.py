@@ -25,6 +25,21 @@ from ferhead.verification import (
 )
 
 
+GROUPS = ("decomp", "gate", "message", "classifier")
+
+
+def flip_sign(monkeypatch, group):
+    """The negative control: the oracle's backward returns `group` negated."""
+    real = verification.backward
+
+    def flipped(*args, **kwargs):
+        grads, breakdown = real(*args, **kwargs)
+        getattr(grads, group)[...] *= -1
+        return grads, breakdown
+
+    monkeypatch.setattr(verification, "backward", flipped)
+
+
 class TestInstanceConstruction:
     def test_deterministic(self):
         a = build_instance(3)
@@ -63,14 +78,19 @@ class TestGradientAgreement:
             worst = max(e for errs in results.values() for e in errs.values())
             assert worst < 1e-4
 
-    def test_injected_sign_bug_is_caught_and_named(self):
-        inst = build_instance(0)
-        results = check_instance(inst, inject_sign_bug="gate")
-        assert results["joint"]["gate"] > 1e-2
-        assert results["joint"]["decomp"] < 1e-4
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_injected_sign_bug_is_caught_and_named(self, group, monkeypatch):
+        flip_sign(monkeypatch, group)
+        results = check_instance(build_instance(0))
+        for other in GROUPS:
+            if other == group:
+                assert results["joint"][other] > 1e-2, other
+            else:
+                assert results["joint"][other] < 1e-4, other
 
-    def test_run_suite_reports_failure(self):
-        worst, _, passed = run_suite(range(1), inject_sign_bug="message")
+    def test_run_suite_reports_failure(self, monkeypatch):
+        flip_sign(monkeypatch, "message")
+        worst, _, passed = run_suite(range(1))
         assert not passed
         assert worst["message"] > 1e-2
 
@@ -108,14 +128,12 @@ class TestErrorMetric:
         assert all(v == 0.0 for v in err.values())
 
     def test_fd_components_shape(self):
-        inst = build_instance(
-            0, input_dim=4, latent_dim=3, n_latents=2, n_classes=2, batch=2
-        )
-        grads = fd_component_grads(inst, h=1e-5)
+        inst = build_instance(0)
+        grads = fd_component_grads(inst)
         n_params = inst.params.to_vector().size
         assert grads.shape == (4, n_params)
         # classifier coordinates influence only the classification loss
-        cls_block = slice(n_params - 3 * 2, n_params)
+        cls_block = slice(n_params - inst.params.classifier.size, n_params)
         assert np.abs(grads[1:, cls_block]).max() == 0.0
 
 
@@ -185,7 +203,7 @@ class TestDirectionalGradient:
     def check(self, pairs):
         for name, group_pairs in pairs.items():
             assert self.worst_error(group_pairs) < self.TOL, (name, group_pairs)
-            # a flipped gradient sign, as gradcheck --inject-sign-bug makes it,
+            # a flipped gradient sign, the gradient oracle's negative control,
             # fails unless the loss does not depend on the group (message at
             # M = 1, which has no pairs to relate)
             if any(a != 0.0 or f != 0.0 for a, f in group_pairs):
