@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import operator
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -251,7 +252,8 @@ def read_sets(cfg: RunConfig):
 
 def run_training(cfg: RunConfig, data, progress=None):
     """Shared train loop on the training set `data` (from `read_sets`):
-    returns (state, head_cfg, history rows)."""
+    returns (state, head_cfg, history rows). A row's train_accuracy is `evaluate`
+    of the end-of-epoch parameters on all of `data`, as `eval` reports it."""
     head_cfg = cfg.head_config()
     sched = cfg.schedule()
     rng = SplitMix64(cfg.seed)
@@ -264,12 +266,13 @@ def run_training(cfg: RunConfig, data, progress=None):
     )
     history = []
     for epoch in range(sched.total_epochs):
-        losses, accuracy = train_epoch(state, data, head_cfg, sched, epoch)
+        losses = train_epoch(state, data, head_cfg, sched, epoch)
+        where = f"epoch {epoch}, accuracy on {cfg.train_path}"
         row = {
             "epoch": epoch,
             "lr": sched.lr_at(epoch),
             **{f"loss_{k}": v for k, v in asdict(losses).items()},
-            "train_accuracy": accuracy,
+            "train_accuracy": on_data(where, evaluate, state.params, head_cfg, data).accuracy,
         }
         history.append(row)
         if progress:
@@ -330,20 +333,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_model(args: argparse.Namespace):
-    """(config, params, dataset) for eval and inspect.
-
-    Only the checkpoint's header and parameter groups are read; the config
-    is the checkpoint's, and the params are the float32 ones training ended
-    with, so `eval` gives the end-of-epoch `evaluate`'s result.
-    """
-    head_cfg, params = load_params(args.checkpoint_path)
-    return head_cfg, params, load_dataset(args.data, head_cfg)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     check_output_dirs(args.out, inputs=(args.checkpoint_path, args.data))
-    head_cfg, params, data = _load_model(args)
+    head_cfg, params = load_params(args.checkpoint_path)
+    data = load_dataset(args.data, head_cfg)
     report = on_data(f"{args.checkpoint_path} on {args.data}", evaluate, params, head_cfg, data)
     print_eval_report(report, data.class_names)
     if args.out:
@@ -414,21 +407,22 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         args.weights_csv, args.pca_csv, args.relations_csv,
         inputs=(args.checkpoint_path, args.data),
     )
-    head_cfg, params, data = _load_model(args)
+    head_cfg, params = load_params(args.checkpoint_path)
+    data = load_dataset(args.data, head_cfg)
     M, K = head_cfg.n_latents, head_cfg.n_classes
-    weights, feature, omega = on_data(
+    wanted = [name for name, path in (("weights", args.weights_csv), ("feature", args.pca_csv),
+                                      ("omega", args.relations_csv)) if path]
+    kept = dict(zip(wanted, on_data(
         f"{args.checkpoint_path} on {args.data}",
         forward_in_blocks,
         data.features,
         params,
         head_cfg,
-        lambda cache: cache.weights,
-        lambda cache: cache.feature,
-        lambda cache: cache.omega,
-    )
+        *map(operator.attrgetter, wanted),
+    )))
 
     if args.weights_csv:
-        means = per_class_mean_weights(weights, data.labels, K)
+        means = per_class_mean_weights(kept["weights"], data.labels, K)
         write_csv(
             args.weights_csv,
             ["class", *(f"weight_{j + 1}" for j in range(M))],
@@ -437,7 +431,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         print(f"wrote per-class mean intra weights to {args.weights_csv}")
 
     if args.pca_csv:
-        projected = pca_project(feature)
+        projected = pca_project(kept["feature"])
         write_csv(
             args.pca_csv,
             ["label", "pc1", "pc2"],
@@ -446,6 +440,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         print(f"wrote 2-D feature projection to {args.pca_csv}")
 
     if args.relations_csv:
+        omega = kept["omega"]
         stats = (omega.mean(axis=0, dtype=np.float64), omega.min(axis=0), omega.max(axis=0),
                  (omega == 1.0).mean(axis=0))
         write_csv(
@@ -483,7 +478,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     data, test = read_sets(configs[0])
     rows = []
     for raw, cfg in zip(values, configs):
-        state, head_cfg, history = run_training(cfg, data)
+        state, head_cfg, history = on_data(f"{args.param}={raw}", run_training, cfg, data)
         last = history[-1]
         test_accuracy = "" if test is None else on_data(
             cfg.test_path, evaluate, state.params, head_cfg, test

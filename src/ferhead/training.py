@@ -59,8 +59,8 @@ COMPUTE_DTYPE = np.float32
 
 # Rows per forward call in evaluate and inspect. Every block after the first,
 # the ragged last one included, is written into the first block's cache; at
-# paper dimensions 256 rows take about 6.7 MB of float32 buffers (13.5 MB in
-# float64), of which the (N, M, D) block is 5.9 MB. Freshly allocated
+# paper dimensions 256 rows take about 5.6 MB of float32 buffers (11.1 MB in
+# float64), of which the (N, M, D) block is 4.7 MB. Freshly allocated
 # blocks of this size are handed back to the OS when freed and fault their
 # pages in again on the next block; with reuse, 256 rows ran as fast as 512
 # and 128 on 7000 rows, at a lower peak than 512.
@@ -280,18 +280,15 @@ def train_epoch(
     cfg: HeadConfig,
     schedule: Schedule,
     epoch: int,
-) -> tuple[LossBreakdown, float]:
-    """One pass over the shuffled dataset; returns (mean losses, accuracy).
+) -> LossBreakdown:
+    """One pass over the shuffled dataset; returns the mean losses.
 
     Each batch takes one batched `forward` and one `backward` call. Given
     the same state and data, the result is bitwise reproducible on the same
     machine with the same BLAS thread count. An overflow or invalid value in
     a step raises TrainingError naming the epoch and batch, not a warning
     (`forward`'s input narrowing and `adam_step` keep their own errstate).
-
-    The losses are means over the epoch's batches (weighted by batch size);
-    the accuracy is a full evaluation pass on `data` with the end-of-epoch
-    parameters, so it matches a subsequent `evaluate` call exactly.
+    The losses are means over the epoch's batches, weighted by batch size.
     """
     n = len(data)
     if n < 1:
@@ -322,7 +319,7 @@ def train_epoch(
         state.centers.latent.update(cache.latents, cfg.center_rate)
         state.centers.by_class.update(cache.weights, labels, cfg.center_rate)
         sums += len(batch_idx) * np.array(astuple(losses))
-    return LossBreakdown(*(sums / n)), evaluate(state.params, cfg, data).accuracy
+    return LossBreakdown(*(sums / n))
 
 
 CHECKPOINT_MAGIC = b"FDRM"

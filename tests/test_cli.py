@@ -357,6 +357,25 @@ class TestTrainCommand:
         assert err.startswith("error: epoch 0, batch starting at 12: overflow encountered in ")
         assert err.count("\n") == 1
 
+    def test_overflow_in_the_accuracy_pass_exits_2_naming_epoch_and_training_file(
+        self, tmp_path, capsys
+    ):
+        """With one batch, the step at --base-lr 1e30 leaves finite weights near
+        1e30 and the end-of-epoch accuracy pass overflows; no file is written."""
+        data, ckpt, log = tmp_path / "d.bin", tmp_path / "m.ckpt", tmp_path / "log.csv"
+        assert main(["synth", "--classes", "3", "--actions", "4", "--dim", "6",
+                     "--per-class", "4", "--out-bin", str(data)]) == 0
+        capsys.readouterr()
+        code = main(["train", "--train-path", str(data), "--input-dim", "6",
+                     "--latent-dim", "4", "--n-latents", "2", "--n-classes", "3",
+                     "--epochs", "1", "--batch-size", "12", "--decay-epochs", "",
+                     "--base-lr", "1e30", "--checkpoint", str(ckpt), "--log-path", str(log)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: epoch 0, accuracy on {data}: rows 1 to 12: overflow ")
+        assert err.count("\n") == 1 and out == ""
+        assert not ckpt.exists() and not log.exists()
+
     @staticmethod
     def train_outputs(tmp_path, config, tag, *flags):
         """Checkpoint bytes and log text of one seeded train run."""
@@ -1061,6 +1080,28 @@ class TestInspectCommand:
         for j in range(3):  # the diagonal is pinned to 0
             assert r_lines[1 + 4 * j].split(",")[2:] == ["0.0", "0.0", "0.0", "0.0"]
 
+    def test_forward_pass_keeps_only_the_fields_of_the_requested_reports(
+        self, toy_env, monkeypatch
+    ):
+        """--weights-csv alone keeps one (N, M) array per block, not also the
+        (N, D) features and (N, M, M) relation weights."""
+        tmp_path, config = toy_env
+        ckpt = save_toy_model(tmp_path / "model.ckpt", config)
+        train_path = load_run_config(str(config)).train_path
+        counts = []
+        real = cli.forward_in_blocks
+        monkeypatch.setattr(
+            cli, "forward_in_blocks",
+            lambda X, params, cfg, *picks: counts.append(len(picks))
+            or real(X, params, cfg, *picks),
+        )
+        weights, pca, rel = (str(tmp_path / name) for name in ("w.csv", "p.csv", "r.csv"))
+        base = ["inspect", "--checkpoint-path", str(ckpt), "--data", train_path]
+        assert main([*base, "--weights-csv", weights]) == 0
+        assert main([*base, "--weights-csv", weights, "--pca-csv", pca,
+                     "--relations-csv", rel]) == 0
+        assert counts == [1, 3]
+
     def test_blocks_match_one_full_forward(self, toy_env):
         """Over more rows than one block, the exports equal one full forward's."""
         from ferhead.datasets import load_csv
@@ -1321,6 +1362,18 @@ class TestSweepCommand:
         )
         assert code == 0
         assert len(summary.read_text().splitlines()) == 3
+
+    def test_failing_run_names_its_value_and_writes_no_summary(self, toy_env, capsys):
+        tmp_path, config = toy_env
+        summary = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", str(config), "--epochs", "1", "--decay-epochs", "",
+                     "--param", "lambda_compact", "--values", "0,1e38",
+                     "--summary", str(summary)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "lambda_compact=0: train acc" in captured.out
+        assert captured.err.startswith("error: lambda_compact=1e38: epoch 0, batch starting at ")
+        assert not summary.exists()
 
 
 class TestDatasetChecks:

@@ -1,7 +1,8 @@
 """numpy is the package's only runtime dependency, every top-level name in
 the package has a user, the CLI has one writer for report CSVs, the forward
-cache keeps only what backward reads, and the loss record's fields are read
-by name only where an oracle isolates one term."""
+cache keeps only what backward reads, the loss record's fields are read
+by name only where an oracle isolates one term, and training.py runs no
+evaluation pass outside `evaluate`."""
 
 import ast
 import subprocess
@@ -158,3 +159,21 @@ def test_no_module_reads_a_loss_breakdown_field_by_name():
                 readers.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert loss_fields == {"total", "cls", "compact", "balance", "distribution"}
     assert readers == []
+
+
+def test_training_runs_no_evaluation_pass_outside_evaluate():
+    """The accuracy pass is made where the log reports it, in cli.run_training:
+    no function in training.py but `evaluate` calls `evaluate` or
+    `forward_in_blocks`, so the step loop cannot take one on again."""
+    path = Path(__file__).resolve().parents[1] / "src" / "ferhead" / "training.py"
+    callers = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name == "evaluate":
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("evaluate", "forward_in_blocks"):
+                    callers.append(f"{fn.name}:{node.lineno} {name}")
+    assert callers == []

@@ -382,7 +382,8 @@ class TestTrainEpoch:
         state = fresh_state(cfg, seed=1)
         best = 0.0
         for epoch in range(sched.total_epochs):
-            _, accuracy = train_epoch(state, data, cfg, sched, epoch)
+            train_epoch(state, data, cfg, sched, epoch)
+            accuracy = evaluate(state.params, cfg, data).accuracy
             best = max(best, accuracy)
             if accuracy == 1.0:
                 break
@@ -445,7 +446,8 @@ class TestTrainEpoch:
         for _ in range(2):
             state = fresh_state(cfg, seed=11)
             data = tiny_dataset(seed=2, cfg=cfg)
-            runs.append([train_epoch(state, data, cfg, sched, e) for e in range(3)])
+            losses = [train_epoch(state, data, cfg, sched, e) for e in range(3)]
+            runs.append((losses, evaluate(state.params, cfg, data).accuracy))
         assert runs[0] == runs[1]
 
     def test_partial_final_batch_kept(self):
