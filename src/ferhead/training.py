@@ -43,7 +43,7 @@ from .head import (
     backward,
     forward,
 )
-from .numerics import SplitMix64
+from .numerics import SplitMix64, empty_aligned
 
 ADAM_BETA1 = 0.500
 ADAM_BETA2 = 0.999
@@ -59,11 +59,12 @@ COMPUTE_DTYPE = np.float32
 
 # Rows per forward call in evaluate and inspect. Every block after the first,
 # the ragged last one included, is written into the first block's cache; at
-# paper dimensions 256 rows take about 5.6 MB of float32 buffers (11.1 MB in
-# float64), of which the (N, M, D) block is 4.7 MB. Freshly allocated
-# blocks of this size are handed back to the OS when freed and fault their
-# pages in again on the next block; with reuse, 256 rows ran as fast as 512
-# and 128 on 7000 rows, at a lower peak than 512.
+# paper dimensions 256 rows take about 5.6 MB of float32 buffers, of which
+# the (N, M, D) block is 4.7 MB, and each is cache-line aligned
+# (`empty_aligned`), since numpy's element-wise loops write an aligned
+# destination in about half the time. 256 rows ran as fast as 512 and 128
+# on 7000 rows, at a lower peak than 512; of a mapped table only the rows
+# around one block stay resident (`FeatureDataset.blocks`).
 EVAL_BLOCK_ROWS = 256
 
 
@@ -145,8 +146,9 @@ def adam_step(
     ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
     Every block computes in the parameters' dtype, with its two scratch
-    blocks allocated once per call in that dtype; alpha and eps_hat are
-    Python floats, which do not widen a float32 array.
+    blocks allocated once per call in that dtype and cache-line aligned
+    (`empty_aligned`); alpha and eps_hat are Python floats, which do not
+    widen a float32 array.
 
     The gradient is checked before anything changes, and theta after the
     whole update, one group at a time: at two BLAS threads one dot product
@@ -165,8 +167,8 @@ def adam_step(
     root2 = math.sqrt(1.0 - beta2**t)
     alpha = lr * root2 / (1.0 - beta1**t)
     eps_hat = ADAM_EPS * root2
-    scratch1 = np.empty(ADAM_BLOCK, dtype=params.dtype)
-    scratch2 = np.empty(ADAM_BLOCK, dtype=params.dtype)
+    scratch1 = empty_aligned((ADAM_BLOCK,), params.dtype)
+    scratch2 = empty_aligned((ADAM_BLOCK,), params.dtype)
     for name, theta in params.items():
         g = getattr(grads, name).ravel(order="K")
         m = getattr(state.first, name).ravel(order="K")
@@ -223,28 +225,36 @@ class EvalReport:
     per_class_accuracy: np.ndarray  # (K,)
 
 
-def forward_in_blocks(X: np.ndarray, params: ParamGroups, cfg: HeadConfig, *picks):
-    """Run `forward` over EVAL_BLOCK_ROWS-row blocks of X, keeping only `picks`.
+def forward_in_blocks(data: FeatureDataset, params: ParamGroups, cfg: HeadConfig, *picks):
+    """Run `forward` over EVAL_BLOCK_ROWS-row blocks of data's features, keeping only `picks`.
 
     Each pick maps a block's ForwardCache to an array with one leading entry
     per row; the result holds one array per pick, concatenated over the
-    blocks, so X needs at least one row. A call allocates one cache, and
+    blocks, so data needs at least one row. A call allocates one cache, and
     every block, the ragged last one too, is written into it, so each
     pick's array is copied before the next block runs (a pick may return a
-    view such as `cache.weights`). The peak memory is O(EVAL_BLOCK_ROWS)
-    plus whatever the picks keep. A block whose forward pass overflows or
+    view such as `cache.weights`). The blocks come from `data.blocks`, so
+    each row is copied once, into the cache's inputs, and a mapped table's
+    pages are released behind each block: the peak memory is
+    O(EVAL_BLOCK_ROWS) plus whatever the picks keep. A block that holds a
+    NaN or inf raises DataFormatError naming its row and column, after the
+    file a mapped table came from. A block whose forward pass overflows or
     makes an invalid value raises TrainingError naming its rows (1-based),
     as a training step does, so no prediction is made from inf or NaN.
     """
     kept = [[] for _ in picks]
     cache = None
     with np.errstate(over="raise", invalid="raise"):
-        for start in range(0, len(X), EVAL_BLOCK_ROWS):
-            block = X[start : start + EVAL_BLOCK_ROWS]
+        for start, block in data.blocks(EVAL_BLOCK_ROWS):
             try:
                 cache = forward(block, params, cfg, out=cache)
             except FloatingPointError as err:
                 raise TrainingError(f"rows {start + 1} to {start + len(block)}: {err}") from None
+            except ContractViolation:
+                # forward refuses a block that is not finite, and a mapped
+                # table's rows meet no other check
+                data.raise_if_not_finite(start, start + len(block))
+                raise
             for parts, pick in zip(kept, picks):
                 parts.append(pick(cache).copy())
     return [np.concatenate(parts) for parts in kept]
@@ -261,7 +271,7 @@ def evaluate(params: ParamGroups, cfg: HeadConfig, data: FeatureDataset) -> Eval
     if len(data) < 1:
         raise ContractViolation("evaluate needs a non-empty dataset")
     (predictions,) = forward_in_blocks(
-        data.features, params, cfg, lambda cache: np.argmax(cache.logits, axis=1)
+        data, params, cfg, lambda cache: np.argmax(cache.logits, axis=1)
     )
     K = cfg.n_classes
     confusion = np.zeros((K, K), dtype=np.int64)

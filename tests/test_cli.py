@@ -1,11 +1,12 @@
 """CLI command tests: config handling, artifacts, exit codes, determinism."""
 
 import errno
+import mmap
 import os
 import re
 import shlex
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -656,6 +657,35 @@ class TestEvalCommand:
         total = sum(int(r.split(",")[1]) for r in rows)
         correct = sum(int(r.split(",")[2]) for r in rows)
         assert correct / total == pytest.approx(final_acc, abs=1e-12)
+
+    def test_eval_and_inspect_map_a_binary_table_and_training_reads_it(
+        self, toy_env, monkeypatch
+    ):
+        """The features eval and inspect load are a read-only view of the file's
+        mapping, not a copy; the sets read_sets gives train and sweep are
+        writable rows in memory."""
+        tmp_path, config = toy_env
+        table = tmp_path / "train.bin"
+        datasets.save_bin(str(table), datasets.load_csv(str(tmp_path / "train.csv"), 3))
+        ckpt = save_toy_model(tmp_path / "m.ckpt", config)
+        loaded = []
+        real = cli.load_dataset
+        monkeypatch.setattr(
+            cli, "load_dataset", lambda *a, **k: loaded.append(real(*a, **k)) or loaded[-1]
+        )
+        base = ["--checkpoint-path", str(ckpt), "--data", str(table)]
+        assert main(["eval", *base]) == 0
+        assert main(["inspect", *base, "--weights-csv", str(tmp_path / "w.csv")]) == 0
+        assert len(loaded) == 2
+        for data in loaded:
+            mapping = data.features.base
+            assert isinstance(mapping, mmap.mmap) and len(mapping) == table.stat().st_size
+            assert np.shares_memory(np.frombuffer(mapping, np.uint8), data.features)
+            assert not data.features.flags.writeable
+        run = replace(load_run_config(str(config)), train_path=str(table), test_path=str(table))
+        for data in cli.read_sets(run):
+            assert data.features.flags.writeable
+            assert not isinstance(data.features.base, mmap.mmap)
 
     def test_float32_and_float64_tables_of_one_set_write_the_same_reports(self, toy_env):
         """A binary table and a CSV of float64 values that round to its rows load to
@@ -1568,6 +1598,35 @@ class TestDatasetChecks:
         assert main(argv) == 2
         assert f"error: {bad}: row 5: f_7={value} is not finite" in capsys.readouterr().err
         assert not any(path.exists() for path in written)
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_non_finite_entry_in_the_last_block_exits_2_naming_it_and_writes_nothing(
+        self, toy_env, capsys, command
+    ):
+        """eval and inspect map a binary table and meet its rows block by block,
+        so a NaN that only the last block holds still stops them before any
+        report is written, naming the file, row and column."""
+        tmp_path, config = toy_env
+        spec = datasets.make_synth_spec(
+            n_classes=3, n_actions=4, feature_dim=24, samples_per_class=100, structure_seed=1
+        )
+        data = datasets.generate(spec)  # 300 rows: a full block and a ragged one
+        row = len(data) - 3
+        assert row > training.EVAL_BLOCK_ROWS
+        data.features[row - 1, 5] = np.nan
+        bad = tmp_path / "bad.bin"
+        datasets.save_bin(str(bad), data)
+        ckpt = save_toy_model(tmp_path / "m.ckpt", config)
+        outputs = [tmp_path / name for name in ("eval.csv", "w.csv", "p.csv", "r.csv")]
+        flags = ["--out", str(outputs[0])] if command == "eval" else [
+            x for flag, path in zip(("--weights-csv", "--pca-csv", "--relations-csv"),
+                                    outputs[1:]) for x in (flag, str(path))
+        ]
+        capsys.readouterr()
+        assert main([command, "--checkpoint-path", str(ckpt), "--data", str(bad), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert f"error: {bad}: row {row}: f_6=nan is not finite" in err
+        assert out == "" and not any(path.exists() for path in outputs)
 
     @pytest.mark.parametrize("command", ["eval", "train"])
     def test_binary_label_out_of_range_exits_2_naming_the_row(self, toy_env, capsys, command):

@@ -1,5 +1,7 @@
 """Synthetic generator and CSV/binary round-trip tests."""
 
+import mmap
+import os
 import struct
 import tracemalloc
 
@@ -15,6 +17,7 @@ from ferhead.datasets import (
     load_bin,
     load_csv,
     make_synth_spec,
+    map_bin,
     save_bin,
     save_csv,
     table_header,
@@ -305,6 +308,98 @@ class TestBinaryLoad:
         with np.errstate(all="raise"):
             loaded = load_bin(str(path))
         np.testing.assert_array_equal(loaded.features, data.features)
+
+
+def resident_file_kb() -> int:
+    """This process's resident file-backed memory (RssFile), in kB."""
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("RssFile:"))
+
+
+class TestMapBin:
+    def test_rows_and_labels_equal_load_bin_s_as_a_read_only_view(self, tmp_path):
+        data = generate(small_spec())
+        path = tmp_path / "data.bin"
+        save_bin(str(path), data)
+        mapped, read = map_bin(str(path)), load_bin(str(path))
+        assert mapped.features.dtype == np.float32 and mapped.features.shape == (15, 12)
+        np.testing.assert_array_equal(mapped.features, read.features)
+        np.testing.assert_array_equal(mapped.labels, read.labels)
+        assert mapped.labels.dtype == np.int64 and mapped.n_classes == read.n_classes
+        assert isinstance(mapped.features.base, mmap.mmap)
+        assert not mapped.features.flags.writeable
+        assert mapped.mapped_from == str(path) and read.mapped_from == ""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda blob: blob[:-5],
+            lambda blob: blob + b"\0",
+            lambda blob: b"WHAT" + blob[4:],
+            lambda blob: blob[:10],
+            lambda blob: blob[:4] + struct.pack("<I", 9) + blob[8:],
+            lambda blob: blob[:-4] + struct.pack("<I", 3),
+        ],
+        ids=["truncated", "overlong", "bad-magic", "short-header", "bad-version", "label"],
+    )
+    def test_a_damaged_file_fails_with_load_bin_s_message(self, tmp_path, damage):
+        path = tmp_path / "data.bin"
+        save_bin(str(path), generate(small_spec()))
+        path.write_bytes(damage(path.read_bytes()))
+        messages = []
+        for load in (load_bin, map_bin):
+            with pytest.raises(DataFormatError) as err:
+                load(str(path))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] and messages[0].startswith(f"{path}: ")
+
+    def test_a_table_of_no_rows_is_refused_naming_the_file(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        save_bin(str(path), FeatureDataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 3))
+        with pytest.raises(DataFormatError, match=f"^{path}: no data rows$"):
+            map_bin(str(path))
+
+    def test_mapping_reads_no_row_and_a_block_check_names_file_row_and_column(self, tmp_path):
+        data = generate(small_spec())
+        data.features[11, 4] = np.inf
+        path = tmp_path / "data.bin"
+        save_bin(str(path), data)
+        mapped = map_bin(str(path))  # load_bin would refuse the table here
+        mapped.raise_if_not_finite(0, 10)
+        with pytest.raises(DataFormatError) as err:
+            mapped.raise_if_not_finite(10, 15)
+        assert str(err.value) == f"{path}: row 12: f_5=inf is not finite"
+
+    @pytest.mark.parametrize("rows", [4, 15, 20])
+    def test_blocks_hand_out_every_row_once_in_order(self, tmp_path, rows):
+        data = generate(small_spec())
+        path = tmp_path / "data.bin"
+        save_bin(str(path), data)
+        for table in (data, map_bin(str(path))):
+            starts, parts = zip(*table.blocks(rows))
+            assert list(starts) == list(range(0, 15, rows))
+            np.testing.assert_array_equal(np.concatenate(parts), data.features)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads RssFile")
+    def test_a_pass_over_the_blocks_keeps_about_one_block_resident(self, tmp_path):
+        """Each block's pages are released behind it: a pass over a 16 MB table
+        never has half of it mapped in (a fault maps a whole page-cache folio,
+        up to 2 MiB on kernels with large folios, so a 0.5 MB block peaked at
+        about 4 MB), leaves under 1 MB of it mapped in, and a later read of
+        those rows gets the same bytes."""
+        rng = np.random.default_rng(0)
+        data = FeatureDataset(rng.random((8000, 512), dtype=np.float32), np.zeros(8000), 7)
+        path = tmp_path / "large.bin"
+        save_bin(str(path), data)
+        mapped = map_bin(str(path))
+        before = resident_file_kb()
+        grew = 0
+        for _, block in mapped.blocks(256):
+            float(block.sum())  # faults the block's pages in
+            grew = max(grew, resident_file_kb() - before)
+        assert 256 * 512 * 4 // 1024 <= grew < 8 << 10
+        assert resident_file_kb() - before < 1024
+        np.testing.assert_array_equal(mapped.features, data.features)
 
 
 class TestTableHeader:

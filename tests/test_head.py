@@ -11,7 +11,7 @@ import pytest
 from naive_reference import naive_head_forward, naive_losses
 from stage_forward import stage_forward
 
-from ferhead import head
+from ferhead import head, inter
 from ferhead.datasets import generate, load_bin, make_synth_spec, save_bin
 from ferhead.decomposition import LatentCenters
 from ferhead.errors import ContractViolation, TrainingError
@@ -192,14 +192,20 @@ class TestCacheBlock:
 
     @pytest.mark.parametrize("N", [64, 256])
     def test_four_latent_arrays_are_rows_of_one_block(self, N):
+        """The four (N, M, D) arrays are the disjoint rows, in field order, of
+        one aligned (4, N*M*D) block, all views of the one buffer under it."""
         cfg = HeadConfig()
         M, D = cfg.n_latents, cfg.latent_dim
         cache = empty_cache(N, cfg, np.float64)
         arrays = {name: getattr(cache, name) for name in self.BLOCK}
-        block = arrays["latents"].base
-        assert block.shape == (4, N * M * D) and block.dtype == np.float64
-        for name, arr in arrays.items():
-            assert arr.base is block, name
+        buffer = arrays["latents"].base
+        row_bytes = N * M * D * 8
+        assert buffer.nbytes >= 4 * row_bytes
+        first = arrays["latents"].ctypes.data
+        for k, (name, arr) in enumerate(arrays.items()):
+            assert arr.base is buffer, name
+            assert arr.dtype == np.float64, name
+            assert arr.ctypes.data == first + k * row_bytes, name
             assert arr.shape == (N, M, D), name
             if name in self.LATENT_MAJOR:
                 assert arr.strides == (D * 8, N * D * 8, 8), name
@@ -207,6 +213,28 @@ class TestCacheBlock:
                 assert arr.strides == (M * D * 8, D * 8, 8), name
         for a, b in combinations(arrays, 2):
             assert not np.shares_memory(arrays[a], arrays[b]), (a, b)
+
+    @pytest.mark.parametrize("N", [64, EVAL_BLOCK_ROWS])
+    def test_every_buffer_and_the_pair_loop_scratch_start_on_a_cache_line(
+        self, monkeypatch, N
+    ):
+        """At paper dimensions every cache array, each row of the block among
+        them, and the pair loop's (N, D) difference scratch start on a 64-byte
+        boundary."""
+        cfg = HeadConfig()
+        params = init_model_params(cfg, SplitMix64(3)).astype(COMPUTE_DTYPE)
+        X = np.random.default_rng(3).random((N, cfg.input_dim), dtype=np.float32)
+        scratch = []
+        allocate = inter.empty_aligned
+        monkeypatch.setattr(
+            inter, "empty_aligned", lambda *a: scratch.append(allocate(*a)) or scratch[-1]
+        )
+        cache = forward(X, params, cfg)
+        for f in fields(cache):
+            assert getattr(cache, f.name).ctypes.data % 64 == 0, f.name
+        assert [(arr.shape, arr.ctypes.data % 64) for arr in scratch] == [
+            ((N, cfg.latent_dim), 0)
+        ]
 
     def test_evaluation_block_gets_huge_pages(self):
         """The block evaluate and inspect allocate is >= 4 MiB, which numpy

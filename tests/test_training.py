@@ -559,7 +559,7 @@ class TestEvaluate:
 
         full = forward(X, state.params, cfg)
         weights, omega, scaled = training.forward_in_blocks(
-            X,
+            FeatureDataset(X, np.zeros(len(X)), cfg.n_classes),
             state.params,
             cfg,
             lambda cache: cache.weights,
@@ -583,7 +583,8 @@ class TestEvaluate:
         cfg = tiny_cfg()
         state = fresh_state(cfg, seed=14)
         X = np.random.default_rng(14).normal(size=(2 * 8 + 5, cfg.input_dim))
-        training.forward_in_blocks(X, state.params, cfg, lambda cache: cache.logits)
+        data = FeatureDataset(X, np.zeros(len(X)), cfg.n_classes)
+        training.forward_in_blocks(data, state.params, cfg, lambda cache: cache.logits)
         assert sizes == [8]
 
     def test_peak_memory_bounded_in_rows(self):
