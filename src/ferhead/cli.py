@@ -15,9 +15,9 @@ a command reads must fit the model's class count and input dimension
 in full before the first epoch (`read_sets`), and every command that writes
 a file checks its paths before any work (`check_output_dirs`). Every
 command is deterministic given --seed: training runs one batched forward
-and backward per step, and repeated runs on the same machine with the same
-BLAS thread count give identical bytes. --threads (the `threads` key) is
-accepted so that older configuration files still load, and has no effect.
+and backward per step, and repeated runs on the same machine give identical
+bytes at any BLAS thread count. --threads (the `threads` key) is accepted so
+that older configuration files still load, and has no effect.
 """
 
 from __future__ import annotations

@@ -7,9 +7,11 @@ import pytest
 
 from stage_forward import stage_forward
 
-from ferhead.errors import ContractViolation
-from ferhead.head import HeadConfig
+from ferhead.datasets import FeatureDataset
+from ferhead.errors import ContractViolation, TrainingError
+from ferhead.head import HeadConfig, ParamGroups
 from ferhead.inter import pairwise_relation
+from ferhead.training import forward_in_blocks
 
 
 def naive_messages(features, weights):
@@ -93,6 +95,34 @@ class TestRelationWeights:
         assert omega.shape == (7, 4, 4)
         idx = np.arange(4)
         assert np.all(omega[:, idx, idx] == 0)
+
+
+class TestRelationOverflow:
+    def test_float32_messages_1e20_apart_raise_under_errstate(self):
+        g = np.zeros((2, 3, 4), dtype=np.float32)
+        g[1, 2, 0] = 1e20
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow encountered in "):
+                pairwise_relation(g)
+
+    def test_forward_in_blocks_names_the_rows_whose_relation_stage_overflows(self):
+        """Latent 0's messages reach 4e19 while the others stay 0; every
+        stage before the relation weights holds them in float32."""
+        cfg = HeadConfig(input_dim=8, latent_dim=8, n_latents=3, n_classes=3)
+        M, P, D = cfg.n_latents, cfg.input_dim, cfg.latent_dim
+        decomp = np.zeros((M, P, D), dtype=np.float32)
+        decomp[0] = np.eye(P, D)
+        params = ParamGroups(
+            decomp=decomp,
+            gate=np.zeros((M, D, D), dtype=np.float32),
+            message=np.stack([np.eye(D, dtype=np.float32)] * M),
+            classifier=np.ones((D, cfg.n_classes), dtype=np.float32),
+        )
+        X = np.ones((300, P))
+        X[280] = 1e19
+        data = FeatureDataset(X, np.arange(300) % 3, cfg.n_classes)
+        with pytest.raises(TrainingError, match="^rows 257 to 300: overflow encountered in "):
+            forward_in_blocks(data, params, cfg, lambda cache: cache.logits)
 
 
 class TestAggregate:
